@@ -279,7 +279,7 @@ def _oracle_verdict(groups: list[Elementary2Group]) -> str:
             return "skipped"
         if not agrees:
             raise ComputationError(
-                "brute-force oracle disagrees with the Smith-form computation"
+                "brute-force oracle disagrees with the mod-2 rank computation"
             )
     return "agree"
 
@@ -408,7 +408,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--h1", action="store_true", help="also compute H1 of the fundamental group")
         p.add_argument("--reps", action="store_true", help="list component representatives")
         p.add_argument("--oracle", action="store_true", help="cross-check with brute-force coset enumeration")
-        p.add_argument("--format", choices=("text", "json", "json-like"), default=None)
+        p.add_argument("--format", choices=tuple(_FORMAT_ALIASES), default=None)
 
     comp = sub.add_parser("compute", help="run a JSON job specification")
     comp.add_argument("spec_file", help="path to the JSON job file, or '-' for stdin")

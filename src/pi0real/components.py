@@ -26,11 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple, Optional
 
 from .intlattice import (
     Lattice,
+    NotASublattice,
     brute_force_quotient,
+    coords_in_lattice,
     identity_matrix,
     image_lattice,
     kernel_lattice,
@@ -41,7 +44,6 @@ from .intlattice import (
     mat_sub,
     mat_vec,
     membership,
-    quotient_structure,
     reduce_mod,
     vec_add,
     vec_frac,
@@ -100,10 +102,6 @@ class Elementary2Group:
     sub: Lattice
     sup: Lattice
 
-    @property
-    def quotient_pair(self) -> tuple[Lattice, Lattice]:
-        return self.sub, self.sup
-
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """All group elements as subset sums of the generators, by size.
 
@@ -123,9 +121,6 @@ class Elementary2Group:
         return tuple(out)
 
 
-_GENERATOR_ENUM_LIMIT = 4096
-
-
 def _as_int_vec(v) -> tuple[int, ...]:
     out = []
     for x in v:
@@ -136,88 +131,92 @@ def _as_int_vec(v) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pick_generators(sub: Lattice, sup: Lattice, raw, named):
-    """Choose generators for sup/sub, preferring named lattice vectors.
+def _parity(coords) -> int:
+    """Integer coordinates mod 2, as a bitmask with bit i for coordinate i."""
+    return sum(1 << i for i, c in enumerate(coords) if c & 1)
 
-    ``raw`` is an independent generating set (from the Smith form) and
-    ``named`` the datum's (name, vector) pairs in preference order.  When
-    the group is small enough we enumerate all cosets, admit named vectors
-    first and then the lexicographically smallest canonical residues,
-    keeping only classes independent from those already chosen.  For huge
-    groups we keep the raw generators and just relabel exact matches.
+
+def _extend(echelon: list[int], mask: int) -> bool:
+    """Add an F2 vector to an echelon of bitmasks if it is independent.
+
+    The echelon is kept in decreasing order, so its leading bits are
+    distinct and decreasing; ``min(m, m ^ e)`` clears e's leading bit from
+    m exactly when it is set.  Returns whether the vector was independent.
     """
-    k = len(raw)
-    if k == 0:
-        return (), ()
-    named_in = [(nm, vec_frac(v)) for nm, v in named if membership(v, sup)]
+    for e in echelon:
+        mask = min(mask, mask ^ e)
+    if mask:
+        echelon.append(mask)
+        echelon.sort(reverse=True)
+    return bool(mask)
 
-    if 2**k <= _GENERATOR_ENUM_LIMIT:
-        residues = set()
-        for mask in range(1, 2**k):
-            total = tuple(Fraction(0) for _ in range(sub.ambient_dim))
-            for i in range(k):
-                if mask >> i & 1:
-                    total = vec_add(total, vec_frac(raw[i]))
-            residues.add(reduce_mod(total, sub))
-        chosen: list[tuple[int, ...]] = []
-        names: list[Optional[str]] = []
-        span = {reduce_mod(tuple(Fraction(0) for _ in range(sub.ambient_dim)), sub)}
 
-        def admit(vec, label) -> bool:
-            if reduce_mod(vec, sub) in span:
-                return False
-            span.update(
-                {reduce_mod(vec_add(s, vec_frac(vec)), sub) for s in tuple(span)}
-            )
-            chosen.append(_as_int_vec(vec))
-            names.append(label)
-            return True
+def _relations(sub: Lattice, sup: Lattice) -> list[int]:
+    """Echelon over F2 of sub's basis vectors written in sup's basis."""
+    echelon: list[int] = []
+    for v in sub.vectors():
+        coords = coords_in_lattice(v, sup)
+        if coords is None:
+            raise NotASublattice(f"generator {v} is not in the super-lattice")
+        _extend(echelon, _parity(coords))
+    return echelon
 
-        for nm, v in named_in:
-            if len(chosen) == k:
-                break
-            if reduce_mod(v, sub) in residues:
-                admit(v, nm)
-        for r in sorted(residues):
-            if len(chosen) == k:
-                break
-            admit(r, None)
-        assert len(chosen) == k, "coset enumeration failed to find a basis"
-        return tuple(chosen), tuple(names)
 
-    chosen = []
-    names = []
-    used: set[str] = set()
-    for g in raw:
-        label = None
-        vec = g
-        for nm, v in named_in:
-            if nm not in used and membership(
-                tuple(a - b for a, b in zip(v, vec_frac(g))), sub
-            ):
-                label, vec = nm, v
-                used.add(nm)
-                break
-        chosen.append(_as_int_vec(vec))
-        names.append(label)
-    return tuple(chosen), tuple(names)
+def _pivot_product(lat: Lattice) -> int:
+    return prod(next(x for x in row if x) for row in lat.basis)
 
 
 def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group:
-    qs = quotient_structure(sub, sup)
-    if qs.free_rank != 0:
+    """sup/sub as an elementary abelian 2-group, by rank over F2.
+
+    When 2 sup lies in sub, the quotient is (sup / 2 sup) modulo the image
+    of sub, so its 2-rank k is rank(sup) minus the F2 rank of sub's
+    coordinates in sup's basis.  The index [sup : sub], read off the two
+    Hermite bases (which share pivot columns when the ranks agree), equals
+    2^k exactly when 2 sup lies in sub; any other index raises
+    ComputationError.
+
+    Generators are picked greedily, each admitted when its class is
+    independent of sub and of the earlier picks: first the ``named``
+    (name, vector) pairs that lie in sup, in the given order, then the
+    canonical residues modulo sub of sup's Hermite rows, smallest first.
+    """
+    echelon = _relations(sub, sup)
+    r = sup.rank
+    k = r - len(echelon)
+    if sub.rank < r:
         raise ComputationError(
             f"{what} came out infinite; the involution data is inconsistent"
         )
-    if any(d != 2 for d in qs.invariant_factors):
+    index = Fraction(
+        _pivot_product(sub) * sup.denom**r, _pivot_product(sup) * sub.denom**r
+    )
+    if index != 2**k:
         raise ComputationError(
             f"{what} is not an elementary abelian 2-group: "
-            f"invariant factors {qs.invariant_factors}"
+            f"index {index} with 2-rank {k}"
         )
-    gens, names = _pick_generators(sub, sup, qs.generators, named)
-    k = len(qs.invariant_factors)
+    chosen: list[tuple[int, ...]] = []
+    names: list[Optional[str]] = []
+    for nm, v in named:
+        if len(chosen) == k:
+            break
+        coords = coords_in_lattice(v, sup)
+        if coords is not None and _extend(echelon, _parity(coords)):
+            chosen.append(_as_int_vec(v))
+            names.append(nm)
+    if len(chosen) < k:
+        # the residue of sup's i-th Hermite row has coordinates e_i modulo sub
+        residues = sorted((reduce_mod(b, sub), i) for i, b in enumerate(sup.vectors()))
+        for res, i in residues:
+            if len(chosen) == k:
+                break
+            if _extend(echelon, 1 << i):
+                chosen.append(_as_int_vec(res))
+                names.append(None)
     return Elementary2Group(
-        rank=k, order=2**k, generators=gens, generator_names=names, sub=sub, sup=sup
+        rank=k, order=2**k, generators=tuple(chosen), generator_names=tuple(names),
+        sub=sub, sup=sup,
     )
 
 
@@ -273,18 +272,16 @@ def kernel_embedding_check(rd: RootDatum, inv: Involution) -> bool:
 
     Both groups are quotients by 2 X_spl_tilde + (part of Q); a split
     cocharacter equals its own projection, so pi0 classes map to H1
-    classes by doing nothing to the vector.  Injectivity means no nonzero
-    subset sum of pi0 generators becomes trivial in H1.
+    classes by doing nothing to the vector.  Injectivity means the pi0
+    generators lie in H1's super-lattice and, written in its basis, stay
+    independent over F2 modulo H1's relations.
     """
     p = pi0(rd, inv)
     h = h1_pi1(rd, inv)
-    if 2**p.rank > _GENERATOR_ENUM_LIMIT:
-        raise ComputationError("component group too large to enumerate")
-    zero = reduce_mod(tuple(0 for _ in range(rd.rank)), h.sub)
-    for v in p.elements()[1:]:
-        if not membership(v, h.sup):
-            return False
-        if reduce_mod(v, h.sub) == zero:
+    echelon = _relations(h.sub, h.sup)
+    for v in p.generators:
+        coords = coords_in_lattice(v, h.sup)
+        if coords is None or not _extend(echelon, _parity(coords)):
             return False
     return True
 
@@ -340,10 +337,11 @@ def representative(rd: RootDatum, inv: Involution, nu) -> Representative:
 
 
 def oracle_check(group: Elementary2Group, bound: int = 4096) -> bool:
-    """Recompute the group order by brute-force coset enumeration.
+    """Recompute the group structure by brute-force coset enumeration.
 
-    Walks the quotient sup/sub directly, with no Smith form involved, and
-    compares invariant factors.  Raises BoundExceeded when the quotient
+    Walks the quotient sup/sub directly, sharing nothing with the mod-2
+    rank computation that built the group, and compares invariant
+    factors.  Raises BoundExceeded when the quotient
     has more than ``bound`` cosets.
     """
     slow = brute_force_quotient(group.sub, group.sup, bound=bound)

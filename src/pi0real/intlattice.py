@@ -706,25 +706,20 @@ def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> Quoti
         return QuotientStructure((), 0, ())
     factors = _invariant_factors_from_orders(found, sub, n)
 
-    def closure(gens):
-        span = {zero}
-        queue = [zero]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = reduce_mod(vec_add(x, g), sub)
-                if y not in span:
-                    span.add(y)
-                    queue.append(y)
-        return span
-
     chosen: list[Vector] = []
     span = {zero}
     for x in sorted(found):
         if x in span:
             continue
         chosen.append(x)
-        span = closure(chosen)
+        # span + <x> is the union of the shifts span + m*x; each shift is a
+        # coset of span, so it is either new or span itself, which ends it
+        shift = span
+        while True:
+            shift = {reduce_mod(vec_add(s, x), sub) for s in shift}
+            if shift <= span:
+                break
+            span |= shift
         if len(span) == n:
             break
     return QuotientStructure(factors, 0, tuple(chosen))

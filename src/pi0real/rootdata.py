@@ -73,7 +73,7 @@ class RootDatum:
     torus representatives; a weight is a covector, stored as a plain tuple in
     the coordinates dual to ``cochar``.  ``named_vectors`` are pairs
     (name, vector) of distinguished cocharacters, in order of preference when
-    relabelling computed generators.  ``lift_note`` is attached verbatim to
+    choosing generators.  ``lift_note`` is attached verbatim to
     printed representatives when the matrix realization is only defined up to
     a choice (e.g. a double cover).
     """

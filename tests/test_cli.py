@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,13 @@ from pi0real.components import ComputationError
 
 def run_job(doc):
     return cli.run(cli.parse_jobspec(doc))
+
+
+def module_env():
+    """The environment for `python -m pi0real`, finding the package tested here."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +317,9 @@ def test_main_compute_from_file(tmp_path, capsys):
 def test_main_format_json_like_alias(tmp_path, capsys):
     spec = tmp_path / "job.json"
     spec.write_text(json.dumps({"preset": "GL", "n": 2}))
-    assert cli.main(["compute", str(spec), "--format", "json-like"]) == 0
-    assert json.loads(capsys.readouterr().out)["order"] == 2
+    for fmt in ("json-like", "structured"):
+        assert cli.main(["compute", str(spec), "--format", fmt]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 2
 
 
 def test_main_flags_override_document(tmp_path, capsys):
@@ -389,6 +399,7 @@ def test_main_preset_simple_compact(capsys):
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "pi0real", "preset", "GL", "--n", "3"],
+        env=module_env(),
         capture_output=True,
         text=True,
     )
@@ -400,6 +411,7 @@ def test_module_invocation_stdin():
     proc = subprocess.run(
         [sys.executable, "-m", "pi0real", "compute", "-", "--format", "json"],
         input='{"rank": 2, "coroots": [], "theta": [[0, -1], [-1, 0]]}',
+        env=module_env(),
         capture_output=True,
         text=True,
     )

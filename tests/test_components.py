@@ -18,7 +18,14 @@ from pi0real.components import (
     split_lattices,
     torus_pi0,
 )
-from pi0real.intlattice import Lattice, membership
+from pi0real.intlattice import (
+    Lattice,
+    NotASublattice,
+    lattice_sum,
+    membership,
+    quotient_structure,
+    reduce_mod,
+)
 from pi0real.realform import Involution, involution_from_matrix, e7_preset
 from pi0real.rootdata import (
     PresetSpec,
@@ -208,7 +215,9 @@ def test_h1_adjoint_split_e7():
 
 
 def test_h1_contains_pi0():
-    fixtures = [gl(5), so(2, 3), pso(4, 4), pso(3, 3), torus_split(3), torus_weil()]
+    fixtures = [
+        gl(5), so(2, 3), pso(4, 4), pso(3, 3), torus_split(3), torus_split(13), torus_weil()
+    ]
     for spec in fixtures:
         rd, inv = build(spec)
         assert pi0(rd, inv).order <= h1_pi1(rd, inv).order
@@ -390,6 +399,93 @@ def test_two_group_guard_rejects_odd_factors():
 def test_two_group_guard_rejects_infinite():
     with pytest.raises(ComputationError, match="infinite"):
         _two_group(Lattice.zero(2), Lattice.standard(2), (), "test group")
+
+
+def test_two_group_rejects_non_sublattice():
+    with pytest.raises(NotASublattice):
+        _two_group(
+            Lattice.standard(1), Lattice.from_vectors(1, [(2,)]), (), "test group"
+        )
+
+
+# ---------------------------------------------------------------------------
+# the mod-2 quotient kernel
+
+
+def test_conjugated_split_torus_names_every_generator():
+    import helpers
+
+    rd, inv = build(torus_split(13))
+    u, uinv = helpers.random_unimodular(random.Random(13), 13)
+    rd, inv = helpers.conjugate_datum(rd, inv, u, uinv)
+    g = pi0(rd, inv)
+    assert g.rank == 13
+    assert g.generator_names == tuple(f"e{i}" for i in range(1, 14))
+    assert g.generators == tuple(v for _, v in rd.named_vectors)
+
+
+def reference_picks(sub, sup, named):
+    """Generators of sup/sub by enumerating every canonical residue.
+
+    Named vectors in sup come first, in order, then the residues sorted;
+    each is kept when its class is outside the span of the earlier picks.
+    Needs 2 sup inside sub, so subset sums of sup's basis reach every coset.
+    """
+    n = sup.ambient_dim
+    basis = sup.vectors()
+    residues = set()
+    for mask in range(2 ** len(basis)):
+        total = (Fraction(0),) * n
+        for i, b in enumerate(basis):
+            if mask >> i & 1:
+                total = tuple(x + y for x, y in zip(total, b))
+        residues.add(reduce_mod(total, sub))
+    span = {reduce_mod((0,) * n, sub)}
+    picks = []
+    candidates = [(nm, v) for nm, v in named if membership(v, sup)]
+    candidates += [(None, r) for r in sorted(residues)]
+    for nm, v in candidates:
+        if len(span) == len(residues):
+            break
+        r = reduce_mod(v, sub)
+        if r not in span:
+            span |= {reduce_mod(tuple(x + y for x, y in zip(s, r)), sub) for s in span}
+            picks.append((nm, tuple(int(x) for x in v)))
+    return picks
+
+
+def test_two_group_matches_coset_enumeration_random():
+    rng = random.Random(20261018)
+
+    def combo(vectors):
+        coeffs = [rng.randint(-2, 2) for _ in vectors]
+        return tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*vectors))
+
+    checked = 0
+    while checked < 120:
+        n = rng.randint(1, 8)
+        rows = tuple(
+            tuple(rng.randint(-3, 3) for _ in range(n))
+            for _ in range(rng.randint(max(1, n - 2), n))
+        )
+        sup = Lattice(n, rows)
+        if sup.is_zero:
+            continue
+        basis = sup.vectors()
+        relations = [combo(basis) for _ in range(rng.randint(0, 2))]
+        sub = lattice_sum(sup.scale(2), Lattice.from_vectors(n, relations or [(0,) * n]))
+        named = ()
+        if checked % 2:
+            named = tuple(
+                (f"v{j}", combo(basis) if rng.random() < 0.7 else
+                 tuple(rng.randint(-2, 2) for _ in range(n)))
+                for j in range(rng.randint(1, 6))
+            )
+        g = _two_group(sub, sup, named, "test group")
+        expected = reference_picks(sub, sup, named)
+        assert list(zip(g.generator_names, g.generators)) == expected
+        assert g.order == quotient_structure(sub, sup).order
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
