@@ -141,6 +141,14 @@ def _preset_job(doc: dict) -> tuple[RootDatum, Involution]:
     unknown = set(doc) - _PRESET_FIELDS - _COMMON_FIELDS
     if unknown:
         raise ValueError(f"unknown fields in preset job: {sorted(unknown)}")
+    for key in ("n", "p", "q", "rank"):
+        val = doc.get(key)
+        if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
+            raise ValueError(f"preset field {key!r} must be an integer, got {val!r}")
+    for key in ("form", "type", "isogeny", "real"):
+        val = doc.get(key)
+        if val is not None and not isinstance(val, str):
+            raise ValueError(f"preset field {key!r} must be a string, got {val!r}")
     spec = PresetSpec(
         family=str(doc["preset"]),
         n=doc.get("n"),
@@ -188,7 +196,8 @@ def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
     for i, pair in enumerate(doc.get("display_weights", [])):
         if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
             raise ValueError(f"display weight {i}: expected [label, vector]")
-        weights.append((pair[0], _vector(pair[1], rank, f"display weight {i}")))
+        w = _vector(pair[1], rank, f"display weight {i}")
+        weights.append((pair[0], tuple(int(x) if x.denominator == 1 else x for x in w)))
 
     named = []
     for i, pair in enumerate(doc.get("named_vectors", [])):

@@ -40,7 +40,6 @@ from .intlattice import (
     lattice_intersect,
     lattice_sum,
     mat_add,
-    mat_scale,
     mat_sub,
     mat_vec,
     membership,
@@ -76,10 +75,10 @@ def split_lattices(rd: RootDatum, inv: Involution) -> SplitLattices:
         raise ValueError(f"involution is {len(theta)} x {len(theta)}, datum has rank {n}")
     plus_one = mat_add(theta, identity_matrix(n))
     minus_one = mat_sub(theta, identity_matrix(n))
-    half_proj = mat_scale(mat_sub(identity_matrix(n), theta), Fraction(1, 2))
     return SplitLattices(
         x_spl=kernel_lattice(rd.cochar, plus_one),
-        x_spl_tilde=image_lattice(rd.cochar, half_proj),
+        # (theta - 1) X is (1 - theta) X: a lattice is closed under negation
+        x_spl_tilde=image_lattice(rd.cochar, minus_one).scale(Fraction(1, 2)),
         q_spl=kernel_lattice(rd.coroots, plus_one),
         q_cmp=kernel_lattice(rd.coroots, minus_one),
     )
@@ -244,27 +243,27 @@ def h1_pi1(rd: RootDatum, inv: Involution) -> Elementary2Group:
 def cocycle_check(rd: RootDatum, inv: Involution, nu) -> bool:
     """Does exp(pi i nu) define a Galois cocycle valued in the fundamental group?
 
-    The condition is that nu + theta(nu) lands in the compact part of the
-    coroot lattice.  ``nu`` must be a cocharacter.
+    The condition is that nu + theta(nu), which theta fixes, lands in the
+    compact part Q intersect ker(theta - 1) of Q, that is, in Q.  ``nu`` must
+    be a cocharacter.
     """
     nu = vec_frac(nu)
     if not membership(nu, rd.cochar):
         raise ValueError(f"{tuple(nu)} is not in the cocharacter lattice")
-    sl = split_lattices(rd, inv)
-    return membership(vec_add(nu, mat_vec(inv.theta, nu)), sl.q_cmp)
+    return membership(vec_add(nu, mat_vec(inv.theta, nu)), rd.coroots)
 
 
 def coboundary_check(rd: RootDatum, inv: Involution, nu) -> bool:
     """Does exp(pi i nu) give the trivial cohomology class?
 
-    True exactly when nu lies in 2 X_spl_tilde + Q.  A vector passing this
-    test is automatically a cocycle.
+    True exactly when nu lies in 2 X_spl_tilde + Q = (theta - 1) X + Q.  A
+    vector passing this test is automatically a cocycle.
     """
     nu = vec_frac(nu)
     if not membership(nu, rd.cochar):
         raise ValueError(f"{tuple(nu)} is not in the cocharacter lattice")
-    sl = split_lattices(rd, inv)
-    return membership(nu, lattice_sum(sl.x_spl_tilde.scale(2), rd.coroots))
+    minus_one = mat_sub(inv.theta, identity_matrix(rd.rank))
+    return membership(nu, lattice_sum(image_lattice(rd.cochar, minus_one), rd.coroots))
 
 
 def kernel_embedding_check(rd: RootDatum, inv: Involution) -> bool:
@@ -315,18 +314,17 @@ class Representative:
 
 
 def representative(rd: RootDatum, inv: Involution, nu) -> Representative:
-    """Evaluate the display weights on exp(pi i nu) for a split cocharacter nu."""
-    sl = split_lattices(rd, inv)
+    """Evaluate the display weights on exp(pi i nu) for nu in X with theta(nu) = -nu."""
     nu = vec_frac(nu)
-    if not membership(nu, sl.x_spl):
+    nu_int = _as_int_vec(nu) if membership(nu, rd.cochar) else None
+    if nu_int is None or mat_vec(inv.theta, nu_int) != tuple(-a for a in nu_int):
         raise ValueError(
             f"{tuple(nu)} is not a split cocharacter "
             "(need an integral vector with theta(nu) = -nu)"
         )
-    nu_int = _as_int_vec(nu)
     evals = []
     for label, w in rd.display_weights:
-        h = 2 * sum(Fraction(a) * Fraction(b) for a, b in zip(w, nu_int))
+        h = Fraction(2 * sum(a * b for a, b in zip(w, nu_int)))
         if h.denominator != 1:
             raise ValueError(
                 f"pairing of weight {label!r} with {nu_int} is not half-integral, "

@@ -729,66 +729,51 @@ def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> Quoti
 # rational linear algebra (used for eigenspace input and basis changes)
 
 
+def _rref(rows, ncols: int):
+    """Gauss-Jordan elimination over the rationals.
+
+    Returns the nonzero rows of the reduced row echelon form, as lists of
+    Fractions, and the list of their pivot columns.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    if any(len(row) != ncols for row in a):
+        raise DimensionMismatch(f"matrix row has wrong length, expected {ncols}")
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a[: len(pivots)], pivots
+
+
 def rat_inverse(m):
     """Exact inverse of a square rational matrix; raises when singular."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    if any(len(row) != 2 * n for row in a):
+    if any(len(row) != n for row in m):
         raise DimensionMismatch("matrix is not square")
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            raise LatticeError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    a, pivots = _rref([tuple(row) + e for row, e in zip(m, identity_matrix(n))], 2 * n)
+    if pivots != list(range(n)):
+        raise LatticeError("singular matrix")
     return tuple(tuple(row[n:]) for row in a)
 
 
 def rat_rank(rows) -> int:
     """Rank of a rational matrix given as an iterable of rows."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        a[rank] = [x / a[rank][col] for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+    rows = [tuple(row) for row in rows]
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def rational_right_kernel(rows, ncols: int) -> tuple[Vector, ...]:
     """Basis of {x rational : row . x == 0 for every row}."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    for row in a:
-        if len(row) != ncols:
-            raise DimensionMismatch("constraint row has wrong length")
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        a[rank] = [x / a[rank][col] for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
+    a, pivots = _rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

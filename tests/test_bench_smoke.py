@@ -1,0 +1,30 @@
+"""Smoke test for the benchmark: one short traced run of the tori workload.
+
+The run checks every report against the benchmark's closed forms, and its
+tracer looks up the public functions of the package by name, so this test
+fails when either the answers or those names change.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+RUNNER = ROOT / "perfbench" / "run.py"
+
+
+@pytest.mark.skipif(not RUNNER.is_file(), reason="no perfbench/ in this checkout")
+def test_traced_tori_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, str(RUNNER), "--workload", "tori", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert "components.split_lattices.calls" in result["metrics"]

@@ -101,6 +101,32 @@ def test_rejects_wrong_row_length():
         cli.parse_jobspec(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"preset": "GL", "n": "3"}, "n"),
+        ({"preset": "GL", "n": 3.5}, "n"),
+        ({"preset": "GL", "n": True}, "n"),
+        ({"preset": "TORUS_SPLIT", "n": False}, "n"),
+        ({"preset": "SO", "p": [2], "q": 3}, "p"),
+        ({"preset": "PSO", "p": 2, "q": "3"}, "q"),
+        ({"preset": "SIMPLE", "type": "A", "rank": "2"}, "rank"),
+        ({"preset": "SIMPLE", "type": 5, "rank": 2}, "type"),
+        ({"preset": "SIMPLE", "type": "A", "rank": 2, "isogeny": 1}, "isogeny"),
+        ({"preset": "SIMPLE", "type": "A", "rank": 2, "real": ["split"]}, "real"),
+        ({"preset": "E7", "form": 3}, "form"),
+    ],
+)
+def test_rejects_mistyped_preset_field(doc, field, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"preset field '{field}'"):
+        cli.parse_jobspec(doc)
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["compute", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{field}'" in err
+
+
 def test_inline_weil_matches_preset():
     # the swap-with-sign involution on a rank-2 torus is the Weil restriction
     inline = run_job({"rank": 2, "coroots": [], "theta": [[0, -1], [-1, 0]]})

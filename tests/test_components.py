@@ -22,9 +22,11 @@ from pi0real.intlattice import (
     Lattice,
     NotASublattice,
     lattice_sum,
+    mat_vec,
     membership,
     quotient_structure,
     reduce_mod,
+    vec_add,
 )
 from pi0real.realform import Involution, involution_from_matrix, e7_preset
 from pi0real.rootdata import (
@@ -364,6 +366,67 @@ def test_representative_rejects_non_half_integral_weight():
     inv = involution_from_matrix(rd, ((-1,),))
     with pytest.raises(ValueError, match="half-integral"):
         representative(rd, inv, (1,))
+
+
+def split_fixtures():
+    """The acceptance fixtures, each with two random conjugates."""
+    import helpers
+    from test_acceptance import _all_fixtures
+
+    rng = random.Random(5)
+    out = []
+    for rd, inv in _all_fixtures():
+        out.append((rd, inv))
+        for _ in range(2):
+            u, uinv = helpers.random_unimodular(rng, rd.rank)
+            out.append(helpers.conjugate_datum(rd, inv, u, uinv))
+    return out
+
+
+def test_representative_accepts_exactly_the_split_lattice():
+    for rd, inv in split_fixtures():
+        sl = split_lattices(rd, inv)
+        for v in sl.x_spl.vectors():
+            assert representative(rd, inv, v).nu == v
+        for i in range(rd.rank):
+            e = tuple(int(i == j) for j in range(rd.rank))
+            if not membership(e, sl.x_spl):
+                with pytest.raises(ValueError, match="split"):
+                    representative(rd, inv, e)
+
+
+def test_cocycle_and_coboundary_match_lattice_definitions():
+    rng = random.Random(55)
+    for rd, inv in split_fixtures():
+        sl = split_lattices(rd, inv)
+        h = h1_pi1(rd, inv)
+        basis = rd.cochar.vectors()
+        nus = list(h.sup.vectors()) + list(h.sub.vectors())
+        for _ in range(6):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            nus.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis))
+                             for j in range(rd.rank)))
+        for nu in nus:
+            cocycle = membership(vec_add(nu, mat_vec(inv.theta, nu)), sl.q_cmp)
+            assert cocycle_check(rd, inv, nu) == cocycle
+            assert coboundary_check(rd, inv, nu) == membership(nu, h.sub)
+
+
+def test_job_builds_split_lattices_at_most_twice(monkeypatch):
+    from pi0real import cli, components
+
+    calls = []
+    build_split = components.split_lattices
+
+    def counted(rd, inv):
+        calls.append(rd.name)
+        return build_split(rd, inv)
+
+    monkeypatch.setattr(components, "split_lattices", counted)
+    job = cli.parse_jobspec({"preset": "TORUS_SPLIT", "n": 5, "outputs": {"h1": True}})
+    report = cli.run(job)
+    assert len(report["representatives"]) == 31
+    assert len(calls) <= 2
 
 
 def test_pi0_classes_have_order_two_representatives():
