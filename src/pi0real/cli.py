@@ -34,7 +34,7 @@ from .realform import (
     involution_from_eigenspaces,
     involution_from_matrix,
 )
-from .rootdata import Lattice, PresetSpec, RootDatum, build_preset
+from .rootdata import PresetSpec, RootDatum, build_preset
 
 ORACLE_BOUND_ENV = "PI0_ORACLE_BOUND"
 DEFAULT_ORACLE_BOUND = 4096
@@ -93,7 +93,19 @@ def _matrix(rows, n: int, where: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_vector(r, n, f"{where} row {i}") for i, r in enumerate(rows))
 
 
-_PRESET_FIELDS = {"preset", "n", "p", "q", "form", "type", "rank", "isogeny", "real"}
+# the job fields each preset family reads; all but _PRESET_OPTIONAL are required
+_PRESET_PARAMS = {
+    "GL": ("n",),
+    "TORUS_SPLIT": ("n",),
+    "TORUS_COMPACT": ("n",),
+    "SO": ("p", "q"),
+    "PSO": ("p", "q"),
+    "TORUS_WEIL": (),
+    "E7": ("form",),
+    "SIMPLE": ("type", "rank", "isogeny", "real"),
+}
+_PRESET_OPTIONAL = {"isogeny", "real"}
+_PRESET_FIELDS = {"preset"}.union(*_PRESET_PARAMS.values())
 _INLINE_FIELDS = {
     "rank",
     "coroots",
@@ -149,29 +161,34 @@ def _preset_job(doc: dict) -> tuple[RootDatum, Involution]:
         val = doc.get(key)
         if val is not None and not isinstance(val, str):
             raise ValueError(f"preset field {key!r} must be a string, got {val!r}")
-    spec = PresetSpec(
-        family=str(doc["preset"]),
-        n=doc.get("n"),
-        p=doc.get("p"),
-        q=doc.get("q"),
-        form=doc.get("form"),
-        cartan_type=doc.get("type"),
-        rank=doc.get("rank"),
-        isogeny=doc.get("isogeny", "sc"),
-        real=doc.get("real"),
-    )
-    rd, inv = build_preset(spec)
-    if inv is None:
-        # SIMPLE presets without an explicit real form default to split
-        spec = PresetSpec(
-            family=spec.family,
-            cartan_type=spec.cartan_type,
-            rank=spec.rank,
-            isogeny=spec.isogeny,
-            real="split",
+    family = str(doc["preset"])
+    params = _PRESET_PARAMS.get(family.upper())
+    if params is not None:  # an unknown family is reported by build_preset
+        for key in doc:
+            if key in _PRESET_FIELDS and key != "preset" and key not in params:
+                takes = ", ".join(repr(k) for k in params) or "no fields"
+                raise ValueError(
+                    f"preset field {key!r} is not used by preset {family!r}, "
+                    f"which takes {takes}"
+                )
+        for key in params:
+            if key not in _PRESET_OPTIONAL and doc.get(key) is None:
+                raise ValueError(f"preset {family!r} needs parameter {key!r}")
+    real = doc.get("real")
+    return build_preset(
+        PresetSpec(
+            family=family,
+            n=doc.get("n"),
+            p=doc.get("p"),
+            q=doc.get("q"),
+            form=doc.get("form"),
+            cartan_type=doc.get("type"),
+            rank=doc.get("rank"),
+            isogeny=doc.get("isogeny", "sc"),
+            # SIMPLE presets without an explicit real form default to split
+            real="split" if real is None else real,
         )
-        rd, inv = build_preset(spec)
-    return rd, inv
+    )
 
 
 def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
@@ -184,13 +201,12 @@ def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
     if "coroots" not in doc or not isinstance(doc["coroots"], list):
         raise ValueError("'coroots' must be a list of coroot rows (possibly empty)")
 
-    gens: list[tuple[int, ...]] = []
+    # an insertion-ordered dict dedupes the +- pairs in linear time
+    gens: dict[tuple[int, ...], None] = {}
     for i, row in enumerate(doc["coroots"]):
         v = _int_vector(row, rank, f"coroot {i}")
-        for w in (v, tuple(-x for x in v)):
-            if w not in gens:
-                gens.append(w)
-    coroots = Lattice.from_vectors(rank, gens) if gens else Lattice.zero(rank)
+        gens[v] = None
+        gens[tuple(-x for x in v)] = None
 
     weights = []
     for i, pair in enumerate(doc.get("display_weights", [])):
@@ -207,8 +223,6 @@ def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
 
     rd = RootDatum(
         rank=rank,
-        cochar=Lattice.standard(rank),
-        coroots=coroots,
         coroot_generators=tuple(gens),
         display_weights=tuple(weights),
         named_vectors=tuple(named),

@@ -287,13 +287,7 @@ def kernel_embedding_check(rd: RootDatum, inv: Involution) -> bool:
 
 def torus_pi0(rank: int, inv: Involution) -> Elementary2Group:
     """Component group of a real torus: X_spl / 2 X_spl_tilde."""
-    rd = RootDatum(
-        rank=rank,
-        cochar=Lattice.standard(rank),
-        coroots=Lattice.zero(rank),
-        name=f"torus of rank {rank}",
-    )
-    return pi0(rd, inv)
+    return pi0(RootDatum(rank=rank, name=f"torus of rank {rank}"), inv)
 
 
 _FOURTH_ROOT = ("1", "i", "-1", "-i")

@@ -2,9 +2,10 @@
 
 A real form enters the computation only through the integer matrix by which
 the Cartan involution acts on cocharacters.  This module validates such
-matrices against a root datum (involutive, preserves the coroots) and builds
-them from eigenspace data or from named presets for the real forms of
-adjoint E7.
+matrices against a root datum and builds them from eigenspace data or from
+named presets for the real forms of adjoint E7.  A valid matrix is an
+involution that permutes the coroot set; since the coroot lattice is the
+span of that set, it then preserves the coroot lattice as well.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from typing import Optional, Sequence
 
 from .intlattice import (
     IntMatrix,
-    Lattice,
     as_int_matrix,
     block_diag,
     identity_matrix,
-    image_lattice,
     mat_mul,
     mat_vec,
     rat_inverse,
@@ -58,17 +57,15 @@ def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
         raise InvolutionError(f"involution matrix must be {n} x {n}")
     if mat_mul(theta, theta) != identity_matrix(n):
         raise InvolutionError("matrix is not an involution")
-    if image_lattice(rd.coroots, theta) != rd.coroots:
-        raise InvolutionError("involution does not preserve the coroot lattice")
-    if rd.coroot_generators:
-        coroot_set = set(rd.coroot_generators)
-        for c in rd.coroot_generators:
-            image = tuple(int(x) for x in mat_vec(theta, c))
-            if image not in coroot_set:
-                raise InvolutionError(
-                    f"involution does not normalize the coroot set: "
-                    f"theta({c}) = {image} is not a coroot"
-                )
+    # theta^2 = 1 and theta permuting the coroots give theta(Q) = Q
+    coroot_set = set(rd.coroot_generators)
+    for c in rd.coroot_generators:
+        image = tuple(int(x) for x in mat_vec(theta, c))
+        if image not in coroot_set:
+            raise InvolutionError(
+                f"involution does not normalize the coroot set: "
+                f"theta({c}) = {image} is not a coroot"
+            )
     return Involution(theta=theta, name=name)
 
 

@@ -1,11 +1,12 @@
 """Root data for connected reductive groups, presented on the cocharacter lattice.
 
-A :class:`RootDatum` packages exactly what the component-group computation
-consumes: the cocharacter lattice (always the standard lattice of its rank,
-in coordinates of our choosing), the coroot lattice sitting inside it, a
-finite symmetric set of coroots generating that lattice, and optional
-bookkeeping for printing results (weights to evaluate on torus elements,
-preferred names for distinguished lattice vectors).
+A :class:`RootDatum` is its rank, a finite symmetric set of coroots, and
+optional bookkeeping for printing results (weights to evaluate on torus
+elements, preferred names for distinguished lattice vectors).  The two
+lattices the component-group computation consumes are derived from that:
+the cocharacter lattice X is always the standard lattice of the rank, in
+coordinates of our choosing, and the coroot lattice Q is the span of the
+coroots.
 
 Builders are provided for the standard families: GL(n), SO(p,q), PSO(p,q),
 split/compact/Weil-restriction tori, and simply connected or adjoint simple
@@ -16,8 +17,9 @@ groups of each Cartan type.  The adjoint E7 builder carries extra structure
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .intlattice import (
@@ -29,7 +31,6 @@ from .intlattice import (
     lattice_index,
     mat_mul,
     mat_vec,
-    membership,
     rat_inverse,
     transpose,
     vec_frac,
@@ -62,12 +63,18 @@ def _intify(v: Sequence[Fraction]) -> tuple[int, ...]:
 # the datum itself
 
 
+def _integral(v: Sequence) -> bool:
+    return all(isinstance(x, int) or Fraction(x).denominator == 1 for x in v)
+
+
 @dataclass(frozen=True)
 class RootDatum:
-    """Cocharacter lattice, coroot lattice, and printing metadata.
+    """The rank, a symmetric set of coroots, and printing metadata.
 
-    ``cochar`` is always the standard lattice Z^rank; the interesting data
-    is which vectors are coroots and how the user wants elements displayed.
+    X and Q are derived, not stored: ``cochar`` is the standard lattice
+    Z^rank, and ``coroots`` is the lattice spanned by ``coroot_generators``.
+    Both are built on first use and cached, so :meth:`validate` can report a
+    malformed generator before anything tries to span it.
 
     ``display_weights`` are pairs (label, weight) of characters evaluated on
     torus representatives; a weight is a covector, stored as a plain tuple in
@@ -79,13 +86,21 @@ class RootDatum:
     """
 
     rank: int
-    cochar: Lattice
-    coroots: Lattice
     coroot_generators: tuple[tuple[int, ...], ...] = ()
     display_weights: tuple[tuple[str, tuple], ...] = ()
     named_vectors: tuple[tuple[str, tuple[int, ...]], ...] = ()
     name: str = ""
     lift_note: Optional[str] = None
+
+    @cached_property
+    def cochar(self) -> Lattice:
+        """The cocharacter lattice X = Z^rank."""
+        return Lattice.standard(self.rank)
+
+    @cached_property
+    def coroots(self) -> Lattice:
+        """The coroot lattice Q, spanned by the coroot generators."""
+        return Lattice(self.rank, self.coroot_generators)
 
     def validate(self) -> tuple[str, ...]:
         """Return a tuple of human-readable diagnostics; empty means valid."""
@@ -93,46 +108,22 @@ class RootDatum:
         n = self.rank
         if n < 0:
             bad.append("rank is negative")
-        cochar_ok = self.cochar.ambient_dim == n
-        if not cochar_ok:
-            bad.append("cocharacter lattice has wrong ambient dimension")
-        elif self.cochar != Lattice.standard(n):
-            bad.append("cocharacter lattice is not the standard lattice")
-        coroots_ok = self.coroots.ambient_dim == n
-        if not coroots_ok:
-            bad.append("coroot lattice has wrong ambient dimension")
-        elif cochar_ok:
-            for v in self.coroots.vectors():
-                if not membership(v, self.cochar):
-                    bad.append("coroot lattice is not contained in the cocharacter lattice")
-                    break
         seen = set(self.coroot_generators)
         for c in self.coroot_generators:
             if len(c) != n:
                 bad.append(f"coroot {c} has wrong length")
                 continue
-            if cochar_ok and not membership(c, self.cochar):
+            if not _integral(c):
                 bad.append(f"coroot {c} not in cocharacter lattice")
-            if coroots_ok and not membership(c, self.coroots):
-                bad.append(f"coroot {c} does not lie in the coroot lattice")
             if _neg(c) not in seen:
                 bad.append(f"coroot set is not symmetric: missing {_neg(c)}")
-        if coroots_ok and (self.coroot_generators or not self.coroots.is_zero):
-            good_gens = [c for c in self.coroot_generators if len(c) == n]
-            span = (
-                Lattice.from_vectors(n, good_gens)
-                if good_gens
-                else Lattice.zero(n)
-            )
-            if span != self.coroots:
-                bad.append("coroots listed do not generate the coroot lattice")
         for label, w in self.display_weights:
             if len(w) != n:
                 bad.append(f"display weight {label!r} has wrong length")
         for name, v in self.named_vectors:
             if len(v) != n:
                 bad.append(f"named vector {name!r} has wrong length")
-            elif cochar_ok and not membership(v, self.cochar):
+            elif not _integral(v):
                 bad.append(f"named vector {name!r} is not in the cocharacter lattice")
         return tuple(bad)
 
@@ -154,10 +145,6 @@ def product(a: RootDatum, b: RootDatum) -> RootDatum:
     gens = tuple(left(c) for c in a.coroot_generators) + tuple(
         right(c) for c in b.coroot_generators
     )
-    coroots = Lattice.from_vectors(
-        n,
-        [left(v) for v in a.coroots.vectors()] + [right(v) for v in b.coroots.vectors()],
-    )
     weights = tuple((lbl, left(w)) for lbl, w in a.display_weights) + tuple(
         (lbl, right(w)) for lbl, w in b.display_weights
     )
@@ -170,8 +157,6 @@ def product(a: RootDatum, b: RootDatum) -> RootDatum:
     name = " x ".join(s for s in (a.name, b.name) if s)
     return RootDatum(
         rank=n,
-        cochar=Lattice.standard(n),
-        coroots=coroots,
         coroot_generators=gens,
         display_weights=weights,
         named_vectors=tuple(named),
@@ -196,8 +181,6 @@ def gl(n: int) -> tuple[RootDatum, IntMatrix]:
     )
     rd = RootDatum(
         rank=n,
-        cochar=Lattice.standard(n),
-        coroots=Lattice.from_vectors(n, gens) if gens else Lattice.zero(n),
         coroot_generators=gens,
         display_weights=tuple((f"eps{i + 1}", _unit(n, i)) for i in range(n)),
         named_vectors=tuple((f"e{i + 1}", _unit(n, i)) for i in range(n)),
@@ -255,8 +238,6 @@ def so(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
     gens = tuple(dict.fromkeys(gens))
     rd = RootDatum(
         rank=ell,
-        cochar=Lattice.standard(ell),
-        coroots=Lattice.from_vectors(ell, gens) if gens else Lattice.zero(ell),
         coroot_generators=gens,
         display_weights=_so_like_display(p, q, lambda w: tuple(w)),
         named_vectors=tuple((f"e{i + 1}", _unit(ell, i)) for i in range(ell)),
@@ -310,8 +291,6 @@ def pso(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
     named.append((f"w{ell}", _unit(ell, ell - 1)))
     rd = RootDatum(
         rank=ell,
-        cochar=Lattice.standard(ell),
-        coroots=Lattice.from_vectors(ell, gens),
         coroot_generators=gens,
         display_weights=_so_like_display(p, q, conv_weight),
         named_vectors=tuple(named),
@@ -336,8 +315,6 @@ def torus_split(n: int) -> tuple[RootDatum, IntMatrix]:
         raise PresetError("torus rank must be nonnegative")
     rd = RootDatum(
         rank=n,
-        cochar=Lattice.standard(n),
-        coroots=Lattice.zero(n),
         display_weights=tuple((f"eps{i + 1}", _unit(n, i)) for i in range(n)),
         named_vectors=tuple((f"e{i + 1}", _unit(n, i)) for i in range(n)),
         name=f"split torus of rank {n}",
@@ -351,8 +328,6 @@ def torus_compact(n: int) -> tuple[RootDatum, IntMatrix]:
         raise PresetError("torus rank must be nonnegative")
     rd = RootDatum(
         rank=n,
-        cochar=Lattice.standard(n),
-        coroots=Lattice.zero(n),
         display_weights=tuple((f"eps{i + 1}", _unit(n, i)) for i in range(n)),
         named_vectors=tuple((f"e{i + 1}", _unit(n, i)) for i in range(n)),
         name=f"compact torus of rank {n}",
@@ -368,8 +343,6 @@ def torus_weil() -> tuple[RootDatum, IntMatrix]:
     """
     rd = RootDatum(
         rank=2,
-        cochar=Lattice.standard(2),
-        coroots=Lattice.zero(2),
         named_vectors=(("e1", (1, 0)), ("e2", (0, 1))),
         name="Weil restriction of C*",
     )
@@ -473,8 +446,6 @@ def simple(
         )
     rd = RootDatum(
         rank=n,
-        cochar=Lattice.standard(n),
-        coroots=Lattice.from_vectors(n, vecs),
         coroot_generators=vecs,
         named_vectors=named,
         name=f"{cartan_type.upper()}{rank} ({isogeny})",
@@ -548,8 +519,6 @@ def e7_adjoint() -> tuple[RootDatum, tuple[tuple[Fraction, ...], ...]]:
     )
     rd = RootDatum(
         rank=7,
-        cochar=Lattice.standard(7),
-        coroots=Lattice.from_vectors(7, gens),
         coroot_generators=gens,
         named_vectors=named,
         name="E7 (adjoint)",

@@ -6,13 +6,12 @@ from fractions import Fraction
 
 from pi0real.intlattice import (
     identity_matrix,
-    image_lattice,
     mat_mul,
     mat_vec,
     transpose,
 )
 from pi0real.realform import involution_from_matrix
-from pi0real.rootdata import Lattice, RootDatum
+from pi0real.rootdata import RootDatum
 
 
 def random_int_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -60,8 +59,6 @@ def conjugate_datum(rd, inv, u, uinv):
     gens = tuple(tuple(mat_vec(u, c)) for c in rd.coroot_generators)
     conjugated = RootDatum(
         rank=n,
-        cochar=Lattice.standard(n),
-        coroots=image_lattice(rd.coroots, u),
         coroot_generators=gens,
         display_weights=tuple(
             (label, tuple(mat_vec(transpose(uinv), frac_vec(lam))))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pi0real import cli
+from pi0real import cli, intlattice
 from pi0real.components import ComputationError
 
 
@@ -115,6 +115,12 @@ def test_rejects_wrong_row_length():
         ({"preset": "SIMPLE", "type": "A", "rank": 2, "isogeny": 1}, "isogeny"),
         ({"preset": "SIMPLE", "type": "A", "rank": 2, "real": ["split"]}, "real"),
         ({"preset": "E7", "form": 3}, "form"),
+        # fields the family does not read
+        ({"preset": "TORUS_WEIL", "n": 3}, "n"),
+        ({"preset": "GL", "n": 3, "form": "EV"}, "form"),
+        ({"preset": "SIMPLE", "type": "A", "rank": 2, "n": 5}, "n"),
+        ({"preset": "E7", "form": "EV", "p": 2}, "p"),
+        ({"preset": "PSO", "p": 3, "q": 3, "isogeny": "adj"}, "isogeny"),
     ],
 )
 def test_rejects_mistyped_preset_field(doc, field, tmp_path, capsys):
@@ -143,6 +149,41 @@ def test_inline_coroots_are_symmetrized():
     gens = set(job.datum.coroot_generators)
     assert gens == {(2,), (-2,)}
     assert run_job(doc)["order"] == 2  # the split adjoint group of type A1
+
+
+def test_inline_job_builds_coroot_lattice_once(monkeypatch):
+    calls = []
+    hnf = intlattice.hnf
+
+    def spy(m, ncols=None):
+        calls.append({tuple(r) for r in m})
+        return hnf(m, ncols)
+
+    monkeypatch.setattr(intlattice, "hnf", spy)
+    n = 6
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    roots = [
+        [a - b for a, b in zip(unit[i], unit[j])]
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
+    doc = {
+        "rank": n,
+        "coroots": roots,
+        "theta": [[-x for x in row] for row in unit],
+        "outputs": {"pi0": True, "h1": True},
+    }
+    job = cli.parse_jobspec(doc)
+    assert calls == []  # validation spans no lattice; the first use does
+    cli.run(job)
+    coroot_set = set(job.datum.coroot_generators)
+    assert len(coroot_set) == 30
+    assert sum(rows == coroot_set for rows in calls) == 1
+
+    calls.clear()
+    cli.parse_jobspec({"rank": 2, "coroots": [], "theta": [[0, -1], [-1, 0]]})
+    assert calls == []
 
 
 def test_inline_eigenspace_spans():
@@ -377,7 +418,15 @@ def test_main_malformed_json_exit_one(tmp_path, capsys):
 
 def test_main_bad_preset_params_exit_one(capsys):
     assert cli.main(["preset", "GL"]) == 1
-    assert "needs parameter" in capsys.readouterr().err
+    assert "needs parameter 'n'" in capsys.readouterr().err
+    # the missing field is named as the job and the flags spell it
+    assert cli.main(["preset", "SIMPLE", "--rank", "3"]) == 1
+    assert "needs parameter 'type'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="needs parameter 'type'"):
+        cli.parse_jobspec({"preset": "SIMPLE", "rank": 3})
+    # fields a family does not read are rejected on the command line too
+    assert cli.main(["preset", "GL", "--n", "3", "--form", "EV"]) == 1
+    assert "preset field 'form'" in capsys.readouterr().err
 
 
 def test_main_unknown_subcommand_exit_one(capsys):

@@ -359,8 +359,6 @@ def test_representative_requires_split_vector():
 def test_representative_rejects_non_half_integral_weight():
     rd = RootDatum(
         rank=1,
-        cochar=Lattice.standard(1),
-        coroots=Lattice.zero(1),
         display_weights=(("bad", (Fraction(1, 4),)),),
     )
     inv = involution_from_matrix(rd, ((-1,),))
@@ -444,7 +442,7 @@ def test_pi0_classes_have_order_two_representatives():
 
 
 def test_rank_zero_datum():
-    rd = RootDatum(rank=0, cochar=Lattice.standard(0), coroots=Lattice.zero(0))
+    rd = RootDatum(rank=0)
     inv = involution_from_matrix(rd, ())
     assert pi0(rd, inv).order == 1
     assert pi0(rd, inv).generators == ()
@@ -599,7 +597,7 @@ def test_random_torus_involutions_stay_elementary():
         from pi0real.intlattice import mat_mul
 
         theta = mat_mul(mat_mul(u, tuple(tuple(r) for r in base)), uinv)
-        rd = RootDatum(rank=n, cochar=Lattice.standard(n), coroots=Lattice.zero(n))
+        rd = RootDatum(rank=n)
         inv = involution_from_matrix(rd, theta)
         g = torus_pi0(n, inv)
         h = h1_pi1(rd, inv)

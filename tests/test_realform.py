@@ -1,13 +1,18 @@
 """Tests for involution construction and validation."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import helpers
 from pi0real.intlattice import (
     Lattice,
+    image_lattice,
     kernel_lattice,
     mat_add,
+    mat_mul,
     mat_sub,
     mat_vec,
     identity_matrix,
@@ -21,11 +26,11 @@ from pi0real.realform import (
     involution_from_matrix,
     product_involution,
 )
-from pi0real.rootdata import RootDatum, gl, torus_split
+from pi0real.rootdata import RootDatum, gl, pso, simple, so, torus_split
 
 
 def torus_datum(n):
-    return RootDatum(rank=n, cochar=Lattice.standard(n), coroots=Lattice.zero(n))
+    return RootDatum(rank=n)
 
 
 def test_negated_identity_is_valid():
@@ -56,9 +61,10 @@ def test_rejects_wrong_shape():
 
 
 def test_rejects_coroot_lattice_violation():
-    # diag(1,-1) sends e1 - e2 to e1 + e2, outside the trace-zero lattice
+    # diag(1,-1) sends e1 - e2 to e1 + e2, outside the trace-zero lattice;
+    # the coroot-set check catches it, since Q is the span of the coroots
     rd, _ = gl(2)
-    with pytest.raises(InvolutionError, match="preserve the coroot lattice"):
+    with pytest.raises(InvolutionError, match="normalize the coroot set"):
         involution_from_matrix(rd, ((1, 0), (0, -1)))
 
 
@@ -67,12 +73,47 @@ def test_rejects_coroot_set_violation():
     # (1,1) to (1,-1), which is not on the list
     rd = RootDatum(
         rank=2,
-        cochar=Lattice.standard(2),
-        coroots=Lattice.from_vectors(2, [(2, 0), (1, 1)]),
         coroot_generators=((2, 0), (-2, 0), (1, 1), (-1, -1)),
     )
     with pytest.raises(InvolutionError, match="normalize the coroot set"):
         involution_from_matrix(rd, ((1, 0), (0, -1)))
+
+
+def _signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield tuple(
+                tuple(signs[i] if j == perm[i] else 0 for j in range(n))
+                for i in range(n)
+            )
+
+
+def test_coroot_set_check_implies_lattice_check():
+    # reference for the coroot-lattice test involution_from_matrix no longer
+    # makes: whatever it accepts preserves Q, whatever breaks Q it rejects
+    rng = random.Random(6)
+    data = [gl(3), so(3, 4), pso(3, 3)] + [
+        simple(t, 3, isogeny, "split") for t in "BC" for isogeny in ("sc", "adj")
+    ]
+    accepted = broken = 0
+    for rd, theta in data:
+        frames = [(rd, identity_matrix(3), identity_matrix(3))]
+        for _ in range(2):
+            u, uinv = helpers.random_unimodular(rng, 3)
+            crd, _ = helpers.conjugate_datum(rd, involution_from_matrix(rd, theta), u, uinv)
+            frames.append((crd, u, uinv))
+        for crd, u, uinv in frames:
+            for s in _signed_permutations(3):
+                t = mat_mul(mat_mul(u, s), uinv)
+                preserved = image_lattice(crd.coroots, t) == crd.coroots
+                try:
+                    involution_from_matrix(crd, t)
+                except InvolutionError:
+                    broken += not preserved
+                    continue
+                accepted += 1
+                assert preserved, (crd.name, t)
+    assert accepted and broken
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ def test_product_concatenates():
 
 def test_product_with_rank_zero_is_identity():
     a, _ = gl(2)
-    zero = RootDatum(rank=0, cochar=Lattice.standard(0), coroots=Lattice.zero(0))
+    zero = RootDatum(rank=0)
     assert product(a, zero) == a
     assert product(zero, a) == a
 
@@ -379,36 +379,36 @@ def test_product_merges_names_first_wins():
 
 
 def test_validate_flags_bad_data():
-    bad = RootDatum(
-        rank=2,
-        cochar=Lattice.standard(2),
-        coroots=Lattice.from_vectors(2, [(1, 0)]),
-    )
-    assert "coroots listed do not generate the coroot lattice" in bad.validate()
-
-    half = RootDatum(
-        rank=1,
-        cochar=Lattice.standard(1),
-        coroots=Lattice(1, ((1,),), 2),
-    )
-    assert any("not contained" in d for d in half.validate())
-
-    asym = RootDatum(
-        rank=1,
-        cochar=Lattice.standard(1),
-        coroots=Lattice.from_vectors(1, [(1,)]),
-        coroot_generators=((1,),),
-    )
+    asym = RootDatum(rank=1, coroot_generators=((1,),))
     assert any("not symmetric" in d for d in asym.validate())
 
-
-def test_validate_flags_nonstandard_cochar():
+    # the coroot lattice is derived lazily, so a malformed generator is
+    # reported by validate instead of raising when the datum is built
+    half = (Fraction(1, 2), Fraction(-1, 2))
     bad = RootDatum(
         rank=2,
-        cochar=Lattice.from_vectors(2, [(2, 0), (0, 1)]),
-        coroots=Lattice.zero(2),
+        coroot_generators=((1,), (-1,), half, tuple(-x for x in half)),
+        display_weights=(("short", (1,)),),
+        named_vectors=(("h", half), ("s", (1,))),
     )
-    assert any("standard" in d for d in bad.validate())
+    assert bad.validate() == (
+        "coroot (1,) has wrong length",
+        "coroot (-1,) has wrong length",
+        f"coroot {half} not in cocharacter lattice",
+        f"coroot {tuple(-x for x in half)} not in cocharacter lattice",
+        "display weight 'short' has wrong length",
+        "named vector 'h' is not in the cocharacter lattice",
+        "named vector 's' has wrong length",
+    )
+    assert RootDatum(rank=-1).validate() == ("rank is negative",)
+
+
+def test_derived_lattices():
+    rd, _ = so(3, 4)
+    assert rd.cochar == Lattice.standard(3)
+    assert rd.coroots == Lattice.from_vectors(3, rd.coroot_generators)
+    assert rd.coroots is rd.coroots  # built once
+    assert RootDatum(rank=2).coroots == Lattice.zero(2)
 
 
 # ---------------------------------------------------------------------------
