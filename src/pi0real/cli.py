@@ -299,7 +299,8 @@ def _oracle_verdict(groups: list[Elementary2Group]) -> str:
         try:
             agrees = oracle_check(g, bound=bound)
         except BoundExceeded:
-            return "skipped"
+            # the walk found more cosets than the claimed order <= bound
+            agrees = False
         if not agrees:
             raise ComputationError(
                 "brute-force oracle disagrees with the mod-2 rank computation"

@@ -770,16 +770,3 @@ def rat_rank(rows) -> int:
     rows = [tuple(row) for row in rows]
     return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
-
-def rational_right_kernel(rows, ncols: int) -> tuple[Vector, ...]:
-    """Basis of {x rational : row . x == 0 for every row}."""
-    a, pivots = _rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -a[r][fc]
-        basis.append(tuple(vec))
-    return tuple(basis)

@@ -3,7 +3,7 @@
 A real form enters the computation only through the integer matrix by which
 the Cartan involution acts on cocharacters.  This module validates such
 matrices against a root datum and builds them from eigenspace data or from
-named presets for the real forms of adjoint E7.  A valid matrix is an
+the Satake diagrams of the real forms of adjoint E7.  A valid matrix is an
 involution that permutes the coroot set; since the coroot lattice is the
 span of that set, it then preserves the coroot lattice as well.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .intlattice import (
     IntMatrix,
@@ -20,10 +20,8 @@ from .intlattice import (
     block_diag,
     identity_matrix,
     mat_mul,
-    mat_vec,
     rat_inverse,
     rat_rank,
-    rational_right_kernel,
     transpose,
     vec_frac,
 )
@@ -59,8 +57,9 @@ def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
         raise InvolutionError("matrix is not an involution")
     # theta^2 = 1 and theta permuting the coroots give theta(Q) = Q
     coroot_set = set(rd.coroot_generators)
+    terms = [[(j, a) for j, a in enumerate(row) if a] for row in theta]
     for c in rd.coroot_generators:
-        image = tuple(int(x) for x in mat_vec(theta, c))
+        image = tuple(int(sum(a * c[j] for j, a in row)) for row in terms)
         if image not in coroot_set:
             raise InvolutionError(
                 f"involution does not normalize the coroot set: "
@@ -121,37 +120,23 @@ def product_involution(a: Involution, b: Involution, name: str = "") -> Involuti
 # ---------------------------------------------------------------------------
 # the real forms of adjoint E7
 
-_E7_SPLIT_SPANS = {
-    # split Cartan subalgebra spanned inside the coweight coordinates;
-    # None means theta = -identity (the split form EV).
-    "EV": None,
-    "EVI": ("w2", "w4", "w5", "w6"),
-    "EVII": ("w1", "w2", "w6"),
-}
-
-_E7_COMPACT_SPANS = {
-    # EVII's compact part is spanned by coroots; EVI's is recovered as the
-    # orthogonal complement of the split part under the invariant form.
-    "EVII": ("a3", "a4", "a5", "a7"),
-}
+# black nodes K of each form's Satake diagram, in e7_adjoint's numbering.
+# On a split torus theta = -w_K (tau is trivial on E7).  w_K fixes the
+# coweights w_i with i not in K, and for these K (empty, three orthogonal
+# A1's, D4) it is -1 on the span of the coroots a_k with k in K.
+_E7_BLACK_NODES = {"EV": (), "EVI": (1, 3, 7), "EVII": (3, 4, 5, 7)}
 
 
 def e7_preset(form: str) -> tuple[RootDatum, Involution]:
     """Adjoint E7 with the involution of one of its real forms EV, EVI, EVII."""
     key = form.upper().strip()
-    if key not in _E7_SPLIT_SPANS:
+    if key not in _E7_BLACK_NODES:
         raise InvolutionError(
             f"unknown E7 real form {form!r}; choose EV, EVI, or EVII"
         )
-    rd, gram = e7_adjoint()
-    if _E7_SPLIT_SPANS[key] is None:
-        theta = tuple(tuple(-x for x in row) for row in identity_matrix(rd.rank))
-        return rd, involution_from_matrix(rd, theta, name=key)
+    rd, _ = e7_adjoint()
     named = dict(rd.named_vectors)
-    split = [vec_frac(named[nm]) for nm in _E7_SPLIT_SPANS[key]]
-    if key in _E7_COMPACT_SPANS:
-        compact = [vec_frac(named[nm]) for nm in _E7_COMPACT_SPANS[key]]
-    else:
-        constraints = tuple(mat_vec(gram, s) for s in split)
-        compact = list(rational_right_kernel(constraints, rd.rank))
+    black = _E7_BLACK_NODES[key]
+    split = [named[f"w{i}"] for i in range(1, 8) if i not in black]
+    compact = [named[f"a{k}"] for k in black]
     return rd, involution_from_eigenspaces(rd, split, compact, name=key)

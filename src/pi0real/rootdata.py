@@ -10,8 +10,8 @@ coroots.
 
 Builders are provided for the standard families: GL(n), SO(p,q), PSO(p,q),
 split/compact/Weil-restriction tori, and simply connected or adjoint simple
-groups of each Cartan type.  The adjoint E7 builder carries extra structure
-(an invariant form on the coweight basis) needed to pin down real forms.
+groups of each Cartan type.  Adjoint E7 is also built in the node order
+that names its exceptional real forms.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from typing import Optional, Sequence
 from .intlattice import (
     IntMatrix,
     Lattice,
-    Vector,
     as_int_matrix,
     identity_matrix,
-    lattice_index,
     mat_mul,
     mat_vec,
     rat_inverse,
@@ -416,23 +414,14 @@ def _coroot_closure(cartan: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
-def simple(
-    cartan_type: str, rank: int, isogeny: str, real: Optional[str]
-) -> tuple[RootDatum, Optional[IntMatrix]]:
-    """Simply connected or adjoint simple group, optionally split or compact.
+def _simple_datum(cartan: IntMatrix, isogeny: str, name: str) -> RootDatum:
+    """The simple datum of a Cartan matrix, in either isogeny.
 
     In the simply connected case the cocharacter lattice is spanned by the
     simple coroots; in the adjoint case by the fundamental coweights, so a
     coroot with simple-coroot coordinates c becomes the vector C.c.
     """
-    if isogeny == "adjoint":
-        isogeny = "adj"
-    if isogeny not in ("sc", "adj"):
-        raise PresetError(f"isogeny must be 'sc' or 'adj', not {isogeny!r}")
-    if real not in (None, "split", "compact"):
-        raise PresetError(f"real form must be 'split' or 'compact', not {real!r}")
-    cartan = cartan_matrix(cartan_type, rank)
-    n = rank
+    n = len(cartan)
     coords = _coroot_closure(cartan)
     if isogeny == "sc":
         vecs = coords
@@ -444,87 +433,55 @@ def simple(
             (f"a{i + 1}", tuple(int(cartan[k][i]) for k in range(n)))
             for i in range(n)
         )
-    rd = RootDatum(
-        rank=n,
-        coroot_generators=vecs,
-        named_vectors=named,
-        name=f"{cartan_type.upper()}{rank} ({isogeny})",
+    return RootDatum(rank=n, coroot_generators=vecs, named_vectors=named, name=name)
+
+
+def simple(
+    cartan_type: str, rank: int, isogeny: str, real: Optional[str]
+) -> tuple[RootDatum, Optional[IntMatrix]]:
+    """Simply connected or adjoint simple group, optionally split or compact."""
+    if isogeny == "adjoint":
+        isogeny = "adj"
+    if isogeny not in ("sc", "adj"):
+        raise PresetError(f"isogeny must be 'sc' or 'adj', not {isogeny!r}")
+    if real not in (None, "split", "compact"):
+        raise PresetError(f"real form must be 'split' or 'compact', not {real!r}")
+    rd = _simple_datum(
+        cartan_matrix(cartan_type, rank),
+        isogeny,
+        f"{cartan_type.upper()}{rank} ({isogeny})",
     )
     if real is None:
         return rd, None
     if real == "split":
-        theta = tuple(tuple(-x for x in row) for row in identity_matrix(n))
+        theta = tuple(tuple(-x for x in row) for row in identity_matrix(rank))
     else:
-        theta = identity_matrix(n)
+        theta = identity_matrix(rank)
     return rd, theta
 
 
 # ---------------------------------------------------------------------------
-# adjoint E7 in the coordinates used for its exceptional real forms
+# adjoint E7 in the node order used for its exceptional real forms
+
+# node i of the E7 real-form presets is Bourbaki node _E7_NODES[i - 1]
+_E7_NODES = (7, 6, 5, 4, 3, 1, 2)
 
 
 def e7_adjoint() -> tuple[RootDatum, tuple[tuple[Fraction, ...], ...]]:
-    """Adjoint E7 with its invariant form on the fundamental coweight basis.
+    """Adjoint E7 on its fundamental coweights, with its invariant form.
 
-    Built from an 8-coordinate model: the simple coroots are differences
-    e_i - e_{i+1} (i = 1..6) together with e_5 + e_6 + e_7 + e_8, read modulo
-    the all-ones vector, and the pairing is the dot product corrected by the
-    trace term.  Internal coordinates are the coweight coordinates, i.e. the
-    values of that pairing against the simple coroots, so the cocharacter
-    lattice is again standard.  Returns the datum and the Gram matrix of the
-    form on the coweight basis (needed to cut out orthogonal complements
-    when specifying real forms by a split part only).
+    The nodes a1..a6 form a chain and a7 is attached to a4: they are the
+    Bourbaki nodes 7, 6, 5, 4, 3, 1, 2.  Coordinates are coweight
+    coordinates, so the cocharacter lattice is standard.  Returns the datum
+    and the Gram matrix of the invariant form on the coweight basis, with
+    every root of norm 2; E7 is simply laced, so that is the inverse of the
+    Cartan matrix.
     """
-
-    def form8(u, v):
-        dot = sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
-        return dot - Fraction(sum(u)) * Fraction(sum(v)) / 8
-
-    def u8(i):
-        return _unit(8, i)
-
-    a8 = [
-        tuple(a - b for a, b in zip(u8(i), u8(i + 1))) for i in range(6)
-    ]
-    a8.append(tuple(a + b + c + d for a, b, c, d in zip(u8(4), u8(5), u8(6), u8(7))))
-
-    w8 = []
-    for i in range(1, 7):
-        v = [1] * i + [0] * (8 - i)
-        v[7] = min(i, 8 - i)
-        w8.append(tuple(v))
-    w8.append(tuple(2 * x for x in u8(7)))
-
-    for i in range(7):
-        for j in range(7):
-            assert form8(w8[i], a8[j]) == (1 if i == j else 0)
-
-    def to_int(v8) -> tuple[int, ...]:
-        return _intify(tuple(form8(v8, a8[j]) for j in range(7)))
-
-    coroot8 = [
-        tuple(a - b for a, b in zip(u8(i), u8(j)))
-        for i in range(8)
-        for j in range(8)
-        if i != j
-    ]
-    for s in itertools.combinations(range(8), 4):
-        coroot8.append(tuple(1 if i in s else 0 for i in range(8)))
-    gens = tuple(sorted({to_int(v) for v in coroot8}))
-    assert len(gens) == 126
-
-    gram = tuple(tuple(form8(w8[i], w8[j]) for j in range(7)) for i in range(7))
-    named = tuple((f"w{i + 1}", _unit(7, i)) for i in range(7)) + tuple(
-        (f"a{i + 1}", to_int(a8[i])) for i in range(7)
+    bourbaki = cartan_matrix("E", 7)
+    cartan = tuple(
+        tuple(bourbaki[i - 1][j - 1] for j in _E7_NODES) for i in _E7_NODES
     )
-    rd = RootDatum(
-        rank=7,
-        coroot_generators=gens,
-        named_vectors=named,
-        name="E7 (adjoint)",
-    )
-    assert lattice_index(rd.coroots, rd.cochar) == 2
-    return rd, gram
+    return _simple_datum(cartan, "adj", "E7 (adjoint)"), rat_inverse(cartan)
 
 
 # ---------------------------------------------------------------------------

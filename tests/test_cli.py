@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pi0real import cli, intlattice
-from pi0real.components import ComputationError
+from pi0real.components import ComputationError, Elementary2Group
 
 
 def run_job(doc):
@@ -289,6 +289,25 @@ def test_oracle_skipped_when_bound_too_small(monkeypatch):
     monkeypatch.setenv(cli.ORACLE_BOUND_ENV, "1")
     doc = {"preset": "GL", "n": 2, "outputs": {"oracle_check": True}}
     assert run_job(doc)["oracle"] == "skipped"
+
+
+@pytest.mark.parametrize("bound", ["2", "4"])
+def test_oracle_bound_exceeded_within_claimed_order_is_disagreement(monkeypatch, bound):
+    # Z^2 / 2Z^2 has 4 cosets; a group claiming order 2 there must not pass
+    # as "skipped" just because the coset walk outran the bound
+    lie = Elementary2Group(
+        rank=1,
+        order=2,
+        generators=((1, 0),),
+        generator_names=(None,),
+        sub=intlattice.Lattice(2, ((2, 0), (0, 2))),
+        sup=intlattice.Lattice.standard(2),
+    )
+    monkeypatch.setenv(cli.ORACLE_BOUND_ENV, bound)
+    with pytest.raises(ComputationError, match="oracle disagrees"):
+        cli._oracle_verdict([lie])
+    monkeypatch.setenv(cli.ORACLE_BOUND_ENV, "1")
+    assert cli._oracle_verdict([lie]) == "skipped"
 
 
 def test_oracle_bound_env_validation(monkeypatch):

@@ -236,6 +236,43 @@ def test_e7_presets_are_cartan_involutions():
             assert tuple(int(x) for x in mat_vec(inv.theta, c)) in coroots, form
 
 
+def _longest_element(n, reflections):
+    """The longest element of the group generated by simple reflections.
+
+    A breadth-first walk of the Cayley graph from the identity reaches each
+    element at its length, so the last level holds the longest element.
+    """
+    level = {identity_matrix(n)}
+    seen = set(level)
+    while True:
+        nxt = {mat_mul(w, s) for w in level for s in reflections} - seen
+        if not nxt:
+            (longest,) = level
+            return longest
+        seen |= nxt
+        level = nxt
+
+
+@pytest.mark.parametrize(
+    "form, black", [("EV", ()), ("EVI", (1, 3, 7)), ("EVII", (3, 4, 5, 7))]
+)
+def test_e7_theta_is_minus_longest_element_of_black_nodes(form, black):
+    # on coweight coordinates s_k(v) = v - v_k a_k, since alpha_k(w_i) = [i == k]
+    rd, inv = e7_preset(form)
+    named = dict(rd.named_vectors)
+    reflections = []
+    for k in black:
+        a = named[f"a{k}"]
+        reflections.append(
+            tuple(
+                tuple(int(i == j) - (a[i] if j == k - 1 else 0) for j in range(7))
+                for i in range(7)
+            )
+        )
+    w_k = _longest_element(7, reflections)
+    assert inv.theta == tuple(tuple(-x for x in row) for row in w_k)
+
+
 # ---------------------------------------------------------------------------
 # products
 
