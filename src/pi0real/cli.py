@@ -81,6 +81,8 @@ def _vector(row, length: int, where: str) -> tuple:
 
 
 def _int_vector(row, length: int, where: str) -> tuple[int, ...]:
+    if isinstance(row, list) and len(row) == length and all(type(x) is int for x in row):
+        return tuple(row)
     vec = _vector(row, length, where)
     if any(x.denominator != 1 for x in vec):
         raise ValueError(f"{where}: entries must be integers, got {row!r}")

@@ -10,7 +10,10 @@ vectors are tuples of ints or fractions.Fraction; no floating point
 anywhere.  Quotient structure is computed two independent ways: through
 Smith normal form (quotient_structure) and through explicit coset
 enumeration (brute_force_quotient), so each can serve as an oracle for
-the other.
+the other.  The enumeration is an integer walk: both lattices are put over
+one common denominator, each coset is an integer residue, and the walk
+takes only the + steps along the super-lattice's Hermite rows.  It shares
+one integer reduction loop with reduce_mod.
 """
 
 from __future__ import annotations
@@ -454,6 +457,28 @@ def membership(v, lat: Lattice) -> bool:
     return coords_in_lattice(v, lat) is not None
 
 
+def _hermite_rows(lat: Lattice, mult: int):
+    """lat's Hermite rows scaled by mult, as (pivot column, pivot, row)."""
+    out = []
+    for row in lat.basis:
+        j = next(k for k, x in enumerate(row) if x)
+        out.append((j, row[j] * mult, tuple(x * mult for x in row)))
+    return out
+
+
+def _reduce_ints(w, rows) -> tuple[int, ...]:
+    """Reduce the integer vector w by Hermite rows from _hermite_rows.
+
+    Each pivot digit is brought into [0, pivot), in pivot order, which
+    picks the same representative for every member of a coset.
+    """
+    for j, p, row in rows:
+        q = w[j] // p
+        if q:
+            w = [x - q * y for x, y in zip(w, row)]
+    return tuple(w)
+
+
 def reduce_mod(v, sub: Lattice) -> Vector:
     """Canonical representative of v modulo sub.
 
@@ -467,14 +492,8 @@ def reduce_mod(v, sub: Lattice) -> Vector:
     for x in fracs:
         d = lcm(d, x.denominator)
     w = [int(x * d) for x in fracs]
-    mult = d // sub.denom
-    for row in sub.basis:
-        j = next(k for k, x in enumerate(row) if x)
-        p = row[j] * mult
-        q = w[j] // p
-        if q:
-            _row_sub(w, [x * mult for x in row], q)
-    return tuple(Fraction(x, d) for x in w)
+    rows = _hermite_rows(sub, d // sub.denom)
+    return tuple(Fraction(x, d) for x in _reduce_ints(w, rows))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
@@ -626,22 +645,25 @@ def _exact_log(p: int, m: int) -> int:
     return s
 
 
-def _invariant_factors_from_orders(cosets, sub: Lattice, n: int) -> tuple[int, ...]:
+def _invariant_factors_from_orders(cosets, rows, n: int) -> tuple[int, ...]:
     """Invariant factors of a finite coset group from element orders.
 
-    For each prime p dividing the group order, every coset is repeatedly
-    multiplied by p (doubling, for p = 2); counting how many land in the
-    sub-lattice after k steps measures the number of elements killed by
-    p**k, which reconstructs the p-primary invariant structure.
+    The cosets are integer residues reduced by the sub-lattice's Hermite
+    rows (see _hermite_rows), so a coset lies in the sub-lattice exactly
+    when its residue is all zeros.  For each prime p dividing the group
+    order, every coset is repeatedly multiplied by p (doubling, for
+    p = 2) and reduced; counting the zero residues after k steps measures
+    the number of elements killed by p**k, which reconstructs the
+    p-primary invariant structure.
     """
     per_prime: dict[int, list[int]] = {}
     for p, valuation in _factorize(n).items():
         target = p**valuation
         ys = list(cosets)
-        counts = [sum(1 for y in ys if membership(y, sub))]
+        counts = [sum(1 for y in ys if not any(y))]
         while counts[-1] < target:
-            ys = [vec_scale(y, p) for y in ys]
-            counts.append(sum(1 for y in ys if membership(y, sub)))
+            ys = [_reduce_ints([p * x for x in y], rows) for y in ys]
+            counts.append(sum(1 for y in ys if not any(y)))
             if len(counts) > 200:
                 raise AssertionError("runaway order computation")
         logs = [_exact_log(p, m) for m in counts]
@@ -669,10 +691,12 @@ def _invariant_factors_from_orders(cosets, sub: Lattice, n: int) -> tuple[int, .
 def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> QuotientStructure:
     """Quotient structure by explicit coset enumeration.
 
-    Breadth-first search over sums of super-lattice generators, with
-    cosets identified by their canonical residue modulo sub.  Element
-    orders are then measured directly, giving invariant factors by a
-    route fully independent of Smith normal form.
+    Both lattices are put over one common denominator D (sup's), so every
+    coset is an integer tuple: its canonical residue modulo sub, times D.  A
+    breadth-first walk adds sup's Hermite rows (the + steps only) to
+    reach every coset.  Element orders are then measured directly, giving
+    invariant factors by a route fully independent of Smith normal form.
+    Generators are returned as rational vectors, like every residue.
 
     Raises InfiniteIndex when ranks show the quotient is infinite, and
     BoundExceeded when more than `bound` cosets appear.
@@ -683,18 +707,22 @@ def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> Quoti
             raise NotASublattice(f"generator {v} is not in the super-lattice")
     if sub.rank < sup.rank:
         raise InfiniteIndex("sub-lattice has lower rank; quotient is infinite")
-    zero = reduce_mod((Fraction(0),) * sup.ambient_dim, sub)
-    steps = []
-    for g in sup.vectors():
-        steps.append(g)
-        steps.append(vec_scale(g, -1))
+    # sub lies in sup, so sub.denom divides sup.denom: sup's denominator is
+    # common to both lattices, and sup's Hermite rows are integer steps
+    d = sup.denom
+    rows = _hermite_rows(sub, d // sub.denom)
+    steps = sup.basis
+    # The rank test makes sup/sub finite, so each -g is a positive multiple
+    # of g modulo sub: the + steps reach the same cosets as the +- steps,
+    # and BoundExceeded is raised in the same cases.
+    zero = (0,) * sup.ambient_dim
     found = {zero}
     frontier = [zero]
     while frontier:
         nxt = []
         for x in frontier:
             for g in steps:
-                y = reduce_mod(vec_add(x, g), sub)
+                y = _reduce_ints([a + b for a, b in zip(x, g)], rows)
                 if y not in found:
                     if len(found) >= bound:
                         raise BoundExceeded(f"more than {bound} cosets")
@@ -704,9 +732,11 @@ def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> Quoti
     n = len(found)
     if n == 1:
         return QuotientStructure((), 0, ())
-    factors = _invariant_factors_from_orders(found, sub, n)
+    factors = _invariant_factors_from_orders(found, rows, n)
 
-    chosen: list[Vector] = []
+    # over one positive denominator, integer tuples sort as the rational
+    # vectors they stand for
+    chosen: list[tuple[int, ...]] = []
     span = {zero}
     for x in sorted(found):
         if x in span:
@@ -716,13 +746,14 @@ def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> Quoti
         # coset of span, so it is either new or span itself, which ends it
         shift = span
         while True:
-            shift = {reduce_mod(vec_add(s, x), sub) for s in shift}
+            shift = {_reduce_ints([a + b for a, b in zip(s, x)], rows) for s in shift}
             if shift <= span:
                 break
             span |= shift
         if len(span) == n:
             break
-    return QuotientStructure(factors, 0, tuple(chosen))
+    gens = tuple(tuple(Fraction(a, d) for a in x) for x in chosen)
+    return QuotientStructure(factors, 0, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,35 @@ def test_main_oracle_disagreement_exit_two(monkeypatch, capsys):
     assert "oracle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row, expect",
+    [
+        ([1, -2], (1, -2)),
+        (["2", 3], (2, 3)),
+        ([True, 2], "expected an integer or a fraction string like '1/2', got True"),
+        ([1.0, 2], "expected an integer or a fraction string like '1/2', got 1.0"),
+        ([1, "1/2"], "entries must be integers, got [1, '1/2']"),
+        ([1], "expected a list of 2 entries, got [1]"),
+    ],
+)
+def test_int_vector_entries(row, expect):
+    if isinstance(expect, tuple):
+        vec = cli._int_vector(row, 2, "theta row 0")
+        assert vec == expect and all(type(x) is int for x in vec)
+    else:
+        with pytest.raises(ValueError) as err:
+            cli._int_vector(row, 2, "theta row 0")
+        assert str(err.value) == f"theta row 0: {expect}"
+
+
+@pytest.mark.parametrize("n, verdict", [(12, "agree"), (13, "skipped")])
+def test_main_oracle_at_default_bound(monkeypatch, capsys, n, verdict):
+    # 2-rank 12 is 4096 cosets, exactly the default bound; 13 is past it
+    monkeypatch.delenv(cli.ORACLE_BOUND_ENV, raising=False)
+    assert cli.main(["preset", "TORUS_SPLIT", "--n", str(n), "--h1", "--oracle"]) == 0
+    assert f"oracle: {verdict}" in capsys.readouterr().out.splitlines()
+
+
 def test_main_preset_simple_defaults_to_split(capsys):
     assert cli.main(["preset", "SIMPLE", "--type", "G", "--rank", "2"]) == 0
     assert "connected" in capsys.readouterr().out

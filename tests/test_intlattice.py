@@ -4,6 +4,7 @@ Expected values for the worked examples were derived by hand or by the
 small enumeration oracles written inline, then frozen.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -17,6 +18,7 @@ from pi0real.intlattice import (
     InfiniteIndex,
     Lattice,
     NotASublattice,
+    QuotientStructure,
     brute_force_quotient,
     det,
     hnf,
@@ -468,6 +470,117 @@ def test_brute_force_agrees_with_snf_random():
         assert fast.invariant_factors == slow.invariant_factors
         assert fast.order == slow.order == abs(d)
         trials += 1
+
+
+def _fraction_reduce(v, sub):
+    """Canonical residue of v modulo sub, in Fraction arithmetic."""
+    w = tuple(v)
+    for row in sub.vectors():
+        j = next(k for k, x in enumerate(row) if x)
+        q = w[j] // row[j]
+        if q:
+            w = tuple(a - q * b for a, b in zip(w, row))
+    return w
+
+
+def _fraction_walk(sub, sup, bound):
+    """Reference coset walk in Fraction arithmetic: +- steps, element
+    orders by membership, generators grown from the sorted cosets."""
+    for v in sub.vectors():
+        if not membership(v, sup):
+            raise NotASublattice(f"generator {v} is not in the super-lattice")
+    if sub.rank < sup.rank:
+        raise InfiniteIndex("sub-lattice has lower rank; quotient is infinite")
+
+    def add(x, y):
+        return _fraction_reduce(tuple(a + b for a, b in zip(x, y)), sub)
+
+    zero = (Fraction(0),) * sup.ambient_dim
+    steps = [s for g in sup.vectors() for s in (g, tuple(-x for x in g))]
+    found, frontier = {zero}, [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in steps:
+                y = add(x, g)
+                if y not in found:
+                    if len(found) >= bound:
+                        raise BoundExceeded(f"more than {bound} cosets")
+                    found.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    n = len(found)
+    if n == 1:
+        return QuotientStructure((), 0, ())
+
+    # p-exponents of the cyclic factors, from how many cosets p**k kills
+    exponents = {}
+    for p in range(2, n + 1):
+        if n % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        part = p
+        while n % (part * p) == 0:
+            part *= p
+        killed = [1]
+        while killed[-1] < part:
+            k = len(killed)
+            killed.append(sum(1 for y in found if membership(tuple(p**k * a for a in y), sub)))
+        # ge[k - 1]: the number of cyclic factors of p-exponent >= k
+        ge = [next(e for e in range(n) if p**e * killed[k - 1] == killed[k])
+              for k in range(1, len(killed))] + [0]
+        exponents[p] = [k for k in range(len(ge) - 1, 0, -1) for _ in range(ge[k - 1] - ge[k])]
+    width = max(len(e) for e in exponents.values())
+    chain = []
+    for j in range(width):
+        chain.append(math.prod(p ** e[j] for p, e in exponents.items() if j < len(e)))
+    factors = tuple(reversed(chain))
+
+    chosen, span = [], {zero}
+    for x in sorted(found):
+        if x in span:
+            continue
+        chosen.append(x)
+        while True:
+            grown = span | {add(s, x) for s in span}
+            if grown == span:
+                break
+            span = grown
+        if len(span) == n:
+            break
+    return QuotientStructure(factors, 0, tuple(chosen))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotASublattice, InfiniteIndex, BoundExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_walk_matches_fraction_walk_mixed_denominators():
+    """The integer coset walk over one common denominator returns what the
+    Fraction walk returns, exceptions included, when sub and sup have
+    different denominators."""
+    rng = random.Random(0xC05E7)
+    seen = {"ok": 0, NotASublattice: 0, InfiniteIndex: 0, BoundExceeded: 0}
+    cases = 0
+    while cases < 240:
+        n = rng.randint(1, 3)
+        lower_rank = rng.random() < 0.05
+        sub = Lattice(n, random_int_matrix(rng, n - lower_rank, n, -3, 3), rng.choice([1, 2, 3, 4, 6]))
+        extra = Lattice(n, random_int_matrix(rng, rng.randint(1, 2), n, -2, 2), rng.choice([1, 2, 3, 6]))
+        sup = lattice_sum(sub, extra)
+        if rng.random() < 0.15:
+            sub, sup = sup, sub
+        if sub.denom == sup.denom:
+            continue
+        bound = rng.choice([8, 64, 150])
+        want = _outcome(_fraction_walk, sub, sup, bound)
+        got = _outcome(brute_force_quotient, sub, sup, bound)
+        assert got == want, (sub, sup, bound)
+        seen["ok" if isinstance(want, QuotientStructure) else want[0]] += 1
+        cases += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_index_multiplicative_in_chains():

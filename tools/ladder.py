@@ -1,0 +1,86 @@
+"""Single-input timings of pi0 jobs, one row per input of a fixed ladder.
+
+Usage, from the root of the repository:
+
+    python3 tools/ladder.py
+
+Each input is a job document with the default outputs (pi0 and
+representatives) plus the outputs its label names.  ``cli.parse_jobspec``
+and ``cli.run`` are timed in-process, each the best of 3 runs on a fresh
+parse, and printed as a table in milliseconds.  The inputs are the rows of the ROADMAP
+baseline table that finish within seconds; ``TORUS_SPLIT n=300 --h1`` and
+``GL(96)`` are left out.  Stdlib only; nothing is written.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
+H1 = {"h1": True}
+ORACLE = {"h1": True, "oracle_check": True}
+
+
+def inline_gl(n: int) -> dict:
+    """GL(n) as inline data: every coroot e_i - e_j, i != j, and theta = -1."""
+    coroots = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                v = [0] * n
+                v[i], v[j] = 1, -1
+                coroots.append(v)
+    theta = [[-int(i == j) for j in range(n)] for i in range(n)]
+    return {"rank": n, "coroots": coroots, "theta": theta, "name": f"inline GL({n})"}
+
+
+LADDER = (
+    ("TORUS_SPLIT n=40 --h1", {"preset": "TORUS_SPLIT", "n": 40, "outputs": H1}),
+    ("TORUS_SPLIT n=60", {"preset": "TORUS_SPLIT", "n": 60}),
+    ("GL(24)", {"preset": "GL", "n": 24}),
+    ("GL(48)", {"preset": "GL", "n": 48}),
+    ("GL(64)", {"preset": "GL", "n": 64}),
+    ("inline GL(48), theta = -1", inline_gl(48)),
+    ("SO(20,21)", {"preset": "SO", "p": 20, "q": 21}),
+    ("PSO(8,8) --h1", {"preset": "PSO", "p": 8, "q": 8, "outputs": H1}),
+    ("E7 EVII --h1", {"preset": "E7", "form": "EVII", "outputs": H1}),
+    ("TORUS_SPLIT n=10 --h1 --oracle", {"preset": "TORUS_SPLIT", "n": 10, "outputs": ORACLE}),
+    ("TORUS_SPLIT n=12 --h1 --oracle", {"preset": "TORUS_SPLIT", "n": 12, "outputs": ORACLE}),
+)
+
+
+def timings(cli, doc) -> tuple[float, float]:
+    """Best parse and best run time in ms over REPEATS fresh parses of doc.
+
+    Each run gets its own freshly parsed job, because a root datum caches
+    its lattices on first use and a second run of one job would skip that.
+    """
+    clock = time.perf_counter
+    parse = run = float("inf")
+    for _ in range(REPEATS):
+        t0 = clock()
+        job = cli.parse_jobspec(doc)
+        t1 = clock()
+        cli.run(job)
+        t2 = clock()
+        parse, run = min(parse, t1 - t0), min(run, t2 - t1)
+    return parse * 1e3, run * 1e3
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from pi0real import cli
+
+    width = max(len(label) for label, _ in LADDER)
+    print(f"{'input':<{width}}  {'parse ms':>9}  {'run ms':>9}")
+    for label, doc in LADDER:
+        parse_ms, run_ms = timings(cli, doc)
+        print(f"{label:<{width}}  {parse_ms:>9.1f}  {run_ms:>9.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
