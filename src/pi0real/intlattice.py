@@ -157,17 +157,14 @@ def _row_sub(r, s, q):
         r[j] -= q * s[j]
 
 
-def _hermite(rows: list[list[int]], track: bool):
-    """In-place row Hermite reduction.
+def _hermite(rows: list[list[int]]) -> int:
+    """In-place row Hermite reduction, the only one; returns the rank.
 
-    Returns (rows, u, rank) where rows is in echelon form with positive
-    pivots, entries above each pivot reduced into [0, pivot), and all
-    zero rows collected at the bottom.  When track is true, u is a
-    unimodular matrix with u * input = rows.
+    Afterwards rows is in echelon form with positive pivots, entries above
+    each pivot reduced into [0, pivot), and all zero rows at the bottom.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if track else None
     piv = 0
     for col in range(ncols):
         if piv == nrows:
@@ -181,8 +178,6 @@ def _hermite(rows: list[list[int]], track: bool):
             )
             if best != piv:
                 rows[piv], rows[best] = rows[best], rows[piv]
-                if track:
-                    u[piv], u[best] = u[best], u[piv]
             p = rows[piv][col]
             dirty = False
             for i in range(piv + 1, nrows):
@@ -190,25 +185,19 @@ def _hermite(rows: list[list[int]], track: bool):
                     q = rows[i][col] // p
                     if q:
                         _row_sub(rows[i], rows[piv], q)
-                        if track:
-                            _row_sub(u[i], u[piv], q)
                     if rows[i][col]:
                         dirty = True
             if not dirty:
                 break
         if rows[piv][col] < 0:
             rows[piv][:] = [-x for x in rows[piv]]
-            if track:
-                u[piv][:] = [-x for x in u[piv]]
         p = rows[piv][col]
         for i in range(piv):
             q = rows[i][col] // p
             if q:
                 _row_sub(rows[i], rows[piv], q)
-                if track:
-                    _row_sub(u[i], u[piv], q)
         piv += 1
-    return rows, u, piv
+    return piv
 
 
 def hnf(m, ncols: int | None = None) -> IntMatrix:
@@ -217,32 +206,20 @@ def hnf(m, ncols: int | None = None) -> IntMatrix:
     The row span is preserved exactly; no content is extracted, so a
     single row stays itself up to sign normalization.
     """
-    mat = as_int_matrix(m, ncols)
-    rows = [list(r) for r in mat]
-    rows, _, piv = _hermite(rows, track=False)
-    return tuple(tuple(r) for r in rows[:piv])
+    rows = [list(r) for r in as_int_matrix(m, ncols)]
+    rank = _hermite(rows)
+    return tuple(tuple(r) for r in rows[:rank])
 
 
-def hnf_with_transform(m, ncols: int | None = None):
-    """Hermite form keeping zero rows, plus the unimodular row transform.
+def _stacked_kernel(rows: list[list[int]], width: int) -> list[list[int]]:
+    """Hermite-reduce the rows [left | right], left `width` wide, and return
+    the right-hand parts of the rows whose left-hand part became zero.
 
-    Returns (h, u, rank) with u * m == h; the rows of u below rank form a
-    basis of the integer left kernel of m.
+    Row operations keep every row in the form [x*left | x*right], so these
+    span {x*right : x*left == 0} (Cohen, GTM 138, section 2.4).
     """
-    mat = as_int_matrix(m, ncols)
-    rows = [list(r) for r in mat]
-    rows, u, piv = _hermite(rows, track=True)
-    return (
-        tuple(tuple(r) for r in rows),
-        tuple(tuple(r) for r in u),
-        piv,
-    )
-
-
-def left_kernel_basis(m, ncols: int | None = None) -> IntMatrix:
-    """Basis of {x integer row : x * m == 0}."""
-    _, u, rank = hnf_with_transform(m, ncols)
-    return u[rank:]
+    _hermite(rows)
+    return [r[width:] for r in rows if not any(r[:width])]
 
 
 # ---------------------------------------------------------------------------
@@ -496,56 +473,54 @@ def reduce_mod(v, sub: Lattice) -> Vector:
     return tuple(Fraction(x, d) for x in _reduce_ints(w, rows))
 
 
+def _scaled_rows(lat: Lattice, d: int) -> list[list[int]]:
+    """lat's basis rows over the denominator d, a multiple of lat.denom."""
+    return [[x * (d // lat.denom) for x in row] for row in lat.basis]
+
+
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     """Smallest lattice containing both summands."""
     _same_ambient(a, b)
     d = lcm(a.denom, b.denom)
-    rows = [
-        [x * (d // a.denom) for x in row] for row in a.basis
-    ] + [
-        [x * (d // b.denom) for x in row] for row in b.basis
-    ]
-    return Lattice(a.ambient_dim, as_int_matrix(rows, a.ambient_dim), d)
+    return Lattice(a.ambient_dim, _scaled_rows(a, d) + _scaled_rows(b, d), d)
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection, via the integer kernel of the stacked basis matrices."""
+    """Intersection, from one Hermite reduction of [[A, A], [B, 0]].
+
+    A and B are the bases over a common denominator; a kernel row (y, z)
+    has y*A == -z*B, so its right-hand part y*A lies in both lattices.
+    """
     _same_ambient(a, b)
-    if a.is_zero or b.is_zero:
-        return Lattice.zero(a.ambient_dim)
+    n = a.ambient_dim
     d = lcm(a.denom, b.denom)
-    ra = [[x * (d // a.denom) for x in row] for row in a.basis]
-    rb = [[-x * (d // b.denom) for x in row] for row in b.basis]
-    stacked = as_int_matrix(ra + rb, a.ambient_dim)
-    kernel = left_kernel_basis(stacked, a.ambient_dim)
-    na = len(ra)
-    gens = [mat_vec(transpose(ra), k[:na]) for k in kernel]
-    return Lattice(a.ambient_dim, as_int_matrix(gens, a.ambient_dim), d)
+    rows = [r + r for r in _scaled_rows(a, d)]
+    rows += [r + [0] * n for r in _scaled_rows(b, d)]
+    return Lattice(n, _stacked_kernel(rows, n), d)
+
+
+def _basis_images(lat: Lattice, a) -> IntMatrix:
+    """The rows a(v) for the basis rows v of lat; a is an n x n integer matrix."""
+    n = lat.ambient_dim
+    rows = [tuple(r) for r in a]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionMismatch("matrix does not act on the ambient space")
+    return mat_mul(lat.basis, transpose(as_int_matrix(rows, n)))
 
 
 def kernel_lattice(lat: Lattice, a) -> Lattice:
-    """{v in lat : a(v) == 0} for an integer matrix a acting on columns."""
-    mat = as_int_matrix(a)
-    if mat and len(mat) != lat.ambient_dim:
-        raise DimensionMismatch("matrix does not act on the ambient space")
-    cond = mat_mul(lat.basis, transpose(mat))
-    kernel = left_kernel_basis(cond, lat.ambient_dim if not mat else len(mat))
-    gens = mat_mul(kernel, lat.basis)
-    return Lattice(lat.ambient_dim, as_int_matrix(gens, lat.ambient_dim), lat.denom)
+    """{v in lat : a(v) == 0} for an integer matrix a acting on columns.
+
+    One Hermite reduction of [B*a^T | B], B = lat.basis, gives the rows
+    x*B with x*B*a^T == 0.
+    """
+    rows = [list(c) + list(r) for c, r in zip(_basis_images(lat, a), lat.basis)]
+    return Lattice(lat.ambient_dim, _stacked_kernel(rows, lat.ambient_dim), lat.denom)
 
 
 def image_lattice(lat: Lattice, a) -> Lattice:
-    """a(lat) for a rational square matrix a acting on columns."""
-    rows = [vec_frac(r) for r in a]
-    if len(rows) != lat.ambient_dim or any(len(r) != lat.ambient_dim for r in rows):
-        raise DimensionMismatch("matrix does not act on the ambient space")
-    q = 1
-    for r in rows:
-        for x in r:
-            q = lcm(q, x.denominator)
-    ai = [[int(x * q) for x in r] for r in rows]
-    gens = mat_mul(lat.basis, transpose(ai))
-    return Lattice(lat.ambient_dim, as_int_matrix(gens, lat.ambient_dim), lat.denom * q)
+    """a(lat) for an integer square matrix a acting on columns."""
+    return Lattice(lat.ambient_dim, _basis_images(lat, a), lat.denom)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,9 @@ from .intlattice import (
     Lattice,
     as_int_matrix,
     identity_matrix,
-    mat_mul,
     mat_vec,
     rat_inverse,
     transpose,
-    vec_frac,
 )
 
 
@@ -45,16 +43,6 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 
 def _neg(v: Sequence) -> tuple:
     return tuple(-x for x in v)
-
-
-def _intify(v: Sequence[Fraction]) -> tuple[int, ...]:
-    out = []
-    for x in v:
-        x = Fraction(x)
-        if x.denominator != 1:
-            raise PresetError(f"expected an integer vector, got {tuple(v)}")
-        out.append(int(x))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +202,17 @@ def _so_like_display(p: int, q: int, embed) -> tuple[tuple[str, tuple], ...]:
     return tuple(out)
 
 
+def _d_coroots(ell: int) -> list[tuple[int, ...]]:
+    """The coroots +-e_i +-e_j (i < j) of type D_ell, in eps-coordinates."""
+    out = []
+    for i, j in itertools.combinations(range(ell), 2):
+        for si, sj in itertools.product((1, -1), repeat=2):
+            v = [0] * ell
+            v[i], v[j] = si, sj
+            out.append(tuple(v))
+    return out
+
+
 def so(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
     """SO(p,q): type B or D datum with theta = -1 on the first p axes."""
     p, q = _normalize_signature(p, q)
@@ -221,14 +220,7 @@ def so(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
     if n < 3:
         raise PresetError("SO(p,q) needs p + q >= 3")
     ell = n // 2
-    gens = []
-    for i, j in itertools.combinations(range(ell), 2):
-        for si, sj in itertools.product((1, -1), repeat=2):
-            gens.append(
-                tuple(
-                    si * a + sj * b for a, b in zip(_unit(ell, i), _unit(ell, j))
-                )
-            )
+    gens = _d_coroots(ell)
     if n % 2 == 1:
         for i in range(ell):
             gens.append(tuple(2 * x for x in _unit(ell, i)))
@@ -254,37 +246,30 @@ def pso(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
     The cocharacter lattice is Z^ell in the basis
     e_1, ..., e_{ell-1}, w_ell  where w_ell = (e_1 + ... + e_ell)/2 in the
     eps-coordinates of SO; everything from the SO presentation is converted
-    into that basis, so the datum again lives on the standard lattice.
+    into that basis in integers, so the datum again lives on the standard
+    lattice.
     """
     p, q = _normalize_signature(p, q)
     n = p + q
     if n < 4 or n % 2 != 0:
         raise PresetError("PSO(p,q) needs p + q even and at least 4")
     ell = n // 2
-    basis = [vec_frac(_unit(ell, i)) for i in range(ell - 1)]
-    basis.append(tuple(Fraction(1, 2) for _ in range(ell)))
-    pmat = tuple(basis)
-    inv_pt = rat_inverse(transpose(pmat))
+
+    # v in eps-coordinates has coordinates v_i - v_ell (i < ell) and 2 v_ell
+    # in the basis above.  This map takes u = 2v, so that w_ell stays
+    # integral; u_i - u_ell is even for every vector it is given here.
+    def from_doubled(u) -> tuple[int, ...]:
+        return tuple((x - u[-1]) // 2 for x in u[:-1]) + (u[-1],)
 
     def conv_vec(v) -> tuple[int, ...]:
-        return _intify(mat_vec(inv_pt, vec_frac(v)))
+        return from_doubled([2 * x for x in v])
 
+    # a weight pairs with e_i (i < ell) as before and with w_ell as half its sum
     def conv_weight(lmbda) -> tuple:
-        out = mat_vec(pmat, vec_frac(lmbda))
-        return tuple(int(x) if x.denominator == 1 else x for x in out)
+        half = Fraction(sum(lmbda), 2)
+        return tuple(lmbda[:-1]) + (int(half) if half.denominator == 1 else half,)
 
-    gens = []
-    for i, j in itertools.combinations(range(ell), 2):
-        for si, sj in itertools.product((1, -1), repeat=2):
-            gens.append(
-                conv_vec(
-                    tuple(
-                        si * a + sj * b
-                        for a, b in zip(_unit(ell, i), _unit(ell, j))
-                    )
-                )
-            )
-    gens = tuple(dict.fromkeys(gens))
+    gens = tuple(dict.fromkeys(conv_vec(v) for v in _d_coroots(ell)))
     named = [(f"e{i + 1}", conv_vec(_unit(ell, i))) for i in range(ell)]
     named.append((f"w{ell}", _unit(ell, ell - 1)))
     rd = RootDatum(
@@ -295,13 +280,11 @@ def pso(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
         name=f"PSO({p},{q})",
         lift_note="matrix entries fixed only up to a global sign",
     )
-    theta_eps = tuple(
-        tuple((-1 if i < p else 1) if i == j else 0 for j in range(ell))
-        for i in range(ell)
-    )
-    theta_frac = mat_mul(mat_mul(inv_pt, theta_eps), transpose(pmat))
-    theta = as_int_matrix([_intify(row) for row in theta_frac])
-    return rd, theta
+    # column k of theta is theta_eps = diag(signs) applied to basis vector k
+    signs = [-1 if i < p else 1 for i in range(ell)]
+    doubled = [[2 * x for x in _unit(ell, k)] for k in range(ell - 1)] + [[1] * ell]
+    columns = [from_doubled([s * x for s, x in zip(signs, b)]) for b in doubled]
+    return rd, transpose(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Smoke test for the benchmark: one short traced run of the tori workload.
+"""Smoke test for the benchmark: one short traced run of each workload.
 
 The run checks every report against the benchmark's closed forms, and its
 tracer looks up the public functions of the package by name, so this test
@@ -17,9 +17,10 @@ RUNNER = ROOT / "perfbench" / "run.py"
 
 
 @pytest.mark.skipif(not RUNNER.is_file(), reason="no perfbench/ in this checkout")
-def test_traced_tori_run_is_correct():
+@pytest.mark.parametrize("workload", ["classical", "tori", "crosscheck"])
+def test_traced_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, str(RUNNER), "--workload", "tori", "--seed", "1",
+        [sys.executable, str(RUNNER), "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, timeout=120, cwd=ROOT,
     )

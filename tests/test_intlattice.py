@@ -22,14 +22,12 @@ from pi0real.intlattice import (
     brute_force_quotient,
     det,
     hnf,
-    hnf_with_transform,
     identity_matrix,
     image_lattice,
     kernel_lattice,
     lattice_index,
     lattice_intersect,
     lattice_sum,
-    left_kernel_basis,
     mat_mul,
     membership,
     quotient_structure,
@@ -88,26 +86,6 @@ def test_hnf_idempotent_and_span_preserving_random():
             assert membership(frac_vec(row), lat_h)
         for row in h:
             assert membership(frac_vec(row), lat_m)
-
-
-def test_hnf_with_transform_is_unimodular():
-    rng = random.Random(0xBEEF)
-    for _ in range(40):
-        r = rng.randint(1, 4)
-        c = rng.randint(1, 4)
-        m = random_int_matrix(rng, r, c)
-        h, u, rank = hnf_with_transform(m)
-        assert mat_mul(u, m) == h
-        assert det(u) in (1, -1)
-        assert all(not any(row) for row in h[rank:])
-
-
-def test_left_kernel_basis():
-    m = ((2, 0), (0, 2), (-1, -1))
-    k = left_kernel_basis(m)
-    assert len(k) == 1
-    x = k[0]
-    assert all(v == 0 for v in mat_mul((x,), m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +270,19 @@ def test_kernel_of_zero_map_is_everything():
 
 
 def test_image_frozen_example():
-    half_one_minus_theta = (
-        (HALF, HALF),
-        (HALF, HALF),
-    )
-    img = image_lattice(Lattice.standard(2), half_one_minus_theta)
+    one_minus_theta = ((1, 1), (1, 1))
+    img = image_lattice(Lattice.standard(2), one_minus_theta).scale(HALF)
     assert img == Lattice(2, ((1, 1),), 2)
+
+
+def test_matrix_of_wrong_size_raises_dimension_mismatch():
+    lat = Lattice.standard(2)
+    for a in ((), ((1, 0),), ((1, 0), (0, 1), (0, 0)), ((1, 0), (0,)), ((1,), (0,))):
+        with pytest.raises(DimensionMismatch):
+            kernel_lattice(lat, a)
+        with pytest.raises(DimensionMismatch):
+            image_lattice(lat, a)
+    assert kernel_lattice(Lattice.standard(0), ()) == Lattice.standard(0)
 
 
 def test_image_of_identity():
@@ -317,6 +302,113 @@ def test_kernel_image_ranks_add_up():
         plus = kernel_lattice(Lattice.standard(n), mat_sub_id(theta, 1))
         minus = kernel_lattice(Lattice.standard(n), mat_sub_id(theta, -1))
         assert plus.rank + minus.rank == n
+
+
+def _transform_left_kernel(m):
+    """Basis of {x : x*m == 0}, read off a Hermite reduction of m that tracks
+    its unimodular row transform u: the rows of u below the rank.
+
+    This is the transform route that kernel_lattice and lattice_intersect
+    used before they reduced one stacked matrix, kept as a reference.
+    """
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+
+    def sub(i, k, q):
+        rows[i] = [x - q * y for x, y in zip(rows[i], rows[k])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+
+    piv = 0
+    for col in range(ncols):
+        if piv == nrows:
+            break
+        if all(rows[i][col] == 0 for i in range(piv, nrows)):
+            continue
+        while True:
+            best = min(
+                (i for i in range(piv, nrows) if rows[i][col] != 0),
+                key=lambda i: abs(rows[i][col]),
+            )
+            rows[piv], rows[best] = rows[best], rows[piv]
+            u[piv], u[best] = u[best], u[piv]
+            for i in range(piv + 1, nrows):
+                if rows[i][col]:
+                    sub(i, piv, rows[i][col] // rows[piv][col])
+            if all(rows[i][col] == 0 for i in range(piv + 1, nrows)):
+                break
+        if rows[piv][col] < 0:
+            rows[piv] = [-x for x in rows[piv]]
+            u[piv] = [-x for x in u[piv]]
+        for i in range(piv):
+            sub(i, piv, rows[i][col] // rows[piv][col])
+        piv += 1
+    return tuple(tuple(r) for r in u[piv:])
+
+
+def _transform_kernel_lattice(lat, a):
+    kernel = _transform_left_kernel(mat_mul(lat.basis, transpose(a)))
+    return Lattice(lat.ambient_dim, mat_mul(kernel, lat.basis), lat.denom)
+
+
+def _transform_intersect(a, b):
+    n = a.ambient_dim
+    if a.is_zero or b.is_zero:
+        return Lattice.zero(n)
+    d = math.lcm(a.denom, b.denom)
+    ra = [[x * (d // a.denom) for x in row] for row in a.basis]
+    rb = [[-x * (d // b.denom) for x in row] for row in b.basis]
+    gens = [
+        tuple(sum(k * r[j] for k, r in zip(kv, ra)) for j in range(n))
+        for kv in _transform_left_kernel(ra + rb)
+    ]
+    return Lattice(n, gens, d)
+
+
+def _random_lattice(rng, n, denom, kind):
+    if kind == "zero":
+        return Lattice(n, (), denom)
+    if kind == "full":
+        u, _ = random_unimodular(rng, n)
+        scales = [rng.choice([1, 2, 3, -2]) for _ in range(n)]
+        return Lattice(n, tuple(tuple(c * x for x in row) for c, row in zip(scales, u)), denom)
+    return Lattice(n, random_int_matrix(rng, rng.randint(1, n + 1), n), denom)
+
+
+def _random_square(rng, n, singular):
+    while True:
+        a = [list(r) for r in random_int_matrix(rng, n, n, -3, 3)]
+        if singular:
+            i = rng.randrange(n)
+            coeffs = [0 if k == i else rng.randint(-2, 2) for k in range(n)]
+            a[i] = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(n)]
+            return a
+        if det(a):
+            return a
+
+
+def test_stacked_kernels_match_transform_route_random():
+    rng = random.Random(0x57AC)
+    kinds = ("zero", "full", "random")
+    seen = set()
+    for case in range(240):
+        n = 1 + case % 6
+        denom = 1 + (case // 6) % 4
+        kind = kinds[(case // 24) % 3]
+        singular = case % 2 == 0
+        lat = _random_lattice(rng, n, denom, kind)
+        a = _random_square(rng, n, singular)
+        assert (det(a) == 0) == singular
+        assert kernel_lattice(lat, a) == _transform_kernel_lattice(lat, a), (lat, a)
+        other = _random_lattice(rng, n, rng.randint(1, 4), rng.choice(kinds))
+        assert lattice_intersect(lat, other) == _transform_intersect(lat, other), (lat, other)
+        seen.add((n, denom, lat.is_zero, lat.rank == n, singular))
+    # every dimension, denominator, lattice shape and matrix kind came up
+    assert {s[0] for s in seen} == set(range(1, 7))
+    assert {s[1] for s in seen} == set(range(1, 5))
+    assert {(s[2], s[3]) for s in seen} >= {(True, False), (False, True), (False, False)}
+    assert {s[4] for s in seen} == {True, False}
 
 
 def mat_sub_id(theta, sign):

@@ -1,10 +1,22 @@
 """Tests for the root datum builders and presets."""
 
+import functools
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from pi0real.intlattice import Lattice, det, lattice_index, mat_vec, membership
+from pi0real.intlattice import (
+    Lattice,
+    det,
+    lattice_index,
+    mat_mul,
+    mat_vec,
+    membership,
+    rat_inverse,
+    transpose,
+    vec_frac,
+)
 from pi0real.rootdata import (
     PresetError,
     PresetSpec,
@@ -178,6 +190,84 @@ def test_pso_lift_note():
 
 def test_pso_swap_normalizes():
     assert pso(4, 2) == pso(2, 4)
+
+
+def _apply(m, v):
+    """m * v over the rationals, skipping the zero entries of v."""
+    return tuple(sum((x * y for x, y in zip(row, v) if y), Fraction(0)) for row in m)
+
+
+@functools.lru_cache(maxsize=None)
+def _rational_pso_frame(ell):
+    """The basis matrix of PSO's X, its inverse transpose, and the coroots
+    and named vectors mapped by that inverse, as in _rational_pso."""
+    pmat = tuple(vec_frac(unit(ell, i)) for i in range(ell - 1)) + (
+        tuple(Fraction(1, 2) for _ in range(ell)),
+    )
+    inv_pt = rat_inverse(transpose(pmat))
+
+    def conv_vec(v):
+        return _intify(_apply(inv_pt, v))
+
+    gens = []
+    for i, j in combinations(range(ell), 2):
+        for si in (1, -1):
+            for sj in (1, -1):
+                gens.append(conv_vec(tuple(si * a + sj * b for a, b in zip(unit(ell, i), unit(ell, j)))))
+    named = [(f"e{i + 1}", conv_vec(unit(ell, i))) for i in range(ell)]
+    named.append((f"w{ell}", unit(ell, ell - 1)))
+    return pmat, inv_pt, tuple(dict.fromkeys(gens)), tuple(named)
+
+
+def _intify(v):
+    assert all(Fraction(x).denominator == 1 for x in v)
+    return tuple(int(x) for x in v)
+
+
+def _rational_pso(p, q):
+    """PSO(p,q) built by a rational change of basis from the SO presentation.
+
+    This is the construction pso replaced with integer coordinates, kept as
+    a reference: X = Z^ell in the basis e_1, ..., e_{ell-1}, w_ell with
+    w_ell = (e_1 + ... + e_ell)/2, vectors mapped by the inverse transpose
+    of the basis matrix and theta conjugated by it.
+    """
+    p, q = min(p, q), max(p, q)
+    ell = (p + q) // 2
+    pmat, inv_pt, gens, named = _rational_pso_frame(ell)
+
+    def conv_weight(lmbda):
+        return tuple(int(x) if x.denominator == 1 else x for x in _apply(pmat, lmbda))
+
+    weights = []
+    for j in range(1, p + q + 1):
+        if j <= p:
+            weights.append((f"eps{j}", conv_weight(unit(ell, j - 1))))
+        elif j <= q:
+            weights.append(("0", conv_weight((0,) * ell)))
+        else:
+            weights.append((f"-eps{p + q + 1 - j}", conv_weight(tuple(-x for x in unit(ell, p + q - j)))))
+    theta_eps = tuple(
+        tuple((-1 if i < p else 1) if i == j else 0 for j in range(ell)) for i in range(ell)
+    )
+    theta = tuple(_intify(row) for row in mat_mul(mat_mul(inv_pt, theta_eps), transpose(pmat)))
+    rd = RootDatum(
+        rank=ell,
+        coroot_generators=gens,
+        display_weights=tuple(weights),
+        named_vectors=named,
+        name=f"PSO({p},{q})",
+        lift_note="matrix entries fixed only up to a global sign",
+    )
+    return rd, theta
+
+
+def test_pso_matches_rational_construction():
+    signatures = [(p, n - p) for n in range(4, 21, 2) for p in range(n + 1)]
+    assert len(signatures) == 117
+    for p, q in signatures:
+        # repr also tells an int entry from an integral Fraction
+        assert repr(pso(p, q)) == repr(_rational_pso(p, q)), (p, q)
 
 
 # ---------------------------------------------------------------------------
