@@ -34,7 +34,7 @@ from .realform import (
     involution_from_eigenspaces,
     involution_from_matrix,
 )
-from .rootdata import PresetSpec, RootDatum, build_preset
+from .rootdata import PRESETS, RootDatum, build_preset, preset_spec
 
 ORACLE_BOUND_ENV = "PI0_ORACLE_BOUND"
 DEFAULT_ORACLE_BOUND = 4096
@@ -95,29 +95,18 @@ def _matrix(rows, n: int, where: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_vector(r, n, f"{where} row {i}") for i, r in enumerate(rows))
 
 
-# the job fields each preset family reads; all but _PRESET_OPTIONAL are required
-_PRESET_PARAMS = {
-    "GL": ("n",),
-    "TORUS_SPLIT": ("n",),
-    "TORUS_COMPACT": ("n",),
-    "SO": ("p", "q"),
-    "PSO": ("p", "q"),
-    "TORUS_WEIL": (),
-    "E7": ("form",),
-    "SIMPLE": ("type", "rank", "isogeny", "real"),
+# every field some preset family reads, in a fixed order
+_FAMILY_FIELDS = tuple(dict.fromkeys(f for _, fields in PRESETS.values() for f in fields))
+_PRESET_FIELDS = {"preset", *_FAMILY_FIELDS}
+# the inline fields that hold lists, and what each list holds
+_LIST_FIELDS = {
+    "coroots": "coroot rows",
+    "split_span": "vectors",
+    "compact_span": "vectors",
+    "display_weights": "[label, vector] pairs",
+    "named_vectors": "[name, vector] pairs",
 }
-_PRESET_OPTIONAL = {"isogeny", "real"}
-_PRESET_FIELDS = {"preset"}.union(*_PRESET_PARAMS.values())
-_INLINE_FIELDS = {
-    "rank",
-    "coroots",
-    "theta",
-    "split_span",
-    "compact_span",
-    "display_weights",
-    "named_vectors",
-    "name",
-}
+_INLINE_FIELDS = {"rank", "theta", "name", *_LIST_FIELDS}
 _COMMON_FIELDS = {"outputs", "format"}
 _OUTPUT_KEYS = {"pi0", "h1", "representatives", "oracle_check"}
 
@@ -146,7 +135,7 @@ _FORMAT_ALIASES = {"text": "text", "json": "json", "json-like": "json", "structu
 
 def _parse_format(doc: dict) -> str:
     fmt = doc.get("format", "text")
-    if fmt not in _FORMAT_ALIASES:
+    if not isinstance(fmt, str) or fmt not in _FORMAT_ALIASES:
         raise ValueError(f"format must be 'text' or 'json', got {fmt!r}")
     return _FORMAT_ALIASES[fmt]
 
@@ -164,33 +153,19 @@ def _preset_job(doc: dict) -> tuple[RootDatum, Involution]:
         if val is not None and not isinstance(val, str):
             raise ValueError(f"preset field {key!r} must be a string, got {val!r}")
     family = str(doc["preset"])
-    params = _PRESET_PARAMS.get(family.upper())
-    if params is not None:  # an unknown family is reported by build_preset
-        for key in doc:
-            if key in _PRESET_FIELDS and key != "preset" and key not in params:
-                takes = ", ".join(repr(k) for k in params) or "no fields"
-                raise ValueError(
-                    f"preset field {key!r} is not used by preset {family!r}, "
-                    f"which takes {takes}"
-                )
-        for key in params:
-            if key not in _PRESET_OPTIONAL and doc.get(key) is None:
-                raise ValueError(f"preset {family!r} needs parameter {key!r}")
-    real = doc.get("real")
-    return build_preset(
-        PresetSpec(
-            family=family,
-            n=doc.get("n"),
-            p=doc.get("p"),
-            q=doc.get("q"),
-            form=doc.get("form"),
-            cartan_type=doc.get("type"),
-            rank=doc.get("rank"),
-            isogeny=doc.get("isogeny", "sc"),
-            # SIMPLE presets without an explicit real form default to split
-            real="split" if real is None else real,
-        )
-    )
+    # an unknown family is reported by build_preset, a missing field too
+    _, params = PRESETS.get(family.upper(), (None, _FAMILY_FIELDS))
+    for key in _FAMILY_FIELDS:
+        if key in doc and key not in params:
+            takes = ", ".join(repr(k) for k in params) or "no fields"
+            raise ValueError(
+                f"preset field {key!r} is not used by preset {family!r}, "
+                f"which takes {takes}"
+            )
+    # a null field counts as absent; SIMPLE without a real form is split
+    fields = {"real": "split"}
+    fields.update((k, doc[k]) for k in params if doc.get(k) is not None)
+    return build_preset(preset_spec(family, fields))
 
 
 def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
@@ -200,8 +175,10 @@ def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
     rank = doc["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise ValueError("'rank' must be a nonnegative integer")
-    if "coroots" not in doc or not isinstance(doc["coroots"], list):
-        raise ValueError("'coroots' must be a list of coroot rows (possibly empty)")
+    for key, items in _LIST_FIELDS.items():
+        # only coroots is required
+        if not isinstance(doc.get(key, None if key == "coroots" else []), list):
+            raise ValueError(f"{key!r} must be a list of {items} (possibly empty)")
 
     # an insertion-ordered dict dedupes the +- pairs in linear time
     gens: dict[tuple[int, ...], None] = {}
@@ -449,15 +426,10 @@ def _build_parser() -> _Parser:
     pre.add_argument("--p", type=int, help="signature for SO/PSO")
     pre.add_argument("--q", type=int, help="signature for SO/PSO")
     pre.add_argument("--form", help="E7 real form: EV, EVI, or EVII")
-    pre.add_argument("--type", dest="cartan_type", help="Cartan type A..G for SIMPLE")
+    pre.add_argument("--type", help="Cartan type A..G for SIMPLE")
     pre.add_argument("--rank", type=int, help="rank for SIMPLE")
-    pre.add_argument("--isogeny", choices=("sc", "adj"), default="sc")
-    pre.add_argument(
-        "--real",
-        choices=("split", "compact"),
-        default=None,
-        help="real form for SIMPLE (default split)",
-    )
+    pre.add_argument("--isogeny", help="sc (default) or adj for SIMPLE")
+    pre.add_argument("--real", help="split (default) or compact for SIMPLE")
     add_output_flags(pre)
     return parser
 
@@ -469,20 +441,19 @@ def _doc_from_args(args) -> dict:
         else:
             with open(args.spec_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("job specification is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError("job specification must be a JSON object")
     else:
+        # every flag given goes into the job, so unused ones are rejected there
         doc = {"preset": args.name}
-        for key in ("n", "p", "q", "form", "rank"):
+        for key in _FAMILY_FIELDS:
             val = getattr(args, key)
             if val is not None:
                 doc[key] = val
-        if args.cartan_type is not None:
-            doc["type"] = args.cartan_type
-            doc["isogeny"] = args.isogeny
-            if args.real is not None:
-                doc["real"] = args.real
 
     # command-line flags override the document's output selection
     if args.pi0 or args.h1 or args.reps or args.oracle:

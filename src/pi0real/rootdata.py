@@ -291,29 +291,24 @@ def pso(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
 # tori
 
 
-def torus_split(n: int) -> tuple[RootDatum, IntMatrix]:
+def _torus(n: int, sign: int, kind: str) -> tuple[RootDatum, IntMatrix]:
     if n < 0:
         raise PresetError("torus rank must be nonnegative")
     rd = RootDatum(
         rank=n,
         display_weights=tuple((f"eps{i + 1}", _unit(n, i)) for i in range(n)),
         named_vectors=tuple((f"e{i + 1}", _unit(n, i)) for i in range(n)),
-        name=f"split torus of rank {n}",
+        name=f"{kind} torus of rank {n}",
     )
-    theta = tuple(tuple(-x for x in row) for row in identity_matrix(n))
-    return rd, theta
+    return rd, tuple(tuple(sign * x for x in row) for row in identity_matrix(n))
+
+
+def torus_split(n: int) -> tuple[RootDatum, IntMatrix]:
+    return _torus(n, -1, "split")
 
 
 def torus_compact(n: int) -> tuple[RootDatum, IntMatrix]:
-    if n < 0:
-        raise PresetError("torus rank must be nonnegative")
-    rd = RootDatum(
-        rank=n,
-        display_weights=tuple((f"eps{i + 1}", _unit(n, i)) for i in range(n)),
-        named_vectors=tuple((f"e{i + 1}", _unit(n, i)) for i in range(n)),
-        name=f"compact torus of rank {n}",
-    )
-    return rd, identity_matrix(n)
+    return _torus(n, 1, "compact")
 
 
 def torus_weil() -> tuple[RootDatum, IntMatrix]:
@@ -486,52 +481,54 @@ class PresetSpec:
     real: Optional[str] = None
 
 
-def _require(spec: PresetSpec, *names: str) -> list:
-    vals = []
-    for nm in names:
-        v = getattr(spec, nm)
-        if v is None:
-            raise PresetError(f"preset {spec.family!r} needs parameter {nm!r}")
-        vals.append(v)
-    return vals
+def _e7_preset(form: str):
+    from .realform import e7_preset  # realform imports this module
+
+    return e7_preset(form)
+
+
+# each preset family's builder and the job fields it passes, in argument
+# order; every field but those in OPTIONAL_PRESET_FIELDS is required
+PRESETS = {
+    "GL": (gl, ("n",)),
+    "SO": (so, ("p", "q")),
+    "PSO": (pso, ("p", "q")),
+    "TORUS_SPLIT": (torus_split, ("n",)),
+    "TORUS_COMPACT": (torus_compact, ("n",)),
+    "TORUS_WEIL": (torus_weil, ()),
+    "E7": (_e7_preset, ("form",)),
+    "SIMPLE": (simple, ("type", "rank", "isogeny", "real")),
+}
+OPTIONAL_PRESET_FIELDS = ("isogeny", "real")
+
+# the PresetSpec attribute of each job field whose name differs
+_SPEC_ATTR = {"type": "cartan_type"}
+
+
+def preset_spec(family: str, fields: dict) -> PresetSpec:
+    """The PresetSpec of a family and its fields, named as in a job file."""
+    return PresetSpec(family, **{_SPEC_ATTR.get(k, k): v for k, v in fields.items()})
 
 
 def build_preset(spec: PresetSpec):
     """Build (RootDatum, Involution or None) for a named preset.
 
-    Families: GL, SO, PSO, TORUS_SPLIT, TORUS_COMPACT, TORUS_WEIL, E7,
-    SIMPLE.  E7 takes form in {EV, EVI, EVII}; SIMPLE takes a Cartan type
-    and rank with isogeny 'sc' or 'adjoint' and real form 'split',
-    'compact', or None.
+    ``PRESETS`` lists the families, each with its builder and the fields
+    that builder takes.  E7 takes form in {EV, EVI, EVII}; SIMPLE takes a
+    Cartan type and rank with isogeny 'sc' or 'adjoint' and real form
+    'split', 'compact', or None, in which case there is no involution.
     """
-    from .realform import e7_preset, involution_from_matrix
+    from .realform import Involution, involution_from_matrix
 
-    fam = spec.family.upper()
-    if fam == "GL":
-        (n,) = _require(spec, "n")
-        rd, theta = gl(n)
-    elif fam == "SO":
-        p, q = _require(spec, "p", "q")
-        rd, theta = so(p, q)
-    elif fam == "PSO":
-        p, q = _require(spec, "p", "q")
-        rd, theta = pso(p, q)
-    elif fam == "TORUS_SPLIT":
-        (n,) = _require(spec, "n")
-        rd, theta = torus_split(n)
-    elif fam == "TORUS_COMPACT":
-        (n,) = _require(spec, "n")
-        rd, theta = torus_compact(n)
-    elif fam == "TORUS_WEIL":
-        rd, theta = torus_weil()
-    elif fam == "E7":
-        (form,) = _require(spec, "form")
-        return e7_preset(form)
-    elif fam == "SIMPLE":
-        ct, rk = _require(spec, "cartan_type", "rank")
-        rd, theta = simple(ct, rk, spec.isogeny, spec.real)
-        if theta is None:
-            return rd, None
-    else:
+    family = spec.family.upper()
+    if family not in PRESETS:
         raise PresetError(f"unknown preset family {spec.family!r}")
+    builder, fields = PRESETS[family]
+    values = [getattr(spec, _SPEC_ATTR.get(f, f)) for f in fields]
+    for field, value in zip(fields, values):
+        if value is None and field not in OPTIONAL_PRESET_FIELDS:
+            raise PresetError(f"preset {spec.family!r} needs parameter {field!r}")
+    rd, theta = builder(*values)
+    if theta is None or isinstance(theta, Involution):  # SIMPLE with no real form, E7
+        return rd, theta
     return rd, involution_from_matrix(rd, theta, name=rd.name)

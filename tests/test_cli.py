@@ -57,6 +57,17 @@ def test_rejects_bad_format():
         cli.parse_jobspec({"preset": "GL", "n": 2, "format": "xml"})
 
 
+@pytest.mark.parametrize("fmt", [["json"], {}, {"json": 1}, None, 1])
+def test_rejects_format_that_is_not_a_string(fmt, tmp_path, capsys):
+    doc = {"preset": "GL", "n": 3, "format": fmt}
+    with pytest.raises(ValueError, match="format must be 'text' or 'json'"):
+        cli.parse_jobspec(doc)
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["compute", str(spec)]) == 1
+    assert capsys.readouterr().err.startswith("error: format must be")
+
+
 def test_format_aliases_accepted():
     for fmt in ("json", "json-like", "structured"):
         job = cli.parse_jobspec({"preset": "GL", "n": 2, "format": fmt})
@@ -131,6 +142,41 @@ def test_rejects_mistyped_preset_field(doc, field, tmp_path, capsys):
     assert cli.main(["compute", str(spec)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"'{field}'" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("coroots", {"a": 1}),
+        ("coroots", None),
+        ("display_weights", 5),
+        ("named_vectors", None),
+        ("split_span", 7),
+        ("compact_span", {"a": 1}),
+        ("compact_span", "[[1]]"),
+    ],
+)
+def test_rejects_inline_list_field_that_is_not_a_list(field, value, tmp_path, capsys):
+    doc = {"rank": 1, "coroots": [], "split_span": [[1]], field: value}
+    with pytest.raises(ValueError, match=f"'{field}' must be a list of"):
+        cli.parse_jobspec(doc)
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["compute", str(spec)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: '{field}' must be a list of")
+
+
+def test_null_preset_field_counts_as_absent():
+    doc = {"preset": "SIMPLE", "type": "A", "rank": 1}
+    nulls = dict(doc, isogeny=None, real=None)
+    assert run_job(nulls) == run_job(dict(doc, isogeny="sc", real="split"))
+    with pytest.raises(ValueError, match="needs parameter 'rank'"):
+        cli.parse_jobspec(dict(doc, rank=None))
+
+
+def test_rejects_inline_job_without_coroots():
+    with pytest.raises(ValueError, match="'coroots' must be a list of coroot rows"):
+        cli.parse_jobspec({"rank": 1, "theta": [[-1]]})
 
 
 def test_inline_weil_matches_preset():
@@ -435,6 +481,51 @@ def test_main_malformed_json_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_deeply_nested_json_exit_one(tmp_path, capsys):
+    spec = tmp_path / "job.json"
+    spec.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["compute", str(spec)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# each preset command line, and the job document it must match
+PRESET_COMMANDS = [
+    (["GL", "--n", "3"], {"preset": "GL", "n": 3}),
+    (["SO", "--p", "2", "--q", "3"], {"preset": "SO", "p": 2, "q": 3}),
+    (["PSO", "--p", "3", "--q", "3"], {"preset": "PSO", "p": 3, "q": 3}),
+    (["TORUS_SPLIT", "--n", "3"], {"preset": "TORUS_SPLIT", "n": 3}),
+    (["TORUS_COMPACT", "--n", "2"], {"preset": "TORUS_COMPACT", "n": 2}),
+    (["TORUS_WEIL"], {"preset": "TORUS_WEIL"}),
+    (["E7", "--form", "EVI"], {"preset": "E7", "form": "EVI"}),
+    (["SIMPLE", "--type", "B", "--rank", "3"], {"preset": "SIMPLE", "type": "B", "rank": 3}),
+    (
+        ["SIMPLE", "--type", "A", "--rank", "3", "--isogeny", "adj"],
+        {"preset": "SIMPLE", "type": "A", "rank": 3, "isogeny": "adj"},
+    ),
+    (
+        ["SIMPLE", "--type", "A", "--rank", "3", "--isogeny", "adjoint"],
+        {"preset": "SIMPLE", "type": "A", "rank": 3, "isogeny": "adjoint"},
+    ),
+    (
+        ["SIMPLE", "--type", "D", "--rank", "4", "--real", "compact"],
+        {"preset": "SIMPLE", "type": "D", "rank": 4, "real": "compact"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, doc", PRESET_COMMANDS, ids=[" ".join(f) for f, _ in PRESET_COMMANDS]
+)
+def test_main_preset_matches_job_document(flags, doc, tmp_path, capsys):
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(doc))
+    for extra in ([], ["--h1", "--pi0", "--reps", "--format", "json"]):
+        assert cli.main(["compute", str(spec), *extra]) == 0
+        expected = capsys.readouterr().out
+        assert cli.main(["preset", *flags, *extra]) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_main_bad_preset_params_exit_one(capsys):
     assert cli.main(["preset", "GL"]) == 1
     assert "needs parameter 'n'" in capsys.readouterr().err
@@ -446,6 +537,10 @@ def test_main_bad_preset_params_exit_one(capsys):
     # fields a family does not read are rejected on the command line too
     assert cli.main(["preset", "GL", "--n", "3", "--form", "EV"]) == 1
     assert "preset field 'form'" in capsys.readouterr().err
+    assert cli.main(["preset", "GL", "--n", "3", "--isogeny", "adj"]) == 1
+    assert "preset field 'isogeny'" in capsys.readouterr().err
+    assert cli.main(["preset", "GL", "--n", "3", "--real", "compact"]) == 1
+    assert "preset field 'real'" in capsys.readouterr().err
 
 
 def test_main_unknown_subcommand_exit_one(capsys):

@@ -516,6 +516,25 @@ def test_build_preset_families():
     assert inv is None
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_tori_data(n):
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for build, kind, sign in ((torus_split, "split", -1), (torus_compact, "compact", 1)):
+        rd, theta = build(n)
+        assert rd == RootDatum(
+            rank=n,
+            display_weights=tuple((f"eps{i + 1}", u) for i, u in enumerate(unit)),
+            named_vectors=tuple((f"e{i + 1}", u) for i, u in enumerate(unit)),
+            name=f"{kind} torus of rank {n}",
+        )
+        assert theta == tuple(tuple(sign if i == j else 0 for j in range(n)) for i in range(n))
+        assert all(type(x) is int for row in theta for x in row)
+    with pytest.raises(PresetError):
+        torus_split(-1)
+    with pytest.raises(PresetError):
+        torus_compact(-1)
+
+
 def test_build_preset_missing_params():
     with pytest.raises(PresetError):
         build_preset(PresetSpec("GL"))
@@ -523,6 +542,9 @@ def test_build_preset_missing_params():
         build_preset(PresetSpec("SO", p=2))
     with pytest.raises(PresetError):
         build_preset(PresetSpec("NOPE", n=1))
+    # a missing field is named as a job file names it
+    with pytest.raises(PresetError, match="preset 'SIMPLE' needs parameter 'type'"):
+        build_preset(PresetSpec("SIMPLE", rank=3))
 
 
 def test_build_preset_involutions_are_validated():
