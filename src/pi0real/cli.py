@@ -62,21 +62,37 @@ class JobSpec:
 # ---------------------------------------------------------------------------
 # job parsing
 
+# how much of an offending value an error message quotes
+QUOTE_LIMIT = 80
+
+
+def _brief(text: str) -> str:
+    """At most QUOTE_LIMIT characters of text, with an ellipsis when cut.
+
+    Error messages quote values from the job through this, so one huge
+    value cannot make a huge message.
+    """
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
 
 def _fraction(x, where: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(
-            f"{where}: expected an integer or a fraction string like '1/2', got {x!r}"
+            f"{where}: expected an integer or a fraction string like '1/2', "
+            f"got {_brief(repr(x))}"
         )
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        # the message of Fraction's error quotes x in full
+        raise ValueError(f"{where}: {_brief(str(exc))}") from exc
 
 
 def _vector(row, length: int, where: str) -> tuple:
     if not isinstance(row, list) or len(row) != length:
-        raise ValueError(f"{where}: expected a list of {length} entries, got {row!r}")
+        raise ValueError(
+            f"{where}: expected a list of {length} entries, got {_brief(repr(row))}"
+        )
     return tuple(_fraction(x, where) for x in row)
 
 
@@ -85,7 +101,7 @@ def _int_vector(row, length: int, where: str) -> tuple[int, ...]:
         return tuple(row)
     vec = _vector(row, length, where)
     if any(x.denominator != 1 for x in vec):
-        raise ValueError(f"{where}: entries must be integers, got {row!r}")
+        raise ValueError(f"{where}: entries must be integers, got {_brief(repr(row))}")
     return tuple(int(x) for x in vec)
 
 
@@ -136,7 +152,7 @@ _FORMAT_ALIASES = {"text": "text", "json": "json", "json-like": "json", "structu
 def _parse_format(doc: dict) -> str:
     fmt = doc.get("format", "text")
     if not isinstance(fmt, str) or fmt not in _FORMAT_ALIASES:
-        raise ValueError(f"format must be 'text' or 'json', got {fmt!r}")
+        raise ValueError(f"format must be 'text' or 'json', got {_brief(repr(fmt))}")
     return _FORMAT_ALIASES[fmt]
 
 
@@ -147,11 +163,15 @@ def _preset_job(doc: dict) -> tuple[RootDatum, Involution]:
     for key in ("n", "p", "q", "rank"):
         val = doc.get(key)
         if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
-            raise ValueError(f"preset field {key!r} must be an integer, got {val!r}")
+            raise ValueError(
+                f"preset field {key!r} must be an integer, got {_brief(repr(val))}"
+            )
     for key in ("form", "type", "isogeny", "real"):
         val = doc.get(key)
         if val is not None and not isinstance(val, str):
-            raise ValueError(f"preset field {key!r} must be a string, got {val!r}")
+            raise ValueError(
+                f"preset field {key!r} must be a string, got {_brief(repr(val))}"
+            )
     family = str(doc["preset"])
     # an unknown family is reported by build_preset, a missing field too
     _, params = PRESETS.get(family.upper(), (None, _FAMILY_FIELDS))

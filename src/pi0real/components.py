@@ -20,32 +20,35 @@ nu in X_spl, and the first Galois cohomology of the fundamental group is
 
 Both quotients are finite elementary abelian 2-groups whenever the input
 is an honest Cartan involution; anything else raises ComputationError.
+
+X is always Z^n, so X_spl and X_spl_tilde depend on theta alone: the
+Involution derives them once and every computation here shares them.  A
+job builds only Q_spl (in pi0) and Q_cmp (in h1_pi1) itself.  Coordinates,
+residues and representatives are computed in integers, from the Hermite
+rows of the lattices and theta's nonzero terms; a Fraction appears only
+for rational input or a rational display weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple, Optional
 
 from .intlattice import (
+    DimensionMismatch,
     Lattice,
     NotASublattice,
+    _coords,
+    _hermite_rows,
+    _reduce_ints,
     brute_force_quotient,
     coords_in_lattice,
-    identity_matrix,
-    image_lattice,
     kernel_lattice,
     lattice_intersect,
     lattice_sum,
-    mat_add,
-    mat_sub,
-    mat_vec,
     membership,
-    reduce_mod,
-    vec_add,
-    vec_frac,
 )
 from .realform import Involution
 from .rootdata import RootDatum
@@ -68,19 +71,20 @@ class SplitLattices(NamedTuple):
     q_cmp: Lattice
 
 
+def _check_rank(rd: RootDatum, inv: Involution) -> None:
+    n, m = rd.rank, len(inv.theta)
+    if m != n:
+        raise ValueError(f"involution is {m} x {m}, datum has rank {n}")
+
+
 def split_lattices(rd: RootDatum, inv: Involution) -> SplitLattices:
-    n = rd.rank
-    theta = inv.theta
-    if len(theta) != n:
-        raise ValueError(f"involution is {len(theta)} x {len(theta)}, datum has rank {n}")
-    plus_one = mat_add(theta, identity_matrix(n))
-    minus_one = mat_sub(theta, identity_matrix(n))
+    """All four split lattices; the two in X are the involution's own."""
+    _check_rank(rd, inv)
     return SplitLattices(
-        x_spl=kernel_lattice(rd.cochar, plus_one),
-        # (theta - 1) X is (1 - theta) X: a lattice is closed under negation
-        x_spl_tilde=image_lattice(rd.cochar, minus_one).scale(Fraction(1, 2)),
-        q_spl=kernel_lattice(rd.coroots, plus_one),
-        q_cmp=kernel_lattice(rd.coroots, minus_one),
+        x_spl=inv.x_spl,
+        x_spl_tilde=inv.x_spl_tilde,
+        q_spl=kernel_lattice(rd.coroots, inv.plus_one),
+        q_cmp=kernel_lattice(rd.coroots, inv.minus_one),
     )
 
 
@@ -120,14 +124,24 @@ class Elementary2Group:
         return tuple(out)
 
 
+def _int_tuple(v) -> Optional[tuple[int, ...]]:
+    """v as a tuple of ints, or None when an entry is not a whole number.
+
+    A Fraction is built only for an entry that is not already an int.
+    """
+    if all(type(x) is int for x in v):
+        return tuple(v)
+    fracs = tuple(Fraction(x) for x in v)
+    if any(x.denominator != 1 for x in fracs):
+        return None
+    return tuple(int(x) for x in fracs)
+
+
 def _as_int_vec(v) -> tuple[int, ...]:
-    out = []
-    for x in v:
-        x = Fraction(x)
-        if x.denominator != 1:
-            raise ComputationError(f"expected an integral representative, got {tuple(v)}")
-        out.append(int(x))
-    return tuple(out)
+    out = _int_tuple(v)
+    if out is None:
+        raise ComputationError(f"expected an integral representative, got {tuple(v)}")
+    return out
 
 
 def _parity(coords) -> int:
@@ -153,9 +167,10 @@ def _extend(echelon: list[int], mask: int) -> bool:
 def _relations(sub: Lattice, sup: Lattice) -> list[int]:
     """Echelon over F2 of sub's basis vectors written in sup's basis."""
     echelon: list[int] = []
-    for v in sub.vectors():
-        coords = coords_in_lattice(v, sup)
+    for i, row in enumerate(sub.basis):
+        coords = _coords(row, sub.denom, sup)
         if coords is None:
+            v = sub.vectors()[i]
             raise NotASublattice(f"generator {v} is not in the super-lattice")
         _extend(echelon, _parity(coords))
     return echelon
@@ -205,13 +220,25 @@ def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group
             chosen.append(_as_int_vec(v))
             names.append(nm)
     if len(chosen) < k:
-        # the residue of sup's i-th Hermite row has coordinates e_i modulo sub
-        residues = sorted((reduce_mod(b, sub), i) for i, b in enumerate(sup.vectors()))
+        # the residue of sup's i-th Hermite row has coordinates e_i modulo sub;
+        # over one positive denominator d, integer tuples sort as the
+        # rational residues they stand for
+        d = lcm(sub.denom, sup.denom)
+        rows = _hermite_rows(sub, d // sub.denom)
+        m = d // sup.denom
+        residues = sorted(
+            (_reduce_ints([x * m for x in b], rows), i) for i, b in enumerate(sup.basis)
+        )
         for res, i in residues:
             if len(chosen) == k:
                 break
             if _extend(echelon, 1 << i):
-                chosen.append(_as_int_vec(res))
+                if any(x % d for x in res):
+                    raise ComputationError(
+                        "expected an integral representative, got "
+                        f"{tuple(Fraction(x, d) for x in res)}"
+                    )
+                chosen.append(tuple(x // d for x in res))
                 names.append(None)
     return Elementary2Group(
         rank=k, order=2**k, generators=tuple(chosen), generator_names=tuple(names),
@@ -221,9 +248,10 @@ def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group
 
 def pi0(rd: RootDatum, inv: Involution) -> Elementary2Group:
     """The component group of the real points, as X_spl/(2 X_spl_tilde + Q_spl)."""
-    sl = split_lattices(rd, inv)
-    sub = lattice_sum(sl.x_spl_tilde.scale(2), sl.q_spl)
-    return _two_group(sub, sl.x_spl, rd.named_vectors, "component group")
+    _check_rank(rd, inv)
+    q_spl = kernel_lattice(rd.coroots, inv.plus_one)
+    sub = lattice_sum(inv.x_spl_tilde.scale(2), q_spl)
+    return _two_group(sub, inv.x_spl, rd.named_vectors, "component group")
 
 
 def h1_pi1(rd: RootDatum, inv: Involution) -> Elementary2Group:
@@ -232,12 +260,24 @@ def h1_pi1(rd: RootDatum, inv: Involution) -> Elementary2Group:
     Computed as (X intersect (X_spl_tilde + Q_cmp/2)) / (2 X_spl_tilde + Q),
     with classes represented by integral cocharacters.
     """
-    sl = split_lattices(rd, inv)
+    _check_rank(rd, inv)
+    q_cmp = kernel_lattice(rd.coroots, inv.minus_one)
     sup = lattice_intersect(
-        rd.cochar, lattice_sum(sl.x_spl_tilde, sl.q_cmp.scale(Fraction(1, 2)))
+        rd.cochar, lattice_sum(inv.x_spl_tilde, q_cmp.scale(Fraction(1, 2)))
     )
-    sub = lattice_sum(sl.x_spl_tilde.scale(2), rd.coroots)
+    sub = lattice_sum(inv.x_spl_tilde.scale(2), rd.coroots)
     return _two_group(sub, sup, rd.named_vectors, "cohomology group")
+
+
+def _cocharacter(rd: RootDatum, nu) -> Optional[tuple[int, ...]]:
+    """nu as a tuple of ints when it lies in X = Z^rank, else None.
+
+    Raises DimensionMismatch when nu has the wrong length.
+    """
+    nu_int = _int_tuple(nu)
+    if len(nu) != rd.rank:
+        raise DimensionMismatch("vector length does not match ambient dimension")
+    return nu_int
 
 
 def cocycle_check(rd: RootDatum, inv: Involution, nu) -> bool:
@@ -247,10 +287,10 @@ def cocycle_check(rd: RootDatum, inv: Involution, nu) -> bool:
     compact part Q intersect ker(theta - 1) of Q, that is, in Q.  ``nu`` must
     be a cocharacter.
     """
-    nu = vec_frac(nu)
-    if not membership(nu, rd.cochar):
-        raise ValueError(f"{tuple(nu)} is not in the cocharacter lattice")
-    return membership(vec_add(nu, mat_vec(inv.theta, nu)), rd.coroots)
+    nu_int = _cocharacter(rd, nu)
+    if nu_int is None:
+        raise ValueError(f"{tuple(map(Fraction, nu))} is not in the cocharacter lattice")
+    return membership(tuple(a + b for a, b in zip(nu_int, inv.apply(nu_int))), rd.coroots)
 
 
 def coboundary_check(rd: RootDatum, inv: Involution, nu) -> bool:
@@ -259,11 +299,10 @@ def coboundary_check(rd: RootDatum, inv: Involution, nu) -> bool:
     True exactly when nu lies in 2 X_spl_tilde + Q = (theta - 1) X + Q.  A
     vector passing this test is automatically a cocycle.
     """
-    nu = vec_frac(nu)
-    if not membership(nu, rd.cochar):
-        raise ValueError(f"{tuple(nu)} is not in the cocharacter lattice")
-    minus_one = mat_sub(inv.theta, identity_matrix(rd.rank))
-    return membership(nu, lattice_sum(image_lattice(rd.cochar, minus_one), rd.coroots))
+    nu_int = _cocharacter(rd, nu)
+    if nu_int is None:
+        raise ValueError(f"{tuple(map(Fraction, nu))} is not in the cocharacter lattice")
+    return membership(nu_int, lattice_sum(inv.x_spl_tilde.scale(2), rd.coroots))
 
 
 def kernel_embedding_check(rd: RootDatum, inv: Involution) -> bool:
@@ -309,22 +348,24 @@ class Representative:
 
 def representative(rd: RootDatum, inv: Involution, nu) -> Representative:
     """Evaluate the display weights on exp(pi i nu) for nu in X with theta(nu) = -nu."""
-    nu = vec_frac(nu)
-    nu_int = _as_int_vec(nu) if membership(nu, rd.cochar) else None
-    if nu_int is None or mat_vec(inv.theta, nu_int) != tuple(-a for a in nu_int):
+    nu_int = _cocharacter(rd, nu)
+    if nu_int is None or inv.apply(nu_int) != tuple(-a for a in nu_int):
         raise ValueError(
-            f"{tuple(nu)} is not a split cocharacter "
+            f"{tuple(map(Fraction, nu))} is not a split cocharacter "
             "(need an integral vector with theta(nu) = -nu)"
         )
     evals = []
-    for label, w in rd.display_weights:
-        h = Fraction(2 * sum(a * b for a, b in zip(w, nu_int)))
-        if h.denominator != 1:
-            raise ValueError(
-                f"pairing of weight {label!r} with {nu_int} is not half-integral, "
-                "so its value at exp(pi i nu) is not a fourth root of unity"
-            )
-        evals.append((label, _FOURTH_ROOT[int(h) % 4]))
+    for label, terms in rd.weight_terms:
+        h = 2 * sum(x * nu_int[j] for j, x in terms)
+        if type(h) is not int:
+            # a rational weight
+            if h.denominator != 1:
+                raise ValueError(
+                    f"pairing of weight {label!r} with {nu_int} is not half-integral, "
+                    "so its value at exp(pi i nu) is not a fourth root of unity"
+                )
+            h = int(h)
+        evals.append((label, _FOURTH_ROOT[h % 4]))
     return Representative(nu=nu_int, evaluations=tuple(evals), note=rd.lift_note)
 
 

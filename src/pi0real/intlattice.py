@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -390,6 +391,11 @@ class Lattice:
         d = self.denom
         return tuple(tuple(Fraction(x, d) for x in row) for row in self.basis)
 
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        """The pivot column of each Hermite row."""
+        return tuple(next(k for k, x in enumerate(row) if x) for row in self.basis)
+
     def scale(self, c) -> "Lattice":
         """The scaled lattice c * L for a rational scalar c."""
         c = Fraction(c)
@@ -411,18 +417,41 @@ def coords_in_lattice(v, lat: Lattice):
     """Integer coordinates of v in lat's basis, or None when v is not in lat."""
     if len(v) != lat.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
+    if all(type(x) is int for x in v):
+        return _coords(v, 1, lat)
     w = [Fraction(x) * lat.denom for x in v]
     if any(x.denominator != 1 for x in w):
         return None
-    w = [int(x) for x in w]
+    return _coords([int(x) for x in w], lat.denom, lat)
+
+
+def _coords(nums, den: int, lat: Lattice):
+    """Integer coordinates of the vector nums/den in lat's basis, or None.
+
+    ``nums`` is a sequence of ints as long as lat's ambient dimension and
+    ``den`` a positive int; the work is all in integers.
+    """
+    d = lat.denom
+    if d % den == 0:
+        m = d // den
+        w = [x * m for x in nums]
+    else:
+        w = []
+        for x in nums:
+            q, rem = divmod(x * d, den)
+            if rem:
+                return None
+            w.append(q)
     coeffs = []
-    for row in lat.basis:
-        j = next(k for k, x in enumerate(row) if x)
+    n = len(w)
+    for j, row in zip(lat._pivots, lat.basis):
         q, rem = divmod(w[j], row[j])
         if rem:
             return None
         if q:
-            _row_sub(w, list(row), q)
+            # a Hermite row is zero left of its pivot
+            for k in range(j, n):
+                w[k] -= q * row[k]
         coeffs.append(q)
     if any(w):
         return None
@@ -436,11 +465,10 @@ def membership(v, lat: Lattice) -> bool:
 
 def _hermite_rows(lat: Lattice, mult: int):
     """lat's Hermite rows scaled by mult, as (pivot column, pivot, row)."""
-    out = []
-    for row in lat.basis:
-        j = next(k for k, x in enumerate(row) if x)
-        out.append((j, row[j] * mult, tuple(x * mult for x in row)))
-    return out
+    return [
+        (j, row[j] * mult, tuple(x * mult for x in row))
+        for j, row in zip(lat._pivots, lat.basis)
+    ]
 
 
 def _reduce_ints(w, rows) -> tuple[int, ...]:
@@ -500,12 +528,26 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
 
 
 def _basis_images(lat: Lattice, a) -> IntMatrix:
-    """The rows a(v) for the basis rows v of lat; a is an n x n integer matrix."""
+    """The rows a(v) for the basis rows v of lat; a is an n x n integer matrix.
+
+    a(v) is the sum of v_j times column j of a, taken over the nonzero v_j
+    and the nonzero entries of each column, so the images of the standard
+    basis are just the columns of a.
+    """
     n = lat.ambient_dim
     rows = [tuple(r) for r in a]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("matrix does not act on the ambient space")
-    return mat_mul(lat.basis, transpose(as_int_matrix(rows, n)))
+    cols = [[(i, x) for i, x in enumerate(c) if x] for c in transpose(as_int_matrix(rows, n))]
+    out = []
+    for v in lat.basis:
+        image = [0] * n
+        for j, c in enumerate(v):
+            if c:
+                for i, x in cols[j]:
+                    image[i] += c * x
+        out.append(tuple(image))
+    return tuple(out)
 
 
 def kernel_lattice(lat: Lattice, a) -> Lattice:

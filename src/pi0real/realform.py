@@ -6,19 +6,27 @@ matrices against a root datum and builds them from eigenspace data or from
 the Satake diagrams of the real forms of adjoint E7.  A valid matrix is an
 involution that permutes the coroot set; since the coroot lattice is the
 span of that set, it then preserves the coroot lattice as well.
+
+Since the cocharacter lattice is always Z^n, everything that depends on
+theta alone is derived once, on first use, by the :class:`Involution`
+itself: theta's nonzero terms, theta + 1 and theta - 1, and the two split
+lattices of X, X_spl = ker(theta + 1) and X_spl_tilde = (theta - 1) Z^n / 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .intlattice import (
     IntMatrix,
+    Lattice,
+    _basis_images,
     as_int_matrix,
     block_diag,
-    identity_matrix,
+    kernel_lattice,
     mat_mul,
     rat_inverse,
     rat_rank,
@@ -37,11 +45,64 @@ class Involution:
     """An order-2 integer matrix acting on the cocharacter lattice.
 
     The matrix acts on column vectors; ``name`` is free-form and only used
-    in printed output.
+    in printed output.  The attributes below depend on theta alone and are
+    built on first use, then cached, like a root datum's X and Q.
     """
 
     theta: IntMatrix
     name: str = ""
+
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Theta's nonzero entries, row by row, as (column, entry) pairs."""
+        return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.theta)
+
+    def apply(self, v) -> tuple:
+        """theta(v) for a column vector v, by theta's nonzero terms."""
+        return tuple(sum(a * v[j] for j, a in row) for row in self.terms)
+
+    @cached_property
+    def plus_one(self) -> IntMatrix:
+        """theta + 1."""
+        return _shift_diagonal(self.theta, 1)
+
+    @cached_property
+    def minus_one(self) -> IntMatrix:
+        """theta - 1."""
+        return _shift_diagonal(self.theta, -1)
+
+    @cached_property
+    def x_spl(self) -> Lattice:
+        """The split cocharacters X_spl = ker(theta + 1) in X = Z^n."""
+        return kernel_lattice(Lattice.standard(len(self.theta)), self.plus_one)
+
+    @cached_property
+    def x_spl_tilde(self) -> Lattice:
+        """X_spl_tilde = (theta - 1) X / 2, spanned by the columns of theta - 1
+        (its images of the standard basis) over the denominator 2.
+
+        (theta - 1) X is (1 - theta) X: a lattice is closed under negation.
+        """
+        n = len(self.theta)
+        return Lattice(n, _basis_images(Lattice.standard(n), self.minus_one), 2)
+
+
+def _shift_diagonal(m: IntMatrix, c: int) -> IntMatrix:
+    return tuple(
+        tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m)
+    )
+
+
+def _squares_to_one(terms) -> bool:
+    """Is the matrix with these row terms its own inverse?"""
+    for i, row in enumerate(terms):
+        square = {i: -1}
+        for j, a in row:
+            for k, b in terms[j]:
+                square[k] = square.get(k, 0) + a * b
+        if any(square.values()):
+            return False
+    return True
 
 
 def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
@@ -53,19 +114,19 @@ def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
         raise InvolutionError(f"bad involution matrix: {exc}") from exc
     if len(theta) != n:
         raise InvolutionError(f"involution matrix must be {n} x {n}")
-    if mat_mul(theta, theta) != identity_matrix(n):
+    inv = Involution(theta=theta, name=name)
+    if not _squares_to_one(inv.terms):
         raise InvolutionError("matrix is not an involution")
     # theta^2 = 1 and theta permuting the coroots give theta(Q) = Q
     coroot_set = set(rd.coroot_generators)
-    terms = [[(j, a) for j, a in enumerate(row) if a] for row in theta]
     for c in rd.coroot_generators:
-        image = tuple(int(sum(a * c[j] for j, a in row)) for row in terms)
+        image = tuple(int(x) for x in inv.apply(c))
         if image not in coroot_set:
             raise InvolutionError(
                 f"involution does not normalize the coroot set: "
                 f"theta({c}) = {image} is not a coroot"
             )
-    return Involution(theta=theta, name=name)
+    return inv
 
 
 def involution_from_eigenspaces(

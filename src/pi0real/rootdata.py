@@ -53,6 +53,14 @@ def _integral(v: Sequence) -> bool:
     return all(isinstance(x, int) or Fraction(x).denominator == 1 for x in v)
 
 
+def _whole(x):
+    """x as an int when it is a whole number, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return int(x) if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """The rank, a symmetric set of coroots, and printing metadata.
@@ -87,6 +95,18 @@ class RootDatum:
     def coroots(self) -> Lattice:
         """The coroot lattice Q, spanned by the coroot generators."""
         return Lattice(self.rank, self.coroot_generators)
+
+    @cached_property
+    def weight_terms(self) -> tuple[tuple[str, tuple[tuple[int, object], ...]], ...]:
+        """Each display weight as (label, its nonzero (index, entry) pairs).
+
+        Whole entries become ints, so pairing an integral weight with an
+        integer vector stays in ints; the other entries are Fractions.
+        """
+        return tuple(
+            (label, tuple((j, _whole(x)) for j, x in zip(range(self.rank), w) if x))
+            for label, w in self.display_weights
+        )
 
     def validate(self) -> tuple[str, ...]:
         """Return a tuple of human-readable diagnostics; empty means valid."""

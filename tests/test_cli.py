@@ -145,6 +145,30 @@ def test_rejects_mistyped_preset_field(doc, field, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"rank": 1, "coroots": [[1] * 10**6], "theta": [[-1]]}, "coroot 0"),
+        ({"rank": 1, "coroots": [[1]], "theta": [[-1]],
+          "display_weights": [["w", ["1" * 10**5 + "/x"]]]}, "display weight 0"),
+        ({"rank": 1, "coroots": [[1]], "theta": [[-1]],
+          "named_vectors": [["v", [[0] * 10**5]]]}, "named vector 0"),
+        ({"rank": 1, "coroots": [[1]], "theta": [[-1]],
+          "named_vectors": [["v", ["1/2" * 10**5]]]}, "named vector 0"),
+        ({"preset": "GL", "n": 3, "format": "x" * 10**5}, "format"),
+        ({"preset": "GL", "n": [3] * 10**5}, "'n'"),
+        ({"preset": "E7", "form": {"x": "y" * 10**5}}, "'form'"),
+    ],
+)
+def test_error_line_quotes_a_bounded_prefix(doc, where, tmp_path, capsys):
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["compute", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err
+    assert err.count("\n") == 1 and len(err.encode()) < 300, err[:400]
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("coroots", {"a": 1}),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from pi0real.components import (
     ComputationError,
     _two_group,
@@ -604,3 +605,123 @@ def test_random_torus_involutions_stay_elementary():
         assert g.order in {2**k for k in range(n + 1)}
         assert h.order % g.order == 0
         assert oracle_check(g)
+
+
+def test_job_builds_each_split_lattice_once(monkeypatch):
+    from pi0real import cli, components, realform
+
+    calls = []
+
+    def counting(module, name):
+        build = getattr(module, name)
+
+        def counted(*args):
+            calls.append(f"{module.__name__}.{name}")
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(components, "kernel_lattice")
+    counting(realform, "kernel_lattice")
+    counting(realform, "_basis_images")
+    job = cli.parse_jobspec({"preset": "PSO", "p": 4, "q": 4, "outputs": {"h1": True}})
+    report = cli.run(job)
+    assert report["h1_order"] is not None
+    # X_spl and X_spl_tilde once each, on the involution; Q_spl in pi0 and
+    # Q_cmp in h1_pi1
+    assert sorted(calls) == [
+        "pi0real.components.kernel_lattice",
+        "pi0real.components.kernel_lattice",
+        "pi0real.realform._basis_images",
+        "pi0real.realform.kernel_lattice",
+    ]
+
+
+def test_integral_input_builds_no_fraction(monkeypatch):
+    from pi0real import components, intlattice
+
+    rng = random.Random(0xF4AC)
+    cases = [build(spec) for spec in (pso(4, 4), so(3, 4), gl(4), torus_split(3))]
+    # a split torus times a Weil torus, in a random basis
+    rd, inv = build(torus_split(2))
+    rd_w, inv_w = build(torus_weil())
+    rd, inv = product(rd, rd_w), product_involution(inv, inv_w)
+    u, uinv = helpers.random_unimodular(rng, 4)
+    cases.append(helpers.conjugate_datum(rd, inv, u, uinv))
+    groups = []
+    for rd, inv in cases:
+        g, h = pi0(rd, inv), h1_pi1(rd, inv)
+        representative(rd, inv, g.elements()[0])  # caches the weight terms
+        groups.append((rd, inv, g, h))
+
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(components, "Fraction", counted)
+    monkeypatch.setattr(intlattice, "Fraction", counted)
+    for rd, inv, g, h in groups:
+        for v in g.elements():
+            representative(rd, inv, v)
+            assert components.coords_in_lattice(v, g.sup) is not None
+            components.coords_in_lattice(v, h.sub)
+        for lat in (g.sub, g.sup, h.sub, h.sup, rd.coroots):
+            for _ in range(5):
+                v = tuple(rng.randint(-3, 3) for _ in range(rd.rank))
+                components.coords_in_lattice(v, lat)
+        components._relations(g.sub, g.sup)
+        components._relations(h.sub, h.sup)
+    assert made == []
+
+
+@pytest.mark.parametrize(
+    "check, nu, error, message",
+    [
+        (representative, (1, 0, 0), "DimensionMismatch",
+         "vector length does not match ambient dimension"),
+        (representative, (Fraction(1, 2), 0), "ValueError",
+         "(Fraction(1, 2), Fraction(0, 1)) is not a split cocharacter "
+         "(need an integral vector with theta(nu) = -nu)"),
+        (representative, ("1/2", 1), "ValueError",
+         "(Fraction(1, 2), Fraction(1, 1)) is not a split cocharacter "
+         "(need an integral vector with theta(nu) = -nu)"),
+        (cocycle_check, (1,), "DimensionMismatch",
+         "vector length does not match ambient dimension"),
+        (cocycle_check, (Fraction(1, 2), 0), "ValueError",
+         "(Fraction(1, 2), Fraction(0, 1)) is not in the cocharacter lattice"),
+        (coboundary_check, (1, 2, 3), "DimensionMismatch",
+         "vector length does not match ambient dimension"),
+        (coboundary_check, (0, Fraction(3, 2)), "ValueError",
+         "(Fraction(0, 1), Fraction(3, 2)) is not in the cocharacter lattice"),
+    ],
+)
+def test_vector_check_messages(check, nu, error, message):
+    rd, inv = build(gl(2))
+    with pytest.raises(ValueError) as err:
+        check(rd, inv, nu)
+    assert type(err.value).__name__ == error
+    assert str(err.value) == message
+
+
+def test_representative_messages_for_theta_and_pairing():
+    rd, inv = build(torus_compact(2))
+    with pytest.raises(ValueError) as err:
+        representative(rd, inv, (1, 0))
+    assert type(err.value) is ValueError
+    assert str(err.value) == (
+        "(Fraction(1, 1), Fraction(0, 1)) is not a split cocharacter "
+        "(need an integral vector with theta(nu) = -nu)"
+    )
+    rd = RootDatum(rank=1, display_weights=(("w", (Fraction(1, 4),)),), name="q")
+    inv = involution_from_matrix(rd, ((-1,),))
+    with pytest.raises(ValueError) as err:
+        representative(rd, inv, (1,))
+    assert type(err.value) is ValueError
+    assert str(err.value) == (
+        "pairing of weight 'w' with (1,) is not half-integral, "
+        "so its value at exp(pi i nu) is not a fourth root of unity"
+    )
+    # a rational weight with a whole pairing still evaluates
+    assert representative(rd, inv, (2,)).evaluations == (("w", "i"),)

@@ -20,6 +20,7 @@ from pi0real.intlattice import (
     NotASublattice,
     QuotientStructure,
     brute_force_quotient,
+    coords_in_lattice,
     det,
     hnf,
     identity_matrix,
@@ -709,3 +710,65 @@ def test_rat_inverse_singular():
 def test_rat_rank_and_kernel():
     rows = ((1, 1, 0), (0, 1, 1))
     assert rat_rank(rows) == 2
+
+
+def _fraction_coords(v, lat):
+    """The Fraction route to coordinates in lat's basis, kept as a reference
+    for coords_in_lattice."""
+    if len(v) != lat.ambient_dim:
+        raise DimensionMismatch("vector length does not match ambient dimension")
+    w = [Fraction(x) * lat.denom for x in v]
+    if any(x.denominator != 1 for x in w):
+        return None
+    w = [int(x) for x in w]
+    coeffs = []
+    for row in lat.basis:
+        j = next(k for k, x in enumerate(row) if x)
+        q, rem = divmod(w[j], row[j])
+        if rem:
+            return None
+        w = [a - q * b for a, b in zip(w, row)]
+        coeffs.append(q)
+    if any(w):
+        return None
+    return tuple(coeffs)
+
+
+def test_integer_coords_match_fraction_coords():
+    rng = random.Random(0xC0041)
+    kinds = {"int": 0, "fraction": 0, "bool": 0, "mixed": 0}
+    members = outsiders = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        basis = random_int_matrix(rng, rng.randint(0, n), n, -4, 4)
+        lat = Lattice(n, basis, rng.randint(1, 6))
+        for _ in range(6):
+            c = [rng.randint(-3, 3) for _ in range(lat.rank)]
+            point = [Fraction(sum(a * row[j] for a, row in zip(c, lat.basis)), lat.denom)
+                     for j in range(n)]
+            whole = all(x.denominator == 1 for x in point)
+            candidates = {
+                "int": [tuple(int(x) for x in point)] if whole else [],
+                "fraction": [tuple(point),
+                             tuple(x + Fraction(1, rng.randint(2, 6)) for x in point)],
+                "bool": [tuple(rng.random() < 0.5 for _ in range(n))],
+                "mixed": [tuple(int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+                                for x in point)],
+            }
+            candidates["int"].append(tuple(rng.randint(-6, 6) for _ in range(n)))
+            candidates["int"].append(tuple(d * lat.denom for d in candidates["int"][-1]))
+            for kind, vs in candidates.items():
+                for v in vs:
+                    want = _fraction_coords(v, lat)
+                    assert coords_in_lattice(v, lat) == want, (v, lat)
+                    kinds[kind] += 1
+                    if want is None:
+                        outsiders += 1
+                    else:
+                        members += 1
+                        assert all(type(x) is int for x in coords_in_lattice(v, lat))
+            for v in ((0,) * (n + 1), tuple(Fraction(1, 2) for _ in range(n - 1))):
+                with pytest.raises(DimensionMismatch):
+                    coords_in_lattice(v, lat)
+    assert min(kinds.values()) >= 300, kinds
+    assert members >= 1000 and outsiders >= 1000, (members, outsiders)

@@ -286,3 +286,64 @@ def test_product_involution_blocks():
     assert c.theta == ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
     assert c.name == "split x compact"
     assert product_involution(a, b, name="custom").name == "custom"
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        # a signed 3-cycle: a signed permutation whose square is not 1
+        ((0, 0, -1), (1, 0, 0), (0, 1, 0)),
+        # a dense unimodular matrix
+        ((2, 1, 0), (1, 1, 0), (0, 0, 1)),
+    ],
+)
+def test_non_involution_message(theta):
+    with pytest.raises(InvolutionError) as err:
+        involution_from_matrix(torus_datum(3), theta)
+    assert type(err.value) is InvolutionError
+    assert str(err.value) == "matrix is not an involution"
+
+
+# ---------------------------------------------------------------------------
+# what the involution derives from theta alone
+
+
+def _random_involution(rng, n):
+    """u.theta.u^-1 for a random unimodular u and theta a block sum of
+    1, -1 and the swap of two coordinates."""
+    blocks = []
+    while sum(len(b) for b in blocks) < n:
+        if n - sum(len(b) for b in blocks) >= 2 and rng.random() < 0.3:
+            blocks.append(((0, 1), (1, 0)))
+        else:
+            blocks.append(((rng.choice((1, -1)),),))
+    theta = blocks[0]
+    for b in blocks[1:]:
+        theta = tuple(tuple(r) + (0,) * len(b) for r in theta) + tuple(
+            (0,) * len(theta) + tuple(r) for r in b
+        )
+    u, uinv = helpers.random_unimodular(rng, n)
+    return mat_mul(mat_mul(u, theta), uinv)
+
+
+def test_involution_derives_split_lattices_of_x():
+    rng = random.Random(0x5911)
+    asymmetric = 0
+    for trial in range(120):
+        n = trial % 8 + 1
+        theta = _random_involution(rng, n)
+        assert mat_mul(theta, theta) == identity_matrix(n)
+        inv = Involution(theta)
+        one = identity_matrix(n)
+        plus_one, minus_one = mat_add(theta, one), mat_sub(theta, one)
+        assert inv.plus_one == plus_one and inv.minus_one == minus_one
+        assert inv.x_spl == kernel_lattice(Lattice.standard(n), plus_one)
+        assert inv.x_spl_tilde == image_lattice(Lattice.standard(n), minus_one).scale(
+            Fraction(1, 2)
+        )
+        for v in helpers.random_int_matrix(rng, 3, n):
+            assert inv.apply(v) == mat_vec(theta, v)
+        asymmetric += theta != tuple(zip(*theta))
+    # rows and columns of theta - 1 span different lattices only when
+    # theta is not symmetric
+    assert asymmetric >= 60

@@ -8,8 +8,8 @@ Each input is a job document with the default outputs (pi0 and
 representatives) plus the outputs its label names.  ``cli.parse_jobspec``
 and ``cli.run`` are timed in-process, each the best of 3 runs on a fresh
 parse, and printed as a table in milliseconds.  The inputs are the rows of the ROADMAP
-baseline table that finish within seconds; ``TORUS_SPLIT n=300 --h1`` and
-``GL(96)`` are left out.  Stdlib only; nothing is written.
+baseline table that finish within seconds; ``GL(96)`` is left out.  Stdlib
+only; nothing is written.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ def inline_gl(n: int) -> dict:
 LADDER = (
     ("TORUS_SPLIT n=40 --h1", {"preset": "TORUS_SPLIT", "n": 40, "outputs": H1}),
     ("TORUS_SPLIT n=60", {"preset": "TORUS_SPLIT", "n": 60}),
+    ("TORUS_SPLIT n=120 --h1", {"preset": "TORUS_SPLIT", "n": 120, "outputs": H1}),
+    ("TORUS_SPLIT n=300 --h1", {"preset": "TORUS_SPLIT", "n": 300, "outputs": H1}),
     ("GL(24)", {"preset": "GL", "n": 24}),
     ("GL(48)", {"preset": "GL", "n": 48}),
     ("GL(64)", {"preset": "GL", "n": 64}),
