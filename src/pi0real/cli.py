@@ -34,7 +34,7 @@ from .realform import (
     involution_from_eigenspaces,
     involution_from_matrix,
 )
-from .rootdata import PRESETS, RootDatum, build_preset, preset_spec
+from .rootdata import PRESETS, RootDatum, _brief, build_preset, preset_spec
 
 ORACLE_BOUND_ENV = "PI0_ORACLE_BOUND"
 DEFAULT_ORACLE_BOUND = 4096
@@ -61,19 +61,6 @@ class JobSpec:
 
 # ---------------------------------------------------------------------------
 # job parsing
-
-# how much of an offending value an error message quotes
-QUOTE_LIMIT = 80
-
-
-def _brief(text: str) -> str:
-    """At most QUOTE_LIMIT characters of text, with an ellipsis when cut.
-
-    Error messages quote values from the job through this, so one huge
-    value cannot make a huge message.
-    """
-    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
-
 
 def _fraction(x, where: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
@@ -133,7 +120,7 @@ def _parse_outputs(doc: dict) -> OutputFlags:
         raise ValueError("'outputs' must be an object of booleans")
     unknown = set(raw) - _OUTPUT_KEYS
     if unknown:
-        raise ValueError(f"unknown output flags: {sorted(unknown)}")
+        raise ValueError(f"unknown output flags: {_brief(str(sorted(unknown)))}")
     for key, val in raw.items():
         if not isinstance(val, bool):
             raise ValueError(f"output flag {key!r} must be true or false")
@@ -159,7 +146,7 @@ def _parse_format(doc: dict) -> str:
 def _preset_job(doc: dict) -> tuple[RootDatum, Involution]:
     unknown = set(doc) - _PRESET_FIELDS - _COMMON_FIELDS
     if unknown:
-        raise ValueError(f"unknown fields in preset job: {sorted(unknown)}")
+        raise ValueError(f"unknown fields in preset job: {_brief(str(sorted(unknown)))}")
     for key in ("n", "p", "q", "rank"):
         val = doc.get(key)
         if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
@@ -191,7 +178,7 @@ def _preset_job(doc: dict) -> tuple[RootDatum, Involution]:
 def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
     unknown = set(doc) - _INLINE_FIELDS - _COMMON_FIELDS
     if unknown:
-        raise ValueError(f"unknown fields in job: {sorted(unknown)}")
+        raise ValueError(f"unknown fields in job: {_brief(str(sorted(unknown)))}")
     rank = doc["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise ValueError("'rank' must be a nonnegative integer")

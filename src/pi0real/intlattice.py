@@ -7,10 +7,15 @@ point sets compare equal as Python objects.
 
 Everything is exact.  Matrices are tuples of tuples of Python ints,
 vectors are tuples of ints or fractions.Fraction; no floating point
-anywhere.  Quotient structure is computed two independent ways: through
-Smith normal form (quotient_structure) and through explicit coset
-enumeration (brute_force_quotient), so each can serve as an oracle for
-the other.  The enumeration is an integer walk: both lattices are put over
+anywhere.  One integer row Hermite reduction (_hermite) does every
+elimination: Hermite forms, kernels and intersections, the Smith form (by
+alternating row and column passes), and the rational rank, inverse and
+solve, where a triangular back-substitution is the only step that
+divides.  det keeps its own fraction-free Bareiss elimination.
+
+Quotient structure is computed two independent ways: through Smith
+normal form (quotient_structure) and through explicit coset enumeration
+(brute_force_quotient), so each can serve as an oracle for the other.  The enumeration is an integer walk: both lattices are put over
 one common denominator, each coset is an integer residue, and the walk
 takes only the + steps along the super-lattice's Hermite rows.  It shares
 one integer reduction loop with reduce_mod.
@@ -159,7 +164,8 @@ def _row_sub(r, s, q):
 
 
 def _hermite(rows: list[list[int]]) -> int:
-    """In-place row Hermite reduction, the only one; returns the rank.
+    """In-place row Hermite reduction, the module's one elimination routine;
+    returns the rank.
 
     Afterwards rows is in echelon form with positive pivots, entries above
     each pivot reduced into [0, pivot), and all zero rows at the bottom.
@@ -227,83 +233,16 @@ def _stacked_kernel(rows: list[list[int]], width: int) -> list[list[int]]:
 # Smith normal form
 
 
-def _smith(mat: IntMatrix, nrows: int, ncols: int):
-    a = [list(r) for r in mat]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    vinv = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+def _hermite_pair(a: list[list[int]], t: list[list[int]], width: int):
+    """Hermite-reduce the rows [a | t], a `width` wide; return both halves."""
+    rows = [ra + rt for ra, rt in zip(a, t)]
+    _hermite(rows)
+    return [r[:width] for r in rows], [r[width:] for r in rows]
 
-    def row_sub(i, j, q):
-        _row_sub(a[i], a[j], q)
-        _row_sub(u[i], u[j], q)
 
-    def col_sub(j, i, q):
-        # column j -= q * column i; inverse transform tracked on rows
-        for t in range(nrows):
-            a[t][j] -= q * a[t][i]
-        for t in range(ncols):
-            v[t][j] -= q * v[t][i]
-        for t in range(ncols):
-            vinv[i][t] += q * vinv[j][t]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for t in range(nrows):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-        for t in range(ncols):
-            v[t][i], v[t][j] = v[t][j], v[t][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def row_neg(i):
-        a[i][:] = [-x for x in a[i]]
-        u[i][:] = [-x for x in u[i]]
-
-    s = 0
-    m = min(nrows, ncols)
-    while s < m:
-        pos = None
-        for i in range(s, nrows):
-            for j in range(s, ncols):
-                if a[i][j] and (pos is None or abs(a[i][j]) < abs(a[pos[0]][pos[1]])):
-                    pos = (i, j)
-        if pos is None:
-            break
-        if pos[0] != s:
-            row_swap(s, pos[0])
-        if pos[1] != s:
-            col_swap(s, pos[1])
-        dirty = False
-        for i in range(s + 1, nrows):
-            if a[i][s]:
-                row_sub(i, s, a[i][s] // a[s][s])
-                if a[i][s]:
-                    dirty = True
-        for j in range(s + 1, ncols):
-            if a[s][j]:
-                col_sub(j, s, a[s][j] // a[s][s])
-                if a[s][j]:
-                    dirty = True
-        if dirty:
-            continue
-        offender = None
-        for i in range(s + 1, nrows):
-            for j in range(s + 1, ncols):
-                if a[i][j] % a[s][s]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_sub(s, offender, -1)
-            continue
-        if a[s][s] < 0:
-            row_neg(s)
-        s += 1
-    d = tuple(a[i][i] for i in range(m))
-    return d, u, v, vinv
+def _columns(m, width: int) -> list[list[int]]:
+    """The columns of a matrix with `width` columns, as lists."""
+    return [[row[j] for row in m] for j in range(width)]
 
 
 def snf(m, ncols: int | None = None):
@@ -312,12 +251,36 @@ def snf(m, ncols: int | None = None):
     Returns (d, u, v) where u * m * v == diag(d), u and v are unimodular,
     and d is a divisibility chain d[0] | d[1] | ... with nonnegative
     entries and trailing zeros for rank defects.
+
+    Hermite reductions of [A | U] and of [A^T | V^T] alternate until A is
+    diagonal (Kannan and Bachem, SIAM J. Comput. 8 (1979)).  The stacked
+    transforms are reduced along with A, which keeps their entries short.
+    When d[i] does not divide d[j], column j is added to column i, which
+    puts d[j] below the pivot d[i]; the next row pass turns the pair into
+    their gcd.
     """
     mat = as_int_matrix(m, ncols)
     nr = len(mat)
     nc = len(mat[0]) if mat else (ncols or 0)
-    d, u, v, _ = _smith(mat, nr, nc)
-    return d, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+    a = [list(r) for r in mat]
+    u = [list(r) for r in identity_matrix(nr)]
+    vt = [list(r) for r in identity_matrix(nc)]
+    while True:
+        a, u = _hermite_pair(a, u, nc)
+        at, vt = _hermite_pair(_columns(a, nc), vt, nr)
+        a = _columns(at, nr)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        d = [a[i][i] for i in range(min(nr, nc))]
+        pair = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                     if d[i] and d[j] % d[i]), None)
+        if pair is None:
+            break
+        i, j = pair
+        for row in a:
+            row[i] += row[j]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
+    return tuple(d), tuple(tuple(r) for r in u), transpose(vt)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +559,10 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
     """Structure of sup/sub through Smith normal form.
 
     Each sub generator is rewritten in sup's basis (raising
-    NotASublattice when that fails); the Smith form of the resulting
-    relation matrix gives invariant factors and generator coordinates.
+    NotASublattice when that fails); the Smith form u * R * v = diag(d) of
+    the resulting relation matrix R gives the invariant factors, and the
+    rows of v^-1, read in sup's basis, give the generators.  v^-1 is the
+    right half of the Hermite form of [v | 1], since v is unimodular.
     """
     _same_ambient(sub, sup)
     relation = []
@@ -607,16 +572,12 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
             raise NotASublattice(f"generator {v} is not in the super-lattice")
         relation.append(coords)
     rp = sup.rank
-    d, _, _, vinv = _smith(as_int_matrix(relation, rp), len(relation), rp)
-    sup_vectors = sup.vectors()
-
-    def coset_vector(coords):
-        out = (Fraction(0),) * sup.ambient_dim
-        for c, vec in zip(coords, sup_vectors):
-            if c:
-                out = vec_add(out, vec_scale(vec, c))
-        return out
-
+    d, _, v = snf(relation, rp)
+    ident = [list(r) for r in identity_matrix(rp)]
+    _, vinv = _hermite_pair([list(r) for r in v], ident, rp)
+    # sub lies in sup, so sup's denominator is common to both lattices
+    den = sup.denom
+    rows = _hermite_rows(sub, den // sub.denom)
     factors = []
     gens = []
     free_gens = []
@@ -624,7 +585,9 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
         di = d[i] if i < len(d) else 0
         if di == 1:
             continue
-        g = reduce_mod(coset_vector(vinv[i]), sub)
+        w = [sum(c * row[k] for c, row in zip(vinv[i], sup.basis))
+             for k in range(sup.ambient_dim)]
+        g = tuple(Fraction(x, den) for x in _reduce_ints(w, rows))
         if di == 0:
             free_gens.append(g)
         else:
@@ -777,44 +740,56 @@ def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> Quoti
 # rational linear algebra (used for eigenspace input and basis changes)
 
 
-def _rref(rows, ncols: int):
-    """Gauss-Jordan elimination over the rationals.
+def _int_row(row) -> tuple[int, list[int]]:
+    """(c, c * row) for a rational row, c the lcm of its denominators."""
+    fracs = vec_frac(row)
+    c = lcm(*(x.denominator for x in fracs))
+    return c, [int(x * c) for x in fracs]
 
-    Returns the nonzero rows of the reduced row echelon form, as lists of
-    Fractions, and the list of their pivot columns.
+
+def _hermite_solve(rows: list[list[int]], n: int):
+    """A^-1 * B from the integer rows [A | B], A square of size n.
+
+    One Hermite reduction makes A upper triangular; back-substitution,
+    the only step that divides, then solves for A^-1 * B in Fractions.
+    Returns None when A is singular.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
-    if any(len(row) != ncols for row in a):
-        raise DimensionMismatch(f"matrix row has wrong length, expected {ncols}")
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][col] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-    return a[: len(pivots)], pivots
+    _hermite(rows)
+    if any(rows[i][i] == 0 for i in range(n)):
+        return None
+    x: list[list[Fraction]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        x[i] = [
+            Fraction(b - sum(row[k] * x[k][j] for k in range(i + 1, n)), row[i])
+            for j, b in enumerate(row[n:])
+        ]
+    return tuple(tuple(r) for r in x)
 
 
 def rat_inverse(m):
-    """Exact inverse of a square rational matrix; raises when singular."""
+    """Exact inverse of a square rational matrix; raises when singular.
+
+    Each row i is scaled by the lcm c_i of its denominators, and
+    (c * m)^-1 * c = m^-1 for the diagonal matrix c of these scales.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionMismatch("matrix is not square")
-    a, pivots = _rref([tuple(row) + e for row, e in zip(m, identity_matrix(n))], 2 * n)
-    if pivots != list(range(n)):
+    rows = []
+    for i, row in enumerate(m):
+        c, ints = _int_row(row)
+        rows.append(ints + [c * (i == j) for j in range(n)])
+    inv = _hermite_solve(rows, n)
+    if inv is None:
         raise LatticeError("singular matrix")
-    return tuple(tuple(row[n:]) for row in a)
+    return inv
 
 
 def rat_rank(rows) -> int:
     """Rank of a rational matrix given as an iterable of rows."""
-    rows = [tuple(row) for row in rows]
-    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
-
+    ints = [_int_row(row)[1] for row in rows]
+    ncols = len(ints[0]) if ints else 0
+    if any(len(row) != ncols for row in ints):
+        raise DimensionMismatch(f"matrix row has wrong length, expected {ncols}")
+    return _hermite(ints)

@@ -16,7 +16,6 @@ lattices of X, X_spl = ker(theta + 1) and X_spl_tilde = (theta - 1) Z^n / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -24,16 +23,16 @@ from .intlattice import (
     IntMatrix,
     Lattice,
     _basis_images,
+    _hermite_solve,
+    _int_row,
     as_int_matrix,
     block_diag,
     kernel_lattice,
-    mat_mul,
-    rat_inverse,
     rat_rank,
     transpose,
     vec_frac,
 )
-from .rootdata import RootDatum, e7_adjoint
+from .rootdata import RootDatum, _brief, e7_adjoint
 
 
 class InvolutionError(ValueError):
@@ -150,24 +149,25 @@ def involution_from_eigenspaces(
             raise InvolutionError(f"eigenvector {v} has wrong length, expected {n}")
     if rat_rank(split) != len(split) or rat_rank(compact) != len(compact):
         raise InvolutionError("eigenspace spans contain dependent vectors")
-    stacked = tuple(split + compact)
-    if len(stacked) != n or rat_rank(stacked) != n:
+    if len(split) + len(compact) != n:
         raise InvolutionError("eigenspace spans are not complementary")
-    mt = transpose(stacked)
-    signs = [-1] * len(split) + [1] * len(compact)
-    scaled = tuple(
-        tuple(Fraction(signs[j]) * mt[i][j] for j in range(n)) for i in range(n)
-    )
-    theta_frac = mat_mul(scaled, rat_inverse(mt))
+    # the eigenvectors v_k are the rows of V, so V * theta^T = S * V for the
+    # signs S; each row [v_k | s_k * v_k] is cleared of denominators
     rows = []
-    for row in theta_frac:
-        if any(x.denominator != 1 for x in row):
-            raise InvolutionError(
-                "involution with these eigenspaces is not integral "
-                "on the cocharacter lattice"
-            )
-        rows.append(tuple(int(x) for x in row))
-    return involution_from_matrix(rd, tuple(rows), name=name)
+    for sign, span in ((-1, split), (1, compact)):
+        for v in span:
+            ints = _int_row(v)[1]
+            rows.append(ints + [sign * x for x in ints])
+    theta_t = _hermite_solve(rows, n)
+    if theta_t is None:
+        raise InvolutionError("eigenspace spans are not complementary")
+    if any(x.denominator != 1 for row in theta_t for x in row):
+        raise InvolutionError(
+            "involution with these eigenspaces is not integral "
+            "on the cocharacter lattice"
+        )
+    theta = transpose(tuple(tuple(int(x) for x in row) for row in theta_t))
+    return involution_from_matrix(rd, theta, name=name)
 
 
 def product_involution(a: Involution, b: Involution, name: str = "") -> Involution:
@@ -193,7 +193,7 @@ def e7_preset(form: str) -> tuple[RootDatum, Involution]:
     key = form.upper().strip()
     if key not in _E7_BLACK_NODES:
         raise InvolutionError(
-            f"unknown E7 real form {form!r}; choose EV, EVI, or EVII"
+            f"unknown E7 real form {_brief(repr(form))}; choose EV, EVI, or EVII"
         )
     rd, _ = e7_adjoint()
     named = dict(rd.named_vectors)

@@ -37,6 +37,19 @@ class PresetError(ValueError):
     """Raised when a preset name or its parameters are invalid."""
 
 
+# how much of an offending value an error message quotes
+QUOTE_LIMIT = 80
+
+
+def _brief(text: str) -> str:
+    """At most QUOTE_LIMIT characters of text, with an ellipsis when cut.
+
+    Error messages quote values from the job through this, so one huge
+    value cannot make a huge message.
+    """
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
+
 def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
 
@@ -379,7 +392,7 @@ def cartan_matrix(cartan_type: str, rank: int) -> IntMatrix:
         pairs = [(0, 1)]
         special = {(1, 0): -3}
     else:
-        raise PresetError(f"no simple group of type {cartan_type}{rank}")
+        raise PresetError(f"no simple group of type {_brief(f'{cartan_type}{rank}')}")
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in pairs:
         c[i][j] = c[j][i] = -1
@@ -441,9 +454,13 @@ def simple(
     if isogeny == "adjoint":
         isogeny = "adj"
     if isogeny not in ("sc", "adj"):
-        raise PresetError(f"isogeny must be 'sc' or 'adj', not {isogeny!r}")
+        raise PresetError(
+            f"isogeny must be 'sc' or 'adj', not {_brief(repr(isogeny))}"
+        )
     if real not in (None, "split", "compact"):
-        raise PresetError(f"real form must be 'split' or 'compact', not {real!r}")
+        raise PresetError(
+            f"real form must be 'split' or 'compact', not {_brief(repr(real))}"
+        )
     rd = _simple_datum(
         cartan_matrix(cartan_type, rank),
         isogeny,
@@ -542,7 +559,7 @@ def build_preset(spec: PresetSpec):
 
     family = spec.family.upper()
     if family not in PRESETS:
-        raise PresetError(f"unknown preset family {spec.family!r}")
+        raise PresetError(f"unknown preset family {_brief(repr(spec.family))}")
     builder, fields = PRESETS[family]
     values = [getattr(spec, _SPEC_ATTR.get(f, f)) for f in fields]
     for field, value in zip(fields, values):

@@ -157,6 +157,16 @@ def test_rejects_mistyped_preset_field(doc, field, tmp_path, capsys):
         ({"preset": "GL", "n": 3, "format": "x" * 10**5}, "format"),
         ({"preset": "GL", "n": [3] * 10**5}, "'n'"),
         ({"preset": "E7", "form": {"x": "y" * 10**5}}, "'form'"),
+        ({"preset": "x" * 10**5}, "preset family"),
+        (dict({"preset": "GL", "n": 3}, **{f"k{i}": 1 for i in range(20000)}),
+         "unknown fields in preset job"),
+        ({"rank": 1, "coroots": [[1]], "theta": [[-1]], "x" * 10**5: 1},
+         "unknown fields in job"),
+        ({"preset": "GL", "n": 2, "outputs": {"x" * 10**5: True}}, "output flags"),
+        ({"preset": "SIMPLE", "type": "x" * 10**5, "rank": 2}, "type"),
+        ({"preset": "SIMPLE", "type": "A", "rank": 2, "isogeny": "x" * 10**5}, "isogeny"),
+        ({"preset": "SIMPLE", "type": "A", "rank": 2, "real": "x" * 10**5}, "real form"),
+        ({"preset": "E7", "form": "x" * 10**5}, "E7 real form"),
     ],
 )
 def test_error_line_quotes_a_bounded_prefix(doc, where, tmp_path, capsys):
@@ -166,6 +176,32 @@ def test_error_line_quotes_a_bounded_prefix(doc, where, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and where in err
     assert err.count("\n") == 1 and len(err.encode()) < 300, err[:400]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"preset": "nope"}, "unknown preset family 'nope'"),
+        ({"preset": "GL", "n": 3, "zz": 1, "aa": 2},
+         "unknown fields in preset job: ['aa', 'zz']"),
+        ({"rank": 1, "coroots": [[1]], "theta": [[-1]], "foo": 1},
+         "unknown fields in job: ['foo']"),
+        ({"preset": "GL", "n": 2, "outputs": {"pi00": True}},
+         "unknown output flags: ['pi00']"),
+        ({"preset": "SIMPLE", "type": "Q", "rank": 2}, "no simple group of type Q2"),
+        ({"preset": "SIMPLE", "type": "A", "rank": 2, "isogeny": "ss"},
+         "isogeny must be 'sc' or 'adj', not 'ss'"),
+        ({"preset": "SIMPLE", "type": "A", "rank": 2, "real": "quasi"},
+         "real form must be 'split' or 'compact', not 'quasi'"),
+        ({"preset": "E7", "form": "EIX"},
+         "unknown E7 real form 'EIX'; choose EV, EVI, or EVII"),
+    ],
+)
+def test_error_line_quotes_a_short_value_in_full(doc, message, tmp_path, capsys):
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["compute", str(spec)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

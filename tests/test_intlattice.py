@@ -17,6 +17,7 @@ from pi0real.intlattice import (
     DimensionMismatch,
     InfiniteIndex,
     Lattice,
+    LatticeError,
     NotASublattice,
     QuotientStructure,
     brute_force_quotient,
@@ -116,13 +117,38 @@ def _diag_embed(d, r, c):
     )
 
 
-def test_snf_transform_identity_random():
+def _snf_inputs():
+    """Random matrices up to 8 x 8, empty and rank-deficient shapes, and
+    diagonals with coprime entries, which need the divisibility step."""
     rng = random.Random(0xCAFE)
     for _ in range(80):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
-        m = random_int_matrix(rng, r, c)
-        d, u, v = snf(m)
+        yield r, c, random_int_matrix(rng, r, c)
+    rng = random.Random(0x5A1E)
+    for c in range(4):
+        yield 0, c, ()
+        yield c, 0, ((),) * c
+    for _ in range(60):
+        r = rng.randint(1, 8)
+        c = rng.randint(1, 8)
+        rows = [list(row) for row in random_int_matrix(rng, r, c)]
+        rows[rng.randrange(r)] = list(rows[rng.randrange(r)])
+        for j in rng.sample(range(c), rng.randint(0, c - 1)):
+            for row in rows:
+                row[j] = 0
+        yield r, c, tuple(map(tuple, rows))
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    for _ in range(20):
+        r = rng.randint(1, 8)
+        c = rng.randint(1, 8)
+        entries = rng.sample(primes, min(r, c))
+        yield r, c, _diag_embed([rng.choice((1, -1)) * x for x in entries], r, c)
+
+
+def test_snf_transform_identity_random():
+    for r, c, m in _snf_inputs():
+        d, u, v = snf(m, c)
         assert mat_mul(mat_mul(u, m), v) == _diag_embed(d, r, c)
         assert det(u) in (1, -1)
         assert det(v) in (1, -1)
@@ -132,6 +158,14 @@ def test_snf_transform_identity_random():
                 assert b == 0
             else:
                 assert b % a == 0
+
+
+def test_snf_transforms_stay_short_on_the_ladder_matrix():
+    rng = random.Random(1)
+    m = random_int_matrix(rng, 40, 40)
+    d, u, v = snf(m)
+    assert mat_mul(mat_mul(u, m), v) == _diag_embed(d, 40, 40)
+    assert max(len(str(abs(x))) for t in (u, v) for row in t for x in row) <= 100
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +734,26 @@ def test_rat_inverse_roundtrip():
     m = ((1, 2), (3, 5))
     inv = rat_inverse(m)
     assert mat_mul(m, inv) == ((1, 0), (0, 1))
+    rng = random.Random(0x1AF)
+    inverted = singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            # a multiple of another row, possibly zero, makes m singular
+            i, j = rng.sample(range(n), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            m[i] = [c * y for y in m[j]]
+        scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in m]
+        if det(tuple(tuple(int(x * s) for x in row) for row, s in zip(m, scales))):
+            assert mat_mul(m, rat_inverse(m)) == identity_matrix(n)
+            inverted += 1
+        else:
+            with pytest.raises(LatticeError, match="singular"):
+                rat_inverse(m)
+            singular += 1
+    assert inverted >= 100 and singular >= 50, (inverted, singular)
 
 
 def test_rat_inverse_singular():

@@ -166,6 +166,29 @@ def test_eigenspaces_check_eigenvalues():
     assert mat_vec(inv.theta, (0, 0, 1)) == (0, 0, 1)
 
 
+def test_eigenspaces_of_random_unimodular_bases():
+    """Spans taken from the columns of a unimodular P, some rescaled, give
+    theta = P * diag(signs) * P^-1, with P^-1 the exact inverse that comes
+    with P."""
+    rng = random.Random(0xE16E)
+    for n in range(1, 8):
+        for _ in range(12):
+            p, pinv = helpers.random_unimodular(rng, n)
+            signs = [rng.choice((-1, 1)) for _ in range(n)]
+            cols = []
+            for j in range(n):
+                col = tuple(p[i][j] for i in range(n))
+                if rng.random() < 0.5:
+                    c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+                    col = tuple(c * x for x in col)
+                cols.append(col)
+            split = [v for v, s in zip(cols, signs) if s == -1]
+            compact = [v for v, s in zip(cols, signs) if s == 1]
+            diag = tuple(tuple(s * (i == j) for j in range(n)) for i, s in enumerate(signs))
+            inv = involution_from_eigenspaces(torus_datum(n), split, compact)
+            assert inv.theta == mat_mul(mat_mul(p, diag), pinv)
+
+
 # ---------------------------------------------------------------------------
 # E7 presets
 
