@@ -33,22 +33,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import NamedTuple, Optional
 
 from .intlattice import (
     DimensionMismatch,
     Lattice,
-    NotASublattice,
-    _coords,
-    _hermite_rows,
-    _reduce_ints,
+    basis_residues,
     brute_force_quotient,
     coords_in_lattice,
     kernel_lattice,
     lattice_intersect,
     lattice_sum,
     membership,
+    relation_matrix,
 )
 from .realform import Involution
 from .rootdata import RootDatum
@@ -164,20 +162,12 @@ def _extend(echelon: list[int], mask: int) -> bool:
     return bool(mask)
 
 
-def _relations(sub: Lattice, sup: Lattice) -> list[int]:
-    """Echelon over F2 of sub's basis vectors written in sup's basis."""
+def _echelon(relation) -> list[int]:
+    """Echelon over F2 of the rows of an integer relation matrix."""
     echelon: list[int] = []
-    for i, row in enumerate(sub.basis):
-        coords = _coords(row, sub.denom, sup)
-        if coords is None:
-            v = sub.vectors()[i]
-            raise NotASublattice(f"generator {v} is not in the super-lattice")
-        _extend(echelon, _parity(coords))
+    for row in relation:
+        _extend(echelon, _parity(row))
     return echelon
-
-
-def _pivot_product(lat: Lattice) -> int:
-    return prod(next(x for x in row if x) for row in lat.basis)
 
 
 def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group:
@@ -185,8 +175,8 @@ def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group
 
     When 2 sup lies in sub, the quotient is (sup / 2 sup) modulo the image
     of sub, so its 2-rank k is rank(sup) minus the F2 rank of sub's
-    coordinates in sup's basis.  The index [sup : sub], read off the two
-    Hermite bases (which share pivot columns when the ranks agree), equals
+    coordinates in sup's basis, the relation matrix R.  The index
+    [sup : sub], the product of R's diagonal when the ranks agree, equals
     2^k exactly when 2 sup lies in sub; any other index raises
     ComputationError.
 
@@ -195,16 +185,15 @@ def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group
     (name, vector) pairs that lie in sup, in the given order, then the
     canonical residues modulo sub of sup's Hermite rows, smallest first.
     """
-    echelon = _relations(sub, sup)
+    relation = relation_matrix(sub, sup)
+    echelon = _echelon(relation)
     r = sup.rank
     k = r - len(echelon)
     if sub.rank < r:
         raise ComputationError(
             f"{what} came out infinite; the involution data is inconsistent"
         )
-    index = Fraction(
-        _pivot_product(sub) * sup.denom**r, _pivot_product(sup) * sub.denom**r
-    )
+    index = prod(row[i] for i, row in enumerate(relation))
     if index != 2**k:
         raise ComputationError(
             f"{what} is not an elementary abelian 2-group: "
@@ -223,13 +212,8 @@ def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group
         # the residue of sup's i-th Hermite row has coordinates e_i modulo sub;
         # over one positive denominator d, integer tuples sort as the
         # rational residues they stand for
-        d = lcm(sub.denom, sup.denom)
-        rows = _hermite_rows(sub, d // sub.denom)
-        m = d // sup.denom
-        residues = sorted(
-            (_reduce_ints([x * m for x in b], rows), i) for i, b in enumerate(sup.basis)
-        )
-        for res, i in residues:
+        d = sup.denom
+        for res, i in sorted((res, i) for i, res in enumerate(basis_residues(sub, sup))):
             if len(chosen) == k:
                 break
             if _extend(echelon, 1 << i):
@@ -316,7 +300,7 @@ def kernel_embedding_check(rd: RootDatum, inv: Involution) -> bool:
     """
     p = pi0(rd, inv)
     h = h1_pi1(rd, inv)
-    echelon = _relations(h.sub, h.sup)
+    echelon = _echelon(relation_matrix(h.sub, h.sup))
     for v in p.generators:
         coords = coords_in_lattice(v, h.sup)
         if coords is None or not _extend(echelon, _parity(coords)):
@@ -372,9 +356,9 @@ def representative(rd: RootDatum, inv: Involution, nu) -> Representative:
 def oracle_check(group: Elementary2Group, bound: int = 4096) -> bool:
     """Recompute the group structure by brute-force coset enumeration.
 
-    Walks the quotient sup/sub directly, sharing nothing with the mod-2
-    rank computation that built the group, and compares invariant
-    factors.  Raises BoundExceeded when the quotient
+    Walks the quotient sup/sub directly, sharing only the containment
+    check with the mod-2 rank computation that built the group, and
+    compares invariant factors.  Raises BoundExceeded when the quotient
     has more than ``bound`` cosets.
     """
     slow = brute_force_quotient(group.sub, group.sup, bound=bound)

@@ -13,12 +13,14 @@ alternating row and column passes), and the rational rank, inverse and
 solve, where a triangular back-substitution is the only step that
 divides.  det keeps its own fraction-free Bareiss elimination.
 
-Quotient structure is computed two independent ways: through Smith
-normal form (quotient_structure) and through explicit coset enumeration
-(brute_force_quotient), so each can serve as an oracle for the other.  The enumeration is an integer walk: both lattices are put over
-one common denominator, each coset is an integer residue, and the walk
-takes only the + steps along the super-lattice's Hermite rows.  It shares
-one integer reduction loop with reduce_mod.
+A quotient sup/sub is presented by one integer matrix R, the coordinates
+of sub's Hermite rows in sup's basis (relation_matrix).  The Smith route
+(quotient_structure) and lattice_index read R; the coset enumeration
+(brute_force_quotient) uses it only as its containment check, so each
+route can serve as an oracle for the other.  The enumeration is an integer
+walk over one common denominator: each coset is an integer residue, and
+the walk takes only the + steps along the super-lattice's Hermite rows,
+sharing one integer reduction loop with reduce_mod.
 """
 
 from __future__ import annotations
@@ -555,22 +557,40 @@ class QuotientStructure:
         return prod(self.invariant_factors)
 
 
-def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
-    """Structure of sup/sub through Smith normal form.
+def relation_matrix(sub: Lattice, sup: Lattice) -> IntMatrix:
+    """R, the integer coordinates of sub's Hermite rows in sup's basis.
 
-    Each sub generator is rewritten in sup's basis (raising
-    NotASublattice when that fails); the Smith form u * R * v = diag(d) of
-    the resulting relation matrix R gives the invariant factors, and the
-    rows of v^-1, read in sup's basis, give the generators.  v^-1 is the
-    right half of the Hermite form of [v | 1], since v is unimodular.
+    R presents sup/sub: its Smith form gives the group's structure, and
+    when the ranks agree R is upper triangular with a positive diagonal
+    (the two Hermite bases share pivot columns), so [sup : sub] is the
+    product of that diagonal.  Raises NotASublattice when sub is not in sup.
     """
     _same_ambient(sub, sup)
     relation = []
-    for v in sub.vectors():
-        coords = coords_in_lattice(v, sup)
+    for i, row in enumerate(sub.basis):
+        coords = _coords(row, sub.denom, sup)
         if coords is None:
-            raise NotASublattice(f"generator {v} is not in the super-lattice")
+            raise NotASublattice(f"generator {sub.vectors()[i]} is not in the super-lattice")
         relation.append(coords)
+    return tuple(relation)
+
+
+def basis_residues(sub: Lattice, sup: Lattice) -> IntMatrix:
+    """The canonical residues modulo sub of sup's basis vectors, times sup.denom,
+    a denominator common to both lattices once sub lies in sup (relation_matrix)."""
+    rows = _hermite_rows(sub, sup.denom // sub.denom)
+    return tuple(_reduce_ints(b, rows) for b in sup.basis)
+
+
+def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
+    """Structure of sup/sub through Smith normal form.
+
+    The Smith form u * R * v = diag(d) of the relation matrix R gives the
+    invariant factors, and the rows of v^-1, read in sup's basis, give the
+    generators.  v^-1 is the right half of the Hermite form of [v | 1],
+    since v is unimodular.
+    """
+    relation = relation_matrix(sub, sup)
     rp = sup.rank
     d, _, v = snf(relation, rp)
     ident = [list(r) for r in identity_matrix(rp)]
@@ -599,8 +619,11 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
 
 
 def lattice_index(sub: Lattice, sup: Lattice) -> int | None:
-    """[sup : sub], or None when infinite."""
-    return quotient_structure(sub, sup).order
+    """[sup : sub], the product of R's diagonal, or None when sub has lower rank."""
+    relation = relation_matrix(sub, sup)
+    if sub.rank < sup.rank:
+        return None
+    return prod(row[i] for i, row in enumerate(relation))
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -681,10 +704,7 @@ def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> Quoti
     Raises InfiniteIndex when ranks show the quotient is infinite, and
     BoundExceeded when more than `bound` cosets appear.
     """
-    _same_ambient(sub, sup)
-    for v in sub.vectors():
-        if not membership(v, sup):
-            raise NotASublattice(f"generator {v} is not in the super-lattice")
+    relation_matrix(sub, sup)
     if sub.rank < sup.rank:
         raise InfiniteIndex("sub-lattice has lower rank; quotient is infinite")
     # sub lies in sup, so sub.denom divides sup.denom: sup's denominator is

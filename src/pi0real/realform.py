@@ -22,7 +22,6 @@ from typing import Sequence
 from .intlattice import (
     IntMatrix,
     Lattice,
-    _basis_images,
     _hermite_solve,
     _int_row,
     as_int_matrix,
@@ -78,12 +77,11 @@ class Involution:
     @cached_property
     def x_spl_tilde(self) -> Lattice:
         """X_spl_tilde = (theta - 1) X / 2, spanned by the columns of theta - 1
-        (its images of the standard basis) over the denominator 2.
+        over the denominator 2.
 
         (theta - 1) X is (1 - theta) X: a lattice is closed under negation.
         """
-        n = len(self.theta)
-        return Lattice(n, _basis_images(Lattice.standard(n), self.minus_one), 2)
+        return Lattice(len(self.theta), transpose(self.minus_one), 2)
 
 
 def _shift_diagonal(m: IntMatrix, c: int) -> IntMatrix:
@@ -195,7 +193,7 @@ def e7_preset(form: str) -> tuple[RootDatum, Involution]:
         raise InvolutionError(
             f"unknown E7 real form {_brief(repr(form))}; choose EV, EVI, or EVII"
         )
-    rd, _ = e7_adjoint()
+    rd = e7_adjoint()
     named = dict(rd.named_vectors)
     black = _E7_BLACK_NODES[key]
     split = [named[f"w{i}"] for i in range(1, 8) if i not in black]

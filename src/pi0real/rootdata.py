@@ -28,7 +28,6 @@ from .intlattice import (
     as_int_matrix,
     identity_matrix,
     mat_vec,
-    rat_inverse,
     transpose,
 )
 
@@ -134,6 +133,8 @@ class RootDatum:
                 continue
             if not _integral(c):
                 bad.append(f"coroot {c} not in cocharacter lattice")
+            if not any(c):
+                bad.append(f"coroot {c} is zero")
             if _neg(c) not in seen:
                 bad.append(f"coroot set is not symmetric: missing {_neg(c)}")
         for label, w in self.display_weights:
@@ -482,21 +483,18 @@ def simple(
 _E7_NODES = (7, 6, 5, 4, 3, 1, 2)
 
 
-def e7_adjoint() -> tuple[RootDatum, tuple[tuple[Fraction, ...], ...]]:
-    """Adjoint E7 on its fundamental coweights, with its invariant form.
+def e7_adjoint() -> RootDatum:
+    """Adjoint E7 on its fundamental coweights.
 
     The nodes a1..a6 form a chain and a7 is attached to a4: they are the
     Bourbaki nodes 7, 6, 5, 4, 3, 1, 2.  Coordinates are coweight
-    coordinates, so the cocharacter lattice is standard.  Returns the datum
-    and the Gram matrix of the invariant form on the coweight basis, with
-    every root of norm 2; E7 is simply laced, so that is the inverse of the
-    Cartan matrix.
+    coordinates, so the cocharacter lattice is standard.
     """
     bourbaki = cartan_matrix("E", 7)
     cartan = tuple(
         tuple(bourbaki[i - 1][j - 1] for j in _E7_NODES) for i in _E7_NODES
     )
-    return _simple_datum(cartan, "adj", "E7 (adjoint)"), rat_inverse(cartan)
+    return _simple_datum(cartan, "adj", "E7 (adjoint)")
 
 
 # ---------------------------------------------------------------------------

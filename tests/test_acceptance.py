@@ -225,8 +225,7 @@ def test_criterion_5_connectivity_fixtures():
         for ct, rk in split_cases
         for iso in ("sc", "adj")
     ]
-    for datum_builder in (gl(4), so(2, 3), pso(3, 3), e7_adjoint()):
-        rd = datum_builder[0]
+    for rd in (gl(4)[0], so(2, 3)[0], pso(3, 3)[0], e7_adjoint()):
         compact.append((rd, involution_from_matrix(rd, identity_matrix(rd.rank))))
     for rd, inv in compact:
         g = pi0(rd, inv)

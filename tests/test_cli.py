@@ -195,6 +195,8 @@ def test_error_line_quotes_a_bounded_prefix(doc, where, tmp_path, capsys):
          "real form must be 'split' or 'compact', not 'quasi'"),
         ({"preset": "E7", "form": "EIX"},
          "unknown E7 real form 'EIX'; choose EV, EVI, or EVII"),
+        ({"rank": 1, "coroots": [[0]], "theta": [[-1]]},
+         "invalid root datum: coroot (0,) is zero"),
     ],
 )
 def test_error_line_quotes_a_short_value_in_full(doc, message, tmp_path, capsys):

@@ -623,7 +623,7 @@ def test_job_builds_each_split_lattice_once(monkeypatch):
 
     counting(components, "kernel_lattice")
     counting(realform, "kernel_lattice")
-    counting(realform, "_basis_images")
+    counting(realform, "transpose")
     job = cli.parse_jobspec({"preset": "PSO", "p": 4, "q": 4, "outputs": {"h1": True}})
     report = cli.run(job)
     assert report["h1_order"] is not None
@@ -632,8 +632,8 @@ def test_job_builds_each_split_lattice_once(monkeypatch):
     assert sorted(calls) == [
         "pi0real.components.kernel_lattice",
         "pi0real.components.kernel_lattice",
-        "pi0real.realform._basis_images",
         "pi0real.realform.kernel_lattice",
+        "pi0real.realform.transpose",
     ]
 
 
@@ -671,8 +671,8 @@ def test_integral_input_builds_no_fraction(monkeypatch):
             for _ in range(5):
                 v = tuple(rng.randint(-3, 3) for _ in range(rd.rank))
                 components.coords_in_lattice(v, lat)
-        components._relations(g.sub, g.sup)
-        components._relations(h.sub, h.sup)
+        components.relation_matrix(g.sub, g.sup)
+        components.relation_matrix(h.sub, h.sup)
     assert made == []
 
 
@@ -725,3 +725,20 @@ def test_representative_messages_for_theta_and_pairing():
     )
     # a rational weight with a whole pairing still evaluates
     assert representative(rd, inv, (2,)).evaluations == (("w", "i"),)
+
+
+def test_components_imports_no_private_intlattice_name():
+    import ast
+    import inspect
+
+    from pi0real import components
+
+    tree = ast.parse(inspect.getsource(components))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "intlattice" and node.level == 1
+        for alias in node.names
+    ]
+    assert "relation_matrix" in imported
+    assert [name for name in imported if name.startswith("_")] == []

@@ -36,6 +36,7 @@ from pi0real.intlattice import (
     rat_inverse,
     rat_rank,
     reduce_mod,
+    relation_matrix,
     snf,
     transpose,
 )
@@ -596,6 +597,12 @@ def test_brute_force_agrees_with_snf_random():
         slow = brute_force_quotient(sub, sup, bound=600)
         assert fast.invariant_factors == slow.invariant_factors
         assert fast.order == slow.order == abs(d)
+        # the relation matrix is upper triangular with a positive diagonal,
+        # whose product is the index
+        rel = relation_matrix(sub, sup)
+        assert all(rel[i][j] == 0 for i in range(n) for j in range(i))
+        assert all(rel[i][i] > 0 for i in range(n))
+        assert math.prod(rel[i][i] for i in range(n)) == abs(d) == lattice_index(sub, sup)
         trials += 1
 
 
@@ -705,6 +712,10 @@ def test_integer_walk_matches_fraction_walk_mixed_denominators():
         want = _outcome(_fraction_walk, sub, sup, bound)
         got = _outcome(brute_force_quotient, sub, sup, bound)
         assert got == want, (sub, sup, bound)
+        if not isinstance(want, QuotientStructure) and want[0] is NotASublattice:
+            # every route reads the same containment check
+            assert _outcome(quotient_structure, sub, sup) == want
+            assert _outcome(lattice_index, sub, sup) == want
         seen["ok" if isinstance(want, QuotientStructure) else want[0]] += 1
         cases += 1
     assert min(seen.values()) >= 5, seen

@@ -390,7 +390,7 @@ def test_simple_coroots_are_symmetric_and_valid():
 
 
 def test_e7_basic_counts():
-    rd, gram = e7_adjoint()
+    rd = e7_adjoint()
     assert rd.rank == 7
     assert len(rd.coroot_generators) == 126
     assert lattice_index(rd.coroots, rd.cochar) == 2
@@ -399,7 +399,7 @@ def test_e7_basic_counts():
 
 def test_e7_coweight_membership():
     # w2, w4, w5, w6 land in the coroot lattice; w1, w3, w7 do not
-    rd, _ = e7_adjoint()
+    rd = e7_adjoint()
     named = dict(rd.named_vectors)
     for nm in ("w2", "w4", "w5", "w6"):
         assert membership(named[nm], rd.coroots), nm
@@ -410,25 +410,26 @@ def test_e7_coweight_membership():
 def test_e7_simple_coroots_rows():
     # the a_i coordinates recover the (symmetric) E7 Cartan matrix with the
     # chain 1-2-3-4-5-6 and the seventh node attached to the fourth
-    rd, _ = e7_adjoint()
+    rd = e7_adjoint()
     named = dict(rd.named_vectors)
     assert named["a1"] == (2, -1, 0, 0, 0, 0, 0)
     assert named["a4"] == (0, 0, -1, 2, -1, 0, -1)
     assert named["a7"] == (0, 0, 0, -1, 0, 0, 2)
 
 
-def test_e7_gram_is_symmetric_positive_diagonal():
-    _, gram = e7_adjoint()
+def test_e7_coroots_have_norm_two():
+    # all roots of E7 have the same length under the invariant form, whose
+    # Gram matrix on the coweight basis is the inverse of the Cartan matrix
+    # (E7 is simply laced), taken in the node order of e7_adjoint
+    rd = e7_adjoint()
+    nodes = (7, 6, 5, 4, 3, 1, 2)
+    bourbaki = cartan_matrix("E", 7)
+    gram = rat_inverse(tuple(tuple(bourbaki[i - 1][j - 1] for j in nodes) for i in nodes))
     assert len(gram) == 7
     for i in range(7):
         assert gram[i][i] > 0
         for j in range(7):
             assert gram[i][j] == gram[j][i]
-
-
-def test_e7_coroots_have_norm_two():
-    # all roots of E7 have the same length under the invariant form
-    rd, gram = e7_adjoint()
     for c in rd.coroot_generators[:20]:
         norm = sum(
             Fraction(c[i]) * gram[i][j] * Fraction(c[j])
@@ -491,6 +492,9 @@ def test_validate_flags_bad_data():
         "named vector 's' has wrong length",
     )
     assert RootDatum(rank=-1).validate() == ("rank is negative",)
+    assert RootDatum(rank=1, coroot_generators=((0,),)).validate() == (
+        "coroot (0,) is zero",
+    )
 
 
 def test_derived_lattices():
