@@ -417,19 +417,28 @@ def test_e7_simple_coroots_rows():
     assert named["a7"] == (0, 0, 0, -1, 0, 0, 2)
 
 
-def test_e7_coroots_have_norm_two():
-    # all roots of E7 have the same length under the invariant form, whose
-    # Gram matrix on the coweight basis is the inverse of the Cartan matrix
-    # (E7 is simply laced), taken in the node order of e7_adjoint
-    rd = e7_adjoint()
+def _e7_gram():
+    # Gram matrix of the invariant form on the coweight basis: the inverse of
+    # the Cartan matrix (E7 is simply laced), taken in the node order of
+    # e7_adjoint
     nodes = (7, 6, 5, 4, 3, 1, 2)
     bourbaki = cartan_matrix("E", 7)
-    gram = rat_inverse(tuple(tuple(bourbaki[i - 1][j - 1] for j in nodes) for i in nodes))
+    return rat_inverse(tuple(tuple(bourbaki[i - 1][j - 1] for j in nodes) for i in nodes))
+
+
+def test_e7_gram_is_symmetric_positive_diagonal():
+    gram = _e7_gram()
     assert len(gram) == 7
     for i in range(7):
         assert gram[i][i] > 0
         for j in range(7):
             assert gram[i][j] == gram[j][i]
+
+
+def test_e7_coroots_have_norm_two():
+    # all roots of E7 have the same length under the invariant form
+    rd = e7_adjoint()
+    gram = _e7_gram()
     for c in rd.coroot_generators[:20]:
         norm = sum(
             Fraction(c[i]) * gram[i][j] * Fraction(c[j])
