@@ -28,7 +28,7 @@ from .components import (
     pi0,
     representative,
 )
-from .intlattice import BoundExceeded
+from .intlattice import COSET_BOUND, BoundExceeded
 from .realform import (
     Involution,
     involution_from_eigenspaces,
@@ -37,7 +37,7 @@ from .realform import (
 from .rootdata import PRESETS, RootDatum, _brief, build_preset, preset_spec
 
 ORACLE_BOUND_ENV = "PI0_ORACLE_BOUND"
-DEFAULT_ORACLE_BOUND = 4096
+DEFAULT_ORACLE_BOUND = COSET_BOUND
 
 # past this many components the report lists only the generators themselves
 MAX_LISTED_COMPONENTS = 128

@@ -37,11 +37,13 @@ from math import prod
 from typing import NamedTuple, Optional
 
 from .intlattice import (
+    COSET_BOUND,
     DimensionMismatch,
     Lattice,
     basis_residues,
     brute_force_quotient,
     coords_in_lattice,
+    integer_row,
     kernel_lattice,
     lattice_intersect,
     lattice_sum,
@@ -49,7 +51,7 @@ from .intlattice import (
     relation_matrix,
 )
 from .realform import Involution
-from .rootdata import RootDatum
+from .rootdata import RootDatum, _brief
 
 
 class ComputationError(RuntimeError):
@@ -123,16 +125,9 @@ class Elementary2Group:
 
 
 def _int_tuple(v) -> Optional[tuple[int, ...]]:
-    """v as a tuple of ints, or None when an entry is not a whole number.
-
-    A Fraction is built only for an entry that is not already an int.
-    """
-    if all(type(x) is int for x in v):
-        return tuple(v)
-    fracs = tuple(Fraction(x) for x in v)
-    if any(x.denominator != 1 for x in fracs):
-        return None
-    return tuple(int(x) for x in fracs)
+    """v as a tuple of ints, or None when an entry is not a whole number."""
+    c, ints = integer_row(v)
+    return tuple(ints) if c == 1 else None
 
 
 def _as_int_vec(v) -> tuple[int, ...]:
@@ -339,21 +334,22 @@ def representative(rd: RootDatum, inv: Involution, nu) -> Representative:
             "(need an integral vector with theta(nu) = -nu)"
         )
     evals = []
-    for label, terms in rd.weight_terms:
+    for label, c, terms in rd.weight_terms:
+        # 2<w, nu> = h / c, with the weight's terms scaled by c
         h = 2 * sum(x * nu_int[j] for j, x in terms)
-        if type(h) is not int:
-            # a rational weight
-            if h.denominator != 1:
+        if c > 1:
+            h, rem = divmod(h, c)
+            if rem:
                 raise ValueError(
-                    f"pairing of weight {label!r} with {nu_int} is not half-integral, "
-                    "so its value at exp(pi i nu) is not a fourth root of unity"
+                    f"pairing of weight {_brief(repr(label))} with {_brief(str(nu_int))} "
+                    "is not half-integral, so its value at exp(pi i nu) is not a fourth "
+                    "root of unity"
                 )
-            h = int(h)
         evals.append((label, _FOURTH_ROOT[h % 4]))
     return Representative(nu=nu_int, evaluations=tuple(evals), note=rd.lift_note)
 
 
-def oracle_check(group: Elementary2Group, bound: int = 4096) -> bool:
+def oracle_check(group: Elementary2Group, bound: int = COSET_BOUND) -> bool:
     """Recompute the group structure by brute-force coset enumeration.
 
     Walks the quotient sup/sub directly, sharing only the containment

@@ -7,11 +7,14 @@ point sets compare equal as Python objects.
 
 Everything is exact.  Matrices are tuples of tuples of Python ints,
 vectors are tuples of ints or fractions.Fraction; no floating point
-anywhere.  One integer row Hermite reduction (_hermite) does every
-elimination: Hermite forms, kernels and intersections, the Smith form (by
-alternating row and column passes), and the rational rank, inverse and
-solve, where a triangular back-substitution is the only step that
-divides.  det keeps its own fraction-free Bareiss elimination.
+anywhere.  A rational vector enters the integer arithmetic through one
+routine, integer_row, which returns the lcm c of its denominators and the
+integer vector c * v.  One integer row Hermite reduction (_hermite) does
+every elimination: Hermite forms, kernels and intersections, the Smith
+form (by alternating row and column passes), and the rational rank,
+inverse and solve (rat_solve), where a triangular back-substitution is
+the only step that divides.  det keeps its own fraction-free Bareiss
+elimination.
 
 A quotient sup/sub is presented by one integer matrix R, the coordinates
 of sub's Hermite rows in sup's basis (relation_matrix).  The Smith route
@@ -83,31 +86,6 @@ def transpose(m) -> tuple[tuple, ...]:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_mul(a, b):
-    """Matrix product; entries may be ints or Fractions."""
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def mat_vec(a, v):
-    """Apply the matrix a to a column vector, returned as a tuple."""
-    if a and len(v) != len(a[0]):
-        raise DimensionMismatch("matrix/vector size mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def block_diag(a, b):
     """Block-diagonal join of two square matrices."""
     n, m = len(a), len(b)
@@ -144,16 +122,17 @@ def vec_frac(v) -> Vector:
     return tuple(Fraction(x) for x in v)
 
 
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
+def integer_row(v) -> tuple[int, list[int]]:
+    """(c, c * v) for a rational vector v, c the lcm of its entries' denominators.
 
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(v, c):
-    return tuple(c * x for x in v)
+    Entries may be anything Fraction accepts.  An all-int vector comes back
+    as (1, list(v)) without building a Fraction.
+    """
+    if all(type(x) is int for x in v):
+        return 1, list(v)
+    fracs = vec_frac(v)
+    c = lcm(*(x.denominator for x in fracs))
+    return c, [x.numerator * (c // x.denominator) for x in fracs]
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +311,11 @@ class Lattice:
     @classmethod
     def from_vectors(cls, n: int, vectors) -> "Lattice":
         """Lattice spanned by rational row vectors."""
-        rows = [vec_frac(v) for v in vectors]
-        for r in rows:
-            if len(r) != n:
-                raise DimensionMismatch("generator has wrong length")
-        d = 1
-        for r in rows:
-            for x in r:
-                d = lcm(d, x.denominator)
-        int_rows = [[int(x * d) for x in r] for r in rows]
-        return cls(n, as_int_matrix(int_rows, n), d)
+        rows = [integer_row(v) for v in vectors]
+        if any(len(r) != n for _, r in rows):
+            raise DimensionMismatch("generator has wrong length")
+        d = lcm(*(c for c, _ in rows))
+        return cls(n, tuple(tuple(x * (d // c) for x in r) for c, r in rows), d)
 
     @property
     def rank(self) -> int:
@@ -364,7 +338,7 @@ class Lattice:
     def scale(self, c) -> "Lattice":
         """The scaled lattice c * L for a rational scalar c."""
         c = Fraction(c)
-        rows = mat_scale(self.basis, c.numerator)
+        rows = [[c.numerator * x for x in row] for row in self.basis]
         return Lattice(self.ambient_dim, rows, self.denom * c.denominator)
 
     def __contains__(self, v) -> bool:
@@ -382,12 +356,8 @@ def coords_in_lattice(v, lat: Lattice):
     """Integer coordinates of v in lat's basis, or None when v is not in lat."""
     if len(v) != lat.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    if all(type(x) is int for x in v):
-        return _coords(v, 1, lat)
-    w = [Fraction(x) * lat.denom for x in v]
-    if any(x.denominator != 1 for x in w):
-        return None
-    return _coords([int(x) for x in w], lat.denom, lat)
+    c, w = integer_row(v)
+    return _coords(w, c, lat)
 
 
 def _coords(nums, den: int, lat: Lattice):
@@ -457,11 +427,9 @@ def reduce_mod(v, sub: Lattice) -> Vector:
     """
     if len(v) != sub.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    fracs = vec_frac(v)
-    d = sub.denom
-    for x in fracs:
-        d = lcm(d, x.denominator)
-    w = [int(x * d) for x in fracs]
+    c, w = integer_row(v)
+    d = lcm(sub.denom, c)
+    w = [x * (d // c) for x in w]
     rows = _hermite_rows(sub, d // sub.denom)
     return tuple(Fraction(x, d) for x in _reduce_ints(w, rows))
 
@@ -691,7 +659,14 @@ def _invariant_factors_from_orders(cosets, rows, n: int) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> QuotientStructure:
+# the default bound of brute_force_quotient, and so of the oracle: past this
+# many cosets the walk raises BoundExceeded
+COSET_BOUND = 4096
+
+
+def brute_force_quotient(
+    sub: Lattice, sup: Lattice, bound: int = COSET_BOUND
+) -> QuotientStructure:
     """Quotient structure by explicit coset enumeration.
 
     Both lattices are put over one common denominator D (sup's), so every
@@ -760,20 +735,18 @@ def brute_force_quotient(sub: Lattice, sup: Lattice, bound: int = 4096) -> Quoti
 # rational linear algebra (used for eigenspace input and basis changes)
 
 
-def _int_row(row) -> tuple[int, list[int]]:
-    """(c, c * row) for a rational row, c the lcm of its denominators."""
-    fracs = vec_frac(row)
-    c = lcm(*(x.denominator for x in fracs))
-    return c, [int(x * c) for x in fracs]
+def rat_solve(a, b):
+    """a^-1 * b for a square rational matrix a, or None when a is singular.
 
-
-def _hermite_solve(rows: list[list[int]], n: int):
-    """A^-1 * B from the integer rows [A | B], A square of size n.
-
-    One Hermite reduction makes A upper triangular; back-substitution,
-    the only step that divides, then solves for A^-1 * B in Fractions.
-    Returns None when A is singular.
+    Each row [a_i | b_i] is cleared of denominators by integer_row, which
+    leaves a^-1 * b unchanged.  One Hermite reduction makes a upper
+    triangular; back-substitution, the only step that divides, then
+    solves in Fractions.
     """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise DimensionMismatch("matrix is not square")
+    rows = [integer_row(tuple(ra) + tuple(rb))[1] for ra, rb in zip(a, b)]
     _hermite(rows)
     if any(rows[i][i] == 0 for i in range(n)):
         return None
@@ -781,26 +754,15 @@ def _hermite_solve(rows: list[list[int]], n: int):
     for i in range(n - 1, -1, -1):
         row = rows[i]
         x[i] = [
-            Fraction(b - sum(row[k] * x[k][j] for k in range(i + 1, n)), row[i])
-            for j, b in enumerate(row[n:])
+            Fraction(y - sum(row[k] * x[k][j] for k in range(i + 1, n)), row[i])
+            for j, y in enumerate(row[n:])
         ]
     return tuple(tuple(r) for r in x)
 
 
 def rat_inverse(m):
-    """Exact inverse of a square rational matrix; raises when singular.
-
-    Each row i is scaled by the lcm c_i of its denominators, and
-    (c * m)^-1 * c = m^-1 for the diagonal matrix c of these scales.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch("matrix is not square")
-    rows = []
-    for i, row in enumerate(m):
-        c, ints = _int_row(row)
-        rows.append(ints + [c * (i == j) for j in range(n)])
-    inv = _hermite_solve(rows, n)
+    """Exact inverse of a square rational matrix; raises when singular."""
+    inv = rat_solve(m, identity_matrix(len(m)))
     if inv is None:
         raise LatticeError("singular matrix")
     return inv
@@ -808,7 +770,7 @@ def rat_inverse(m):
 
 def rat_rank(rows) -> int:
     """Rank of a rational matrix given as an iterable of rows."""
-    ints = [_int_row(row)[1] for row in rows]
+    ints = [integer_row(row)[1] for row in rows]
     ncols = len(ints[0]) if ints else 0
     if any(len(row) != ncols for row in ints):
         raise DimensionMismatch(f"matrix row has wrong length, expected {ncols}")

@@ -22,12 +22,11 @@ from typing import Sequence
 from .intlattice import (
     IntMatrix,
     Lattice,
-    _hermite_solve,
-    _int_row,
     as_int_matrix,
     block_diag,
     kernel_lattice,
     rat_rank,
+    rat_solve,
     transpose,
     vec_frac,
 )
@@ -117,7 +116,7 @@ def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
     # theta^2 = 1 and theta permuting the coroots give theta(Q) = Q
     coroot_set = set(rd.coroot_generators)
     for c in rd.coroot_generators:
-        image = tuple(int(x) for x in inv.apply(c))
+        image = inv.apply(c)
         if image not in coroot_set:
             raise InvolutionError(
                 f"involution does not normalize the coroot set: "
@@ -150,13 +149,8 @@ def involution_from_eigenspaces(
     if len(split) + len(compact) != n:
         raise InvolutionError("eigenspace spans are not complementary")
     # the eigenvectors v_k are the rows of V, so V * theta^T = S * V for the
-    # signs S; each row [v_k | s_k * v_k] is cleared of denominators
-    rows = []
-    for sign, span in ((-1, split), (1, compact)):
-        for v in span:
-            ints = _int_row(v)[1]
-            rows.append(ints + [sign * x for x in ints])
-    theta_t = _hermite_solve(rows, n)
+    # signs S
+    theta_t = rat_solve(split + compact, [[-x for x in v] for v in split] + compact)
     if theta_t is None:
         raise InvolutionError("eigenspace spans are not complementary")
     if any(x.denominator != 1 for row in theta_t for x in row):

@@ -27,7 +27,7 @@ from .intlattice import (
     Lattice,
     as_int_matrix,
     identity_matrix,
-    mat_vec,
+    integer_row,
     transpose,
 )
 
@@ -62,15 +62,7 @@ def _neg(v: Sequence) -> tuple:
 
 
 def _integral(v: Sequence) -> bool:
-    return all(isinstance(x, int) or Fraction(x).denominator == 1 for x in v)
-
-
-def _whole(x):
-    """x as an int when it is a whole number, else as a Fraction."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else x
+    return integer_row(v)[0] == 1
 
 
 @dataclass(frozen=True)
@@ -109,16 +101,18 @@ class RootDatum:
         return Lattice(self.rank, self.coroot_generators)
 
     @cached_property
-    def weight_terms(self) -> tuple[tuple[str, tuple[tuple[int, object], ...]], ...]:
-        """Each display weight as (label, its nonzero (index, entry) pairs).
+    def weight_terms(self) -> tuple[tuple[str, int, tuple[tuple[int, int], ...]], ...]:
+        """Each display weight w as (label, c, the nonzero (index, entry) pairs
+        of c * w), c the lcm of w's denominators.
 
-        Whole entries become ints, so pairing an integral weight with an
-        integer vector stays in ints; the other entries are Fractions.
+        Everything is an int, so pairing a weight with an integer vector
+        stays in ints.
         """
-        return tuple(
-            (label, tuple((j, _whole(x)) for j, x in zip(range(self.rank), w) if x))
-            for label, w in self.display_weights
-        )
+        out = []
+        for label, w in self.display_weights:
+            c, ints = integer_row(w)
+            out.append((label, c, tuple((j, x) for j, x in zip(range(self.rank), ints) if x)))
+        return tuple(out)
 
     def validate(self) -> tuple[str, ...]:
         """Return a tuple of human-readable diagnostics; empty means valid."""
@@ -134,7 +128,7 @@ class RootDatum:
             if not _integral(c):
                 bad.append(f"coroot {c} not in cocharacter lattice")
             if not any(c):
-                bad.append(f"coroot {c} is zero")
+                bad.append(f"coroot {_brief(str(c))} is zero")
             if _neg(c) not in seen:
                 bad.append(f"coroot set is not symmetric: missing {_neg(c)}")
         for label, w in self.display_weights:
@@ -439,11 +433,11 @@ def _simple_datum(cartan: IntMatrix, isogeny: str, name: str) -> RootDatum:
         vecs = coords
         named = tuple((f"a{i + 1}", _unit(n, i)) for i in range(n))
     else:
-        vecs = tuple(mat_vec(cartan, c) for c in coords)
-        vecs = tuple(tuple(int(x) for x in v) for v in vecs)
+        vecs = tuple(
+            tuple(sum(a * x for a, x in zip(row, c)) for row in cartan) for c in coords
+        )
         named = tuple((f"w{i + 1}", _unit(n, i)) for i in range(n)) + tuple(
-            (f"a{i + 1}", tuple(int(cartan[k][i]) for k in range(n)))
-            for i in range(n)
+            (f"a{i + 1}", col) for i, col in enumerate(transpose(cartan))
         )
     return RootDatum(rank=n, coroot_generators=vecs, named_vectors=named, name=name)
 

@@ -1,17 +1,46 @@
-"""Shared test utilities: seeded random matrices and basis changes."""
+"""Shared test utilities: seeded random matrices and basis changes, and
+dense vector and matrix arithmetic on ints or Fractions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pi0real.intlattice import (
-    identity_matrix,
-    mat_mul,
-    mat_vec,
-    transpose,
-)
+from pi0real.intlattice import DimensionMismatch, identity_matrix, transpose
 from pi0real.realform import involution_from_matrix
 from pi0real.rootdata import RootDatum
+
+
+def mat_mul(a, b):
+    """Matrix product; entries may be ints or Fractions."""
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def mat_vec(a, v):
+    """Apply the matrix a to a column vector, returned as a tuple."""
+    if a and len(v) != len(a[0]):
+        raise DimensionMismatch("matrix/vector size mismatch")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def vec_add(u, v):
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(x - y for x, y in zip(u, v))
+
+
+def vec_scale(v, c):
+    return tuple(c * x for x in v)
 
 
 def random_int_matrix(rng, rows, cols, lo=-4, hi=4):

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import helpers
+from helpers import mat_vec, vec_add, vec_scale, vec_sub
 from pi0real.components import (
     h1_pi1,
     kernel_embedding_check,
@@ -18,13 +19,9 @@ from pi0real.components import (
 from pi0real.intlattice import (
     brute_force_quotient,
     identity_matrix,
-    mat_vec,
     membership,
     quotient_structure,
-    vec_add,
     vec_frac,
-    vec_scale,
-    vec_sub,
 )
 from pi0real.realform import (
     e7_preset,
@@ -308,7 +305,7 @@ def _random_order_two_matrix(rng, n):
             d[i][i] = rng.choice((1, -1))
             i += 1
     u, uinv = helpers.random_unimodular(rng, n)
-    from pi0real.intlattice import mat_mul
+    from helpers import mat_mul
 
     return mat_mul(mat_mul(u, tuple(tuple(r) for r in d)), uinv)
 

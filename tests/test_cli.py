@@ -167,6 +167,9 @@ def test_rejects_mistyped_preset_field(doc, field, tmp_path, capsys):
         ({"preset": "SIMPLE", "type": "A", "rank": 2, "isogeny": "x" * 10**5}, "isogeny"),
         ({"preset": "SIMPLE", "type": "A", "rank": 2, "real": "x" * 10**5}, "real form"),
         ({"preset": "E7", "form": "x" * 10**5}, "E7 real form"),
+        ({"rank": 2000, "coroots": [[0] * 2000], "theta": [[-1]]}, "is zero"),
+        ({"rank": 1, "coroots": [[2]], "theta": [[-1]],
+          "display_weights": [["w" * 10**5, ["1/4"]]]}, "pairing of weight"),
     ],
 )
 def test_error_line_quotes_a_bounded_prefix(doc, where, tmp_path, capsys):

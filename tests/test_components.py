@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import mat_vec, vec_add
 from pi0real.components import (
     ComputationError,
     _two_group,
@@ -23,11 +24,9 @@ from pi0real.intlattice import (
     Lattice,
     NotASublattice,
     lattice_sum,
-    mat_vec,
     membership,
     quotient_structure,
     reduce_mod,
-    vec_add,
 )
 from pi0real.realform import Involution, involution_from_matrix, e7_preset
 from pi0real.rootdata import (
@@ -595,7 +594,7 @@ def test_random_torus_involutions_stay_elementary():
             else:
                 base[i][i] = rng.choice((1, -1))
                 i += 1
-        from pi0real.intlattice import mat_mul
+        from helpers import mat_mul
 
         theta = mat_mul(mat_mul(u, tuple(tuple(r) for r in base)), uinv)
         rd = RootDatum(rank=n)
@@ -652,6 +651,9 @@ def test_integral_input_builds_no_fraction(monkeypatch):
     for rd, inv in cases:
         g, h = pi0(rd, inv), h1_pi1(rd, inv)
         representative(rd, inv, g.elements()[0])  # caches the weight terms
+        for _, c, terms in rd.weight_terms:
+            assert type(c) is int, rd.name
+            assert all(type(j) is int and type(x) is int for j, x in terms), rd.name
         groups.append((rd, inv, g, h))
 
     made = []
@@ -725,20 +727,67 @@ def test_representative_messages_for_theta_and_pairing():
     )
     # a rational weight with a whole pairing still evaluates
     assert representative(rd, inv, (2,)).evaluations == (("w", "i"),)
+    # random rational weights on a split torus, against pairing in Fractions
+    rng = random.Random(0x9A1)
+
+    def entry():
+        x = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return int(x) if x.denominator == 1 else x
+
+    errors = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        weights = tuple(
+            (f"w{k}", tuple(entry() for _ in range(n))) for k in range(rng.randint(1, 3))
+        )
+        rd = RootDatum(rank=n, display_weights=weights, name="t")
+        inv = involution_from_matrix(rd, torus_split(n)[1])
+        nu = tuple(rng.randint(-3, 3) for _ in range(n))
+        try:
+            got = representative(rd, inv, nu).evaluations
+        except ValueError as exc:
+            assert type(exc) is ValueError
+            got = str(exc)
+            errors += 1
+        assert got == _fraction_pairing(rd, nu), (weights, nu)
+    assert 50 <= errors <= 250, errors
+
+
+def _fraction_pairing(rd, nu):
+    """The evaluations of rd's display weights at exp(pi i nu), or the error
+    text for a weight whose pairing is not half-integral, paired in Fractions."""
+    evals = []
+    for label, w in rd.display_weights:
+        h = 2 * sum(Fraction(x) * a for x, a in zip(w, nu))
+        if h.denominator != 1:
+            return (
+                f"pairing of weight {label!r} with {nu} is not half-integral, "
+                "so its value at exp(pi i nu) is not a fourth root of unity"
+            )
+        evals.append((label, ("1", "i", "-1", "-i")[int(h) % 4]))
+    return tuple(evals)
 
 
 def test_components_imports_no_private_intlattice_name():
     import ast
-    import inspect
+    from pathlib import Path
 
-    from pi0real import components
+    import pi0real
 
-    tree = ast.parse(inspect.getsource(components))
-    imported = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "intlattice" and node.level == 1
-        for alias in node.names
-    ]
-    assert "relation_matrix" in imported
-    assert [name for name in imported if name.startswith("_")] == []
+    imported = {}
+    for path in sorted(Path(pi0real.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "intlattice"
+            and node.level == 1
+            for alias in node.names
+        ]
+        if names:
+            imported[path.stem] = names
+    assert {"cli", "components", "realform", "rootdata"} <= set(imported)
+    assert "relation_matrix" in imported["components"]
+    private = {m: [name for name in names if name.startswith("_")]
+               for m, names in imported.items()}
+    assert private == {m: [] for m in imported}

@@ -11,7 +11,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import frac_vec, random_int_matrix, random_unimodular
+from helpers import frac_vec, mat_mul, random_int_matrix, random_unimodular
 from pi0real.intlattice import (
     BoundExceeded,
     DimensionMismatch,
@@ -26,11 +26,11 @@ from pi0real.intlattice import (
     hnf,
     identity_matrix,
     image_lattice,
+    integer_row,
     kernel_lattice,
     lattice_index,
     lattice_intersect,
     lattice_sum,
-    mat_mul,
     membership,
     quotient_structure,
     rat_inverse,
@@ -765,6 +765,41 @@ def test_rat_inverse_roundtrip():
                 rat_inverse(m)
             singular += 1
     assert inverted >= 100 and singular >= 50, (inverted, singular)
+
+
+def test_integer_row_clears_denominators(monkeypatch):
+    from pi0real import intlattice
+
+    rng = random.Random(0x1C3)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-9, 9)
+        if kind == 1:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        if kind == 2:
+            return rng.random() < 0.5
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 12)}"
+
+    for _ in range(400):
+        v = [entry() for _ in range(rng.randint(0, 6))]
+        c, ints = integer_row(v)
+        assert type(c) is int and all(type(x) is int for x in ints)
+        assert c == math.lcm(*(Fraction(x).denominator for x in v))
+        assert [Fraction(x, c) for x in ints] == [Fraction(x) for x in v]
+
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(intlattice, "Fraction", counted)
+    for _ in range(100):
+        v = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 6)))
+        assert integer_row(v) == (1, list(v))
+    assert made == []
 
 
 def test_rat_inverse_singular():

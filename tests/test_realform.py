@@ -7,14 +7,11 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import mat_add, mat_mul, mat_sub, mat_vec
 from pi0real.intlattice import (
     Lattice,
     image_lattice,
     kernel_lattice,
-    mat_add,
-    mat_mul,
-    mat_sub,
-    mat_vec,
     identity_matrix,
     membership,
 )

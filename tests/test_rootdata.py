@@ -6,12 +6,11 @@ from itertools import combinations
 
 import pytest
 
+from helpers import mat_mul, mat_vec
 from pi0real.intlattice import (
     Lattice,
     det,
     lattice_index,
-    mat_mul,
-    mat_vec,
     membership,
     rat_inverse,
     transpose,
@@ -175,7 +174,8 @@ def test_pso_display_weights_halved():
 
 
 def test_pso_theta_integral_and_involutive():
-    from pi0real.intlattice import identity_matrix, mat_mul
+    from helpers import mat_mul
+    from pi0real.intlattice import identity_matrix
 
     for p, q in [(1, 3), (2, 4), (3, 5), (2, 2), (4, 4), (0, 6)]:
         rd, theta = pso(p, q)
