@@ -22,7 +22,6 @@ from .components import (
     pi0,
     representative,
     split_lattices,
-    torus_pi0,
 )
 from .intlattice import (
     BoundExceeded,
@@ -34,7 +33,6 @@ from .intlattice import (
     QuotientStructure,
     brute_force_quotient,
     hnf,
-    image_lattice,
     kernel_lattice,
     lattice_index,
     lattice_intersect,
@@ -46,6 +44,7 @@ from .intlattice import (
 from .realform import (
     Involution,
     InvolutionError,
+    build_preset,
     e7_preset,
     involution_from_eigenspaces,
     involution_from_matrix,
@@ -53,9 +52,7 @@ from .realform import (
 )
 from .rootdata import (
     PresetError,
-    PresetSpec,
     RootDatum,
-    build_preset,
     e7_adjoint,
     product,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "LatticeError",
     "NotASublattice",
     "PresetError",
-    "PresetSpec",
     "QuotientStructure",
     "Representative",
     "RootDatum",
@@ -87,7 +83,6 @@ __all__ = [
     "e7_preset",
     "h1_pi1",
     "hnf",
-    "image_lattice",
     "involution_from_eigenspaces",
     "involution_from_matrix",
     "kernel_embedding_check",
@@ -104,6 +99,5 @@ __all__ = [
     "representative",
     "snf",
     "split_lattices",
-    "torus_pi0",
     "__version__",
 ]

@@ -30,14 +30,16 @@ from .components import (
 )
 from .intlattice import COSET_BOUND, BoundExceeded
 from .realform import (
+    PRESET_FIELDS,
+    PRESETS,
     Involution,
+    build_preset,
     involution_from_eigenspaces,
     involution_from_matrix,
 )
-from .rootdata import PRESETS, RootDatum, _brief, build_preset, preset_spec
+from .rootdata import RootDatum, _brief
 
 ORACLE_BOUND_ENV = "PI0_ORACLE_BOUND"
-DEFAULT_ORACLE_BOUND = COSET_BOUND
 
 # past this many components the report lists only the generators themselves
 MAX_LISTED_COMPONENTS = 128
@@ -98,9 +100,7 @@ def _matrix(rows, n: int, where: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_vector(r, n, f"{where} row {i}") for i, r in enumerate(rows))
 
 
-# every field some preset family reads, in a fixed order
-_FAMILY_FIELDS = tuple(dict.fromkeys(f for _, fields in PRESETS.values() for f in fields))
-_PRESET_FIELDS = {"preset", *_FAMILY_FIELDS}
+_PRESET_JOB_FIELDS = {"preset", *PRESET_FIELDS}
 # the inline fields that hold lists, and what each list holds
 _LIST_FIELDS = {
     "coroots": "coroot rows",
@@ -144,35 +144,11 @@ def _parse_format(doc: dict) -> str:
 
 
 def _preset_job(doc: dict) -> tuple[RootDatum, Involution]:
-    unknown = set(doc) - _PRESET_FIELDS - _COMMON_FIELDS
+    unknown = set(doc) - _PRESET_JOB_FIELDS - _COMMON_FIELDS
     if unknown:
         raise ValueError(f"unknown fields in preset job: {_brief(str(sorted(unknown)))}")
-    for key in ("n", "p", "q", "rank"):
-        val = doc.get(key)
-        if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
-            raise ValueError(
-                f"preset field {key!r} must be an integer, got {_brief(repr(val))}"
-            )
-    for key in ("form", "type", "isogeny", "real"):
-        val = doc.get(key)
-        if val is not None and not isinstance(val, str):
-            raise ValueError(
-                f"preset field {key!r} must be a string, got {_brief(repr(val))}"
-            )
-    family = str(doc["preset"])
-    # an unknown family is reported by build_preset, a missing field too
-    _, params = PRESETS.get(family.upper(), (None, _FAMILY_FIELDS))
-    for key in _FAMILY_FIELDS:
-        if key in doc and key not in params:
-            takes = ", ".join(repr(k) for k in params) or "no fields"
-            raise ValueError(
-                f"preset field {key!r} is not used by preset {family!r}, "
-                f"which takes {takes}"
-            )
-    # a null field counts as absent; SIMPLE without a real form is split
-    fields = {"real": "split"}
-    fields.update((k, doc[k]) for k in params if doc.get(k) is not None)
-    return build_preset(preset_spec(family, fields))
+    fields = {k: v for k, v in doc.items() if k in PRESET_FIELDS}
+    return build_preset(str(doc["preset"]), **fields)
 
 
 def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
@@ -267,7 +243,7 @@ def parse_jobspec(doc) -> JobSpec:
 def _oracle_bound() -> int:
     raw = os.environ.get(ORACLE_BOUND_ENV)
     if raw is None:
-        return DEFAULT_ORACLE_BOUND
+        return COSET_BOUND
     try:
         bound = int(raw)
     except ValueError as exc:
@@ -425,10 +401,8 @@ def _build_parser() -> _Parser:
     add_output_flags(comp)
 
     pre = sub.add_parser("preset", help="run a built-in group")
-    pre.add_argument(
-        "name",
-        help="GL, SO, PSO, TORUS_SPLIT, TORUS_COMPACT, TORUS_WEIL, E7, or SIMPLE",
-    )
+    *families, last = PRESETS
+    pre.add_argument("name", help=", ".join(families) + f", or {last}")
     pre.add_argument("--n", type=int, help="size parameter for GL and the tori")
     pre.add_argument("--p", type=int, help="signature for SO/PSO")
     pre.add_argument("--q", type=int, help="signature for SO/PSO")
@@ -457,7 +431,7 @@ def _doc_from_args(args) -> dict:
     else:
         # every flag given goes into the job, so unused ones are rejected there
         doc = {"preset": args.name}
-        for key in _FAMILY_FIELDS:
+        for key in PRESET_FIELDS:
             val = getattr(args, key)
             if val is not None:
                 doc[key] = val

@@ -303,11 +303,6 @@ def kernel_embedding_check(rd: RootDatum, inv: Involution) -> bool:
     return True
 
 
-def torus_pi0(rank: int, inv: Involution) -> Elementary2Group:
-    """Component group of a real torus: X_spl / 2 X_spl_tilde."""
-    return pi0(RootDatum(rank=rank, name=f"torus of rank {rank}"), inv)
-
-
 _FOURTH_ROOT = ("1", "i", "-1", "-i")
 
 

@@ -13,8 +13,7 @@ integer vector c * v.  One integer row Hermite reduction (_hermite) does
 every elimination: Hermite forms, kernels and intersections, the Smith
 form (by alternating row and column passes), and the rational rank,
 inverse and solve (rat_solve), where a triangular back-substitution is
-the only step that divides.  det keeps its own fraction-free Bareiss
-elimination.
+the only step that divides.
 
 A quotient sup/sub is presented by one integer matrix R, the coordinates
 of sub's Hermite rows in sup's basis (relation_matrix).  The Smith route
@@ -92,30 +91,6 @@ def block_diag(a, b):
     top = tuple(tuple(row) + (0,) * m for row in a)
     bot = tuple((0,) * n + tuple(row) for row in b)
     return top + bot
-
-
-def det(m) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def vec_frac(v) -> Vector:
@@ -493,11 +468,6 @@ def kernel_lattice(lat: Lattice, a) -> Lattice:
     return Lattice(lat.ambient_dim, _stacked_kernel(rows, lat.ambient_dim), lat.denom)
 
 
-def image_lattice(lat: Lattice, a) -> Lattice:
-    """a(lat) for an integer square matrix a acting on columns."""
-    return Lattice(lat.ambient_dim, _basis_images(lat, a), lat.denom)
-
-
 # ---------------------------------------------------------------------------
 # quotients
 
@@ -758,14 +728,6 @@ def rat_solve(a, b):
             for j, y in enumerate(row[n:])
         ]
     return tuple(tuple(r) for r in x)
-
-
-def rat_inverse(m):
-    """Exact inverse of a square rational matrix; raises when singular."""
-    inv = rat_solve(m, identity_matrix(len(m)))
-    if inv is None:
-        raise LatticeError("singular matrix")
-    return inv
 
 
 def rat_rank(rows) -> int:

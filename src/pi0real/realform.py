@@ -3,7 +3,11 @@
 A real form enters the computation only through the integer matrix by which
 the Cartan involution acts on cocharacters.  This module validates such
 matrices against a root datum and builds them from eigenspace data or from
-the Satake diagrams of the real forms of adjoint E7.  A valid matrix is an
+the Satake diagrams of the real forms of adjoint E7.  It also holds the
+presets, the named groups of ``PRESETS``: :func:`build_preset` checks a
+preset's fields, calls its rootdata builder and validates the matrix it
+returns, so every preset comes back as a datum and an involution.  A valid
+matrix is an
 involution that permutes the coroot set; since the coroot lattice is the
 span of that set, it then preserves the coroot lattice as well.
 
@@ -30,7 +34,19 @@ from .intlattice import (
     transpose,
     vec_frac,
 )
-from .rootdata import RootDatum, _brief, e7_adjoint
+from .rootdata import (
+    PresetError,
+    RootDatum,
+    _brief,
+    e7_adjoint,
+    gl,
+    pso,
+    simple,
+    so,
+    torus_compact,
+    torus_split,
+    torus_weil,
+)
 
 
 class InvolutionError(ValueError):
@@ -193,3 +209,59 @@ def e7_preset(form: str) -> tuple[RootDatum, Involution]:
     split = [named[f"w{i}"] for i in range(1, 8) if i not in black]
     compact = [named[f"a{k}"] for k in black]
     return rd, involution_from_eigenspaces(rd, split, compact, name=key)
+
+
+# ---------------------------------------------------------------------------
+# presets: each named group's builder and the job fields it reads
+
+# each family's builder and the fields it passes, in argument order
+PRESETS = {
+    "GL": (gl, ("n",)),
+    "SO": (so, ("p", "q")),
+    "PSO": (pso, ("p", "q")),
+    "TORUS_SPLIT": (torus_split, ("n",)),
+    "TORUS_COMPACT": (torus_compact, ("n",)),
+    "TORUS_WEIL": (torus_weil, ()),
+    "E7": (e7_preset, ("form",)),
+    "SIMPLE": (simple, ("type", "rank", "isogeny", "real")),
+}
+# every field's type, in the order the families above first read them;
+# a field a family reads is required unless it has a default here
+PRESET_FIELDS = {
+    "n": int, "p": int, "q": int, "form": str,
+    "type": str, "rank": int, "isogeny": str, "real": str,
+}
+PRESET_DEFAULTS = {"isogeny": "sc", "real": "split"}
+
+
+def build_preset(family: str, **fields) -> tuple[RootDatum, Involution]:
+    """Build a preset family from its fields, named as in a job file.
+
+    The checks run in a fixed order, each raising PresetError: every
+    field's type (the integer fields first), the family, fields the family
+    does not read, then missing fields.  A field given as None counts as
+    absent, so it takes its default or is missing, but a family still
+    rejects it when it does not read it.
+    """
+    for key in sorted(PRESET_FIELDS, key=lambda k: PRESET_FIELDS[k] is str):
+        val, want = fields.get(key), PRESET_FIELDS[key]
+        if val is not None and (isinstance(val, bool) or not isinstance(val, want)):
+            kind = "an integer" if want is int else "a string"
+            raise PresetError(f"preset field {key!r} must be {kind}, got {_brief(repr(val))}")
+    if family.upper() not in PRESETS:
+        raise PresetError(f"unknown preset family {_brief(repr(family))}")
+    builder, params = PRESETS[family.upper()]
+    for key in {**PRESET_FIELDS, **fields}:  # table order, then names outside it
+        if key in fields and key not in params:
+            takes = ", ".join(repr(k) for k in params) or "no fields"
+            raise PresetError(
+                f"preset field {key!r} is not used by preset {family!r}, which takes {takes}"
+            )
+    given = {**PRESET_DEFAULTS, **{k: v for k, v in fields.items() if v is not None}}
+    for key in params:
+        if key not in given:
+            raise PresetError(f"preset {family!r} needs parameter {key!r}")
+    rd, theta = builder(*(given[k] for k in params))
+    if isinstance(theta, Involution):  # E7 validates its own
+        return rd, theta
+    return rd, involution_from_matrix(rd, theta, name=rd.name)

@@ -10,8 +10,11 @@ coroots.
 
 Builders are provided for the standard families: GL(n), SO(p,q), PSO(p,q),
 split/compact/Weil-restriction tori, and simply connected or adjoint simple
-groups of each Cartan type.  Adjoint E7 is also built in the node order
-that names its exceptional real forms.
+groups of each Cartan type, each with the integer matrix of its involution.
+Adjoint E7 is also built in the node order that names its exceptional real
+forms.  This module builds data only and imports nothing above intlattice:
+the preset table that names these builders, validates their fields and
+turns each matrix into an involution is ``realform.PRESETS``.
 """
 
 from __future__ import annotations
@@ -443,16 +446,16 @@ def _simple_datum(cartan: IntMatrix, isogeny: str, name: str) -> RootDatum:
 
 
 def simple(
-    cartan_type: str, rank: int, isogeny: str, real: Optional[str]
-) -> tuple[RootDatum, Optional[IntMatrix]]:
-    """Simply connected or adjoint simple group, optionally split or compact."""
+    cartan_type: str, rank: int, isogeny: str, real: str
+) -> tuple[RootDatum, IntMatrix]:
+    """Simply connected or adjoint simple group, split or compact."""
     if isogeny == "adjoint":
         isogeny = "adj"
     if isogeny not in ("sc", "adj"):
         raise PresetError(
             f"isogeny must be 'sc' or 'adj', not {_brief(repr(isogeny))}"
         )
-    if real not in (None, "split", "compact"):
+    if real not in ("split", "compact"):
         raise PresetError(
             f"real form must be 'split' or 'compact', not {_brief(repr(real))}"
         )
@@ -461,13 +464,8 @@ def simple(
         isogeny,
         f"{cartan_type.upper()}{rank} ({isogeny})",
     )
-    if real is None:
-        return rd, None
-    if real == "split":
-        theta = tuple(tuple(-x for x in row) for row in identity_matrix(rank))
-    else:
-        theta = identity_matrix(rank)
-    return rd, theta
+    sign = -1 if real == "split" else 1
+    return rd, tuple(tuple(sign * x for x in row) for row in identity_matrix(rank))
 
 
 # ---------------------------------------------------------------------------
@@ -489,75 +487,3 @@ def e7_adjoint() -> RootDatum:
         tuple(bourbaki[i - 1][j - 1] for j in _E7_NODES) for i in _E7_NODES
     )
     return _simple_datum(cartan, "adj", "E7 (adjoint)")
-
-
-# ---------------------------------------------------------------------------
-# preset dispatch
-
-
-@dataclass(frozen=True)
-class PresetSpec:
-    """Parsed parameters for one of the built-in group presets."""
-
-    family: str
-    n: Optional[int] = None
-    p: Optional[int] = None
-    q: Optional[int] = None
-    form: Optional[str] = None
-    cartan_type: Optional[str] = None
-    rank: Optional[int] = None
-    isogeny: str = "sc"
-    real: Optional[str] = None
-
-
-def _e7_preset(form: str):
-    from .realform import e7_preset  # realform imports this module
-
-    return e7_preset(form)
-
-
-# each preset family's builder and the job fields it passes, in argument
-# order; every field but those in OPTIONAL_PRESET_FIELDS is required
-PRESETS = {
-    "GL": (gl, ("n",)),
-    "SO": (so, ("p", "q")),
-    "PSO": (pso, ("p", "q")),
-    "TORUS_SPLIT": (torus_split, ("n",)),
-    "TORUS_COMPACT": (torus_compact, ("n",)),
-    "TORUS_WEIL": (torus_weil, ()),
-    "E7": (_e7_preset, ("form",)),
-    "SIMPLE": (simple, ("type", "rank", "isogeny", "real")),
-}
-OPTIONAL_PRESET_FIELDS = ("isogeny", "real")
-
-# the PresetSpec attribute of each job field whose name differs
-_SPEC_ATTR = {"type": "cartan_type"}
-
-
-def preset_spec(family: str, fields: dict) -> PresetSpec:
-    """The PresetSpec of a family and its fields, named as in a job file."""
-    return PresetSpec(family, **{_SPEC_ATTR.get(k, k): v for k, v in fields.items()})
-
-
-def build_preset(spec: PresetSpec):
-    """Build (RootDatum, Involution or None) for a named preset.
-
-    ``PRESETS`` lists the families, each with its builder and the fields
-    that builder takes.  E7 takes form in {EV, EVI, EVII}; SIMPLE takes a
-    Cartan type and rank with isogeny 'sc' or 'adjoint' and real form
-    'split', 'compact', or None, in which case there is no involution.
-    """
-    from .realform import Involution, involution_from_matrix
-
-    family = spec.family.upper()
-    if family not in PRESETS:
-        raise PresetError(f"unknown preset family {_brief(repr(spec.family))}")
-    builder, fields = PRESETS[family]
-    values = [getattr(spec, _SPEC_ATTR.get(f, f)) for f in fields]
-    for field, value in zip(fields, values):
-        if value is None and field not in OPTIONAL_PRESET_FIELDS:
-            raise PresetError(f"preset {spec.family!r} needs parameter {field!r}")
-    rd, theta = builder(*values)
-    if theta is None or isinstance(theta, Involution):  # SIMPLE with no real form, E7
-        return rd, theta
-    return rd, involution_from_matrix(rd, theta, name=rd.name)

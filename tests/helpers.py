@@ -1,11 +1,12 @@
-"""Shared test utilities: seeded random matrices and basis changes, and
-dense vector and matrix arithmetic on ints or Fractions."""
+"""Shared test utilities: seeded random matrices and basis changes, dense
+vector and matrix arithmetic on ints or Fractions, and dense references for
+determinants and lattice images."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pi0real.intlattice import DimensionMismatch, identity_matrix, transpose
+from pi0real.intlattice import DimensionMismatch, Lattice, identity_matrix, transpose
 from pi0real.realform import involution_from_matrix
 from pi0real.rootdata import RootDatum
 
@@ -29,6 +30,35 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def det(m) -> int:
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def image_lattice(lat, a):
+    """a(lat) for a square integer matrix a acting on columns, densely."""
+    return Lattice(lat.ambient_dim, [mat_vec(a, v) for v in lat.basis], lat.denom)
 
 
 def vec_add(u, v):

@@ -132,6 +132,8 @@ def test_rejects_wrong_row_length():
         ({"preset": "SIMPLE", "type": "A", "rank": 2, "n": 5}, "n"),
         ({"preset": "E7", "form": "EV", "p": 2}, "p"),
         ({"preset": "PSO", "p": 3, "q": 3, "isogeny": "adj"}, "isogeny"),
+        # null counts as absent only for a field the family reads
+        ({"preset": "E7", "form": "EV", "type": None}, "type"),
     ],
 )
 def test_rejects_mistyped_preset_field(doc, field, tmp_path, capsys):
@@ -606,6 +608,15 @@ def test_main_bad_preset_params_exit_one(capsys):
     assert "preset field 'isogeny'" in capsys.readouterr().err
     assert cli.main(["preset", "GL", "--n", "3", "--real", "compact"]) == 1
     assert "preset field 'real'" in capsys.readouterr().err
+
+
+def test_preset_help_names_every_family(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["preset", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "name GL, SO, PSO, TORUS_SPLIT, TORUS_COMPACT, TORUS_WEIL, E7, or SIMPLE " in text
+    for family in cli.PRESETS:
+        assert f" {family}," in text or f" or {family} " in text
 
 
 def test_main_unknown_subcommand_exit_one(capsys):

@@ -1,11 +1,14 @@
 """Tests for the component group and cohomology computations."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import helpers
+import pi0real
 from helpers import mat_vec, vec_add
 from pi0real.components import (
     ComputationError,
@@ -18,7 +21,6 @@ from pi0real.components import (
     pi0,
     representative,
     split_lattices,
-    torus_pi0,
 )
 from pi0real.intlattice import (
     Lattice,
@@ -30,9 +32,7 @@ from pi0real.intlattice import (
 )
 from pi0real.realform import Involution, involution_from_matrix, e7_preset
 from pi0real.rootdata import (
-    PresetSpec,
     RootDatum,
-    build_preset,
     gl,
     product,
     pso,
@@ -293,24 +293,24 @@ def test_pi0_generators_are_cocycles():
 def test_torus_pi0_split():
     for n in (1, 2, 3, 4):
         rd, theta = torus_split(n)
-        g = torus_pi0(n, involution_from_matrix(rd, theta))
+        g = pi0(RootDatum(rank=n), involution_from_matrix(rd, theta))
         assert g.order == 2**n
 
 
 def test_torus_pi0_compact():
     rd, theta = torus_compact(3)
-    assert torus_pi0(3, involution_from_matrix(rd, theta)).order == 1
+    assert pi0(RootDatum(rank=3), involution_from_matrix(rd, theta)).order == 1
 
 
 def test_torus_pi0_weil():
     rd, theta = torus_weil()
-    assert torus_pi0(2, involution_from_matrix(rd, theta)).order == 1
+    assert pi0(RootDatum(rank=2), involution_from_matrix(rd, theta)).order == 1
 
 
 def test_torus_pi0_rejects_size_mismatch():
     rd, theta = torus_split(2)
-    with pytest.raises(ValueError):
-        torus_pi0(3, involution_from_matrix(rd, theta))
+    with pytest.raises(ValueError, match="involution is 2 x 2, datum has rank 3"):
+        pi0(RootDatum(rank=3), involution_from_matrix(rd, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +599,7 @@ def test_random_torus_involutions_stay_elementary():
         theta = mat_mul(mat_mul(u, tuple(tuple(r) for r in base)), uinv)
         rd = RootDatum(rank=n)
         inv = involution_from_matrix(rd, theta)
-        g = torus_pi0(n, inv)
+        g = pi0(rd, inv)
         h = h1_pi1(rd, inv)
         assert g.order in {2**k for k in range(n + 1)}
         assert h.order % g.order == 0
@@ -768,24 +768,45 @@ def _fraction_pairing(rd, nu):
     return tuple(evals)
 
 
-def test_components_imports_no_private_intlattice_name():
-    import ast
-    from pathlib import Path
+# the package's modules, each importing only from those before it
+_LAYERS = ("intlattice", "rootdata", "realform", "components", "cli", "__main__", "__init__")
 
-    import pi0real
 
-    imported = {}
+def _package_imports():
+    """{module: [(module it imports from, names)]} for each pi0real module,
+    counting imports inside functions and absolute imports of pi0real."""
+    out = {}
     for path in sorted(Path(pi0real.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        names = [
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "intlattice"
-            and node.level == 1
-            for alias in node.names
-        ]
+        found = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.Import):
+                modules = names
+            else:
+                modules = [node.module] if node.module else names
+            level = getattr(node, "level", 0)
+            found += [(m, names) for m in modules if level or m.split(".")[0] == "pi0real"]
+        out[path.stem] = found
+    return out
+
+
+def test_modules_import_only_from_lower_layers():
+    imports = _package_imports()
+    assert set(imports) == set(_LAYERS)
+    for module, found in imports.items():
+        below = _LAYERS[: _LAYERS.index(module)]
+        assert [m for m, _ in found if m not in below] == [], module
+    assert [name for name in pi0real.__all__ if not hasattr(pi0real, name)] == []
+
+
+def test_components_imports_no_private_intlattice_name():
+    imported = {}
+    for module, found in _package_imports().items():
+        names = [name for m, names in found if m == "intlattice" for name in names]
         if names:
-            imported[path.stem] = names
+            imported[module] = names
     assert {"cli", "components", "realform", "rootdata"} <= set(imported)
     assert "relation_matrix" in imported["components"]
     private = {m: [name for name in names if name.startswith("_")]

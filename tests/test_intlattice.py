@@ -11,21 +11,18 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import frac_vec, mat_mul, random_int_matrix, random_unimodular
+from helpers import det, frac_vec, image_lattice, mat_mul, random_int_matrix, random_unimodular
 from pi0real.intlattice import (
     BoundExceeded,
     DimensionMismatch,
     InfiniteIndex,
     Lattice,
-    LatticeError,
     NotASublattice,
     QuotientStructure,
     brute_force_quotient,
     coords_in_lattice,
-    det,
     hnf,
     identity_matrix,
-    image_lattice,
     integer_row,
     kernel_lattice,
     lattice_index,
@@ -33,8 +30,8 @@ from pi0real.intlattice import (
     lattice_sum,
     membership,
     quotient_structure,
-    rat_inverse,
     rat_rank,
+    rat_solve,
     reduce_mod,
     relation_matrix,
     snf,
@@ -316,8 +313,6 @@ def test_matrix_of_wrong_size_raises_dimension_mismatch():
     for a in ((), ((1, 0),), ((1, 0), (0, 1), (0, 0)), ((1, 0), (0,)), ((1,), (0,))):
         with pytest.raises(DimensionMismatch):
             kernel_lattice(lat, a)
-        with pytest.raises(DimensionMismatch):
-            image_lattice(lat, a)
     assert kernel_lattice(Lattice.standard(0), ()) == Lattice.standard(0)
 
 
@@ -743,7 +738,7 @@ def test_index_multiplicative_in_chains():
 
 def test_rat_inverse_roundtrip():
     m = ((1, 2), (3, 5))
-    inv = rat_inverse(m)
+    inv = rat_solve(m, identity_matrix(2))
     assert mat_mul(m, inv) == ((1, 0), (0, 1))
     rng = random.Random(0x1AF)
     inverted = singular = 0
@@ -758,11 +753,10 @@ def test_rat_inverse_roundtrip():
             m[i] = [c * y for y in m[j]]
         scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in m]
         if det(tuple(tuple(int(x * s) for x in row) for row, s in zip(m, scales))):
-            assert mat_mul(m, rat_inverse(m)) == identity_matrix(n)
+            assert mat_mul(m, rat_solve(m, identity_matrix(n))) == identity_matrix(n)
             inverted += 1
         else:
-            with pytest.raises(LatticeError, match="singular"):
-                rat_inverse(m)
+            assert rat_solve(m, identity_matrix(n)) is None
             singular += 1
     assert inverted >= 100 and singular >= 50, (inverted, singular)
 
@@ -803,8 +797,7 @@ def test_integer_row_clears_denominators(monkeypatch):
 
 
 def test_rat_inverse_singular():
-    with pytest.raises(ValueError):
-        rat_inverse(((1, 2), (2, 4)))
+    assert rat_solve(((1, 2), (2, 4)), identity_matrix(2)) is None
 
 
 def test_rat_rank_and_kernel():

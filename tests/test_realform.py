@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from helpers import mat_add, mat_mul, mat_sub, mat_vec
+from helpers import image_lattice, mat_add, mat_mul, mat_sub, mat_vec
 from pi0real.intlattice import (
     Lattice,
-    image_lattice,
     kernel_lattice,
     identity_matrix,
     membership,

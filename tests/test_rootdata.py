@@ -6,21 +6,20 @@ from itertools import combinations
 
 import pytest
 
-from helpers import mat_mul, mat_vec
+from helpers import det, mat_mul, mat_vec
 from pi0real.intlattice import (
     Lattice,
-    det,
+    identity_matrix,
     lattice_index,
     membership,
-    rat_inverse,
+    rat_solve,
     transpose,
     vec_frac,
 )
+from pi0real.realform import PRESETS, Involution, build_preset
 from pi0real.rootdata import (
     PresetError,
-    PresetSpec,
     RootDatum,
-    build_preset,
     cartan_matrix,
     e7_adjoint,
     gl,
@@ -204,7 +203,7 @@ def _rational_pso_frame(ell):
     pmat = tuple(vec_frac(unit(ell, i)) for i in range(ell - 1)) + (
         tuple(Fraction(1, 2) for _ in range(ell)),
     )
-    inv_pt = rat_inverse(transpose(pmat))
+    inv_pt = rat_solve(transpose(pmat), identity_matrix(ell))
 
     def conv_vec(v):
         return _intify(_apply(inv_pt, v))
@@ -331,13 +330,13 @@ def test_coroot_counts():
         ("E", 8, 240),
     ]
     for t, r, c in counts:
-        rd, _ = simple(t, r, "sc", None)
+        rd, _ = simple(t, r, "sc", "split")
         assert len(rd.coroot_generators) == c, (t, r)
 
 
 def test_simple_sc_has_full_coroot_lattice():
     for t, r in [("A", 3), ("D", 4), ("E", 6)]:
-        rd, _ = simple(t, r, "sc", None)
+        rd, _ = simple(t, r, "sc", "split")
         assert rd.coroots == rd.cochar, (t, r)
 
 
@@ -355,7 +354,7 @@ def test_simple_adjoint_index_table():
         ("G", 2, 1),
     ]
     for t, r, idx in table:
-        rd, _ = simple(t, r, "adj", None)
+        rd, _ = simple(t, r, "adj", "split")
         assert lattice_index(rd.coroots, rd.cochar) == idx, (t, r)
 
 
@@ -364,24 +363,24 @@ def test_simple_real_forms():
     assert theta == ((-1, 0), (0, -1))
     rd, theta = simple("G", 2, "sc", "compact")
     assert theta == ((1, 0), (0, 1))
-    rd, theta = simple("G", 2, "sc", None)
-    assert theta is None
+    with pytest.raises(PresetError, match="real form must be 'split' or 'compact', not None"):
+        simple("G", 2, "sc", None)
 
 
 def test_simple_accepts_adjoint_alias():
-    assert simple("A", 2, "adjoint", None) == simple("A", 2, "adj", None)
+    assert simple("A", 2, "adjoint", "split") == simple("A", 2, "adj", "split")
 
 
 def test_simple_rejects_bad_isogeny():
     with pytest.raises(PresetError):
-        simple("A", 2, "iso", None)
+        simple("A", 2, "iso", "split")
     with pytest.raises(PresetError):
         simple("A", 2, "sc", "quaternionic")
 
 
 def test_simple_coroots_are_symmetric_and_valid():
     for t, r, iso in [("B", 2, "sc"), ("C", 3, "adj"), ("F", 4, "adj")]:
-        rd, _ = simple(t, r, iso, None)
+        rd, _ = simple(t, r, iso, "split")
         assert rd.validate() == (), (t, r, iso)
 
 
@@ -423,7 +422,8 @@ def _e7_gram():
     # e7_adjoint
     nodes = (7, 6, 5, 4, 3, 1, 2)
     bourbaki = cartan_matrix("E", 7)
-    return rat_inverse(tuple(tuple(bourbaki[i - 1][j - 1] for j in nodes) for i in nodes))
+    cartan = tuple(tuple(bourbaki[i - 1][j - 1] for j in nodes) for i in nodes)
+    return rat_solve(cartan, identity_matrix(7))
 
 
 def test_e7_gram_is_symmetric_positive_diagonal():
@@ -519,14 +519,16 @@ def test_derived_lattices():
 
 
 def test_build_preset_families():
-    rd, inv = build_preset(PresetSpec("GL", n=8))
+    rd, inv = build_preset("GL", n=8)
     assert rd.rank == 8 and inv is not None
-    rd, inv = build_preset(PresetSpec("TORUS_WEIL"))
+    rd, inv = build_preset("TORUS_WEIL")
     assert inv.theta == ((0, -1), (-1, 0))
-    rd, inv = build_preset(PresetSpec("E7", form="EVII"))
+    rd, inv = build_preset("E7", form="EVII")
     assert inv.name == "EVII"
-    rd, inv = build_preset(PresetSpec("SIMPLE", cartan_type="B", rank=3, isogeny="sc"))
-    assert inv is None
+    # SIMPLE without a real form is split
+    rd, inv = build_preset("SIMPLE", type="B", rank=3, isogeny="sc")
+    assert inv.theta == NEG_I3
+    assert build_preset("SIMPLE", type="B", rank=3) == (rd, inv)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -550,29 +552,56 @@ def test_tori_data(n):
 
 def test_build_preset_missing_params():
     with pytest.raises(PresetError):
-        build_preset(PresetSpec("GL"))
+        build_preset("GL")
     with pytest.raises(PresetError):
-        build_preset(PresetSpec("SO", p=2))
+        build_preset("SO", p=2)
     with pytest.raises(PresetError):
-        build_preset(PresetSpec("NOPE", n=1))
+        build_preset("NOPE", n=1)
     # a missing field is named as a job file names it
     with pytest.raises(PresetError, match="preset 'SIMPLE' needs parameter 'type'"):
-        build_preset(PresetSpec("SIMPLE", rank=3))
+        build_preset("SIMPLE", rank=3)
+
+
+@pytest.mark.parametrize(
+    "family, fields, message",
+    [
+        ("GL", {"n": "3"}, "preset field 'n' must be an integer, got '3'"),
+        ("GL", {"n": True}, "preset field 'n' must be an integer, got True"),
+        ("SIMPLE", {"type": 5, "rank": 2}, "preset field 'type' must be a string, got 5"),
+        ("GL", {"n": 3, "form": "EV"},
+         "preset field 'form' is not used by preset 'GL', which takes 'n'"),
+        ("E7", {"form": "EV", "type": None},
+         "preset field 'type' is not used by preset 'E7', which takes 'form'"),
+        ("GL", {"n": 3, "colour": "red"},
+         "preset field 'colour' is not used by preset 'GL', which takes 'n'"),
+        ("SIMPLE", {"rank": 3}, "preset 'SIMPLE' needs parameter 'type'"),
+        ("GL", {"n": None}, "preset 'GL' needs parameter 'n'"),
+    ],
+)
+def test_build_preset_checks_fields(family, fields, message):
+    # the library reports the same texts as a job file on the command line
+    with pytest.raises(PresetError) as err:
+        build_preset(family, **fields)
+    assert str(err.value) == message
 
 
 def test_build_preset_involutions_are_validated():
     # every preset involution passes the realform checks by construction
     specs = [
-        PresetSpec("GL", n=4),
-        PresetSpec("SO", p=2, q=4),
-        PresetSpec("PSO", p=2, q=4),
-        PresetSpec("TORUS_SPLIT", n=2),
-        PresetSpec("TORUS_COMPACT", n=2),
-        PresetSpec("SIMPLE", cartan_type="D", rank=4, isogeny="adj", real="split"),
+        ("GL", {"n": 4}),
+        ("SO", {"p": 2, "q": 4}),
+        ("PSO", {"p": 2, "q": 4}),
+        ("TORUS_SPLIT", {"n": 2}),
+        ("TORUS_COMPACT", {"n": 2}),
+        ("TORUS_WEIL", {}),
+        ("E7", {"form": "EVI"}),
+        ("SIMPLE", {"type": "D", "rank": 4, "isogeny": "adj", "real": "split"}),
+        ("SIMPLE", {"type": "G", "rank": 2}),
     ]
+    assert {family for family, _ in specs} == set(PRESETS)
     for spec in specs:
-        rd, inv = build_preset(spec)
+        rd, inv = build_preset(spec[0], **spec[1])
         assert rd.validate() == (), spec
-        assert inv is not None, spec
+        assert isinstance(inv, Involution), spec
         img = [tuple(int(x) for x in mat_vec(inv.theta, c)) for c in rd.coroot_generators]
         assert set(img) == set(rd.coroot_generators), spec
