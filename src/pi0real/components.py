@@ -1,27 +1,30 @@
 """Component groups of real reductive groups, computed on the torus.
 
-Everything here reduces to lattice arithmetic.  Fix a root datum with
-cocharacter lattice X and coroot lattice Q, and a Cartan involution theta.
-Write
+Everything here reduces to integer lattice arithmetic.  Fix a root datum
+with cocharacter lattice X and coroot lattice Q, and a Cartan involution
+theta.  Write
 
-  X_spl       = X  intersect ker(theta + 1)     split cocharacters
-  X_spl_tilde = (1 - theta)/2 . X               projected cocharacters
-  Q_spl       = Q  intersect ker(theta + 1)
-  Q_cmp       = Q  intersect ker(theta - 1)
+  X_spl          = X  intersect ker(theta + 1)     split cocharacters
+  2 X_spl_tilde  = (theta - 1) X                   doubled projections
+  Q_spl          = Q  intersect ker(theta + 1)
+  Q_cmp          = Q  intersect ker(theta - 1)
 
-Then the group of connected components of the real points is
+where X_spl_tilde = (1 - theta)/2 . X are the projected cocharacters.  Then
+the group of connected components of the real points is
 
-  pi0 = X_spl / (2 X_spl_tilde + Q_spl),
+  pi0 = X_spl / ((theta - 1) X + Q_spl),
 
 every class containing an order-at-most-2 torus element exp(pi i nu) with
 nu in X_spl, and the first Galois cohomology of the fundamental group is
 
-  H1 = (X intersect (X_spl_tilde + Q_cmp/2)) / (2 X_spl_tilde + Q).
+  H1 = {v in X : 2v in (theta - 1) X + Q_cmp} / ((theta - 1) X + Q),
 
-Both quotients are finite elementary abelian 2-groups whenever the input
-is an honest Cartan involution; anything else raises ComputationError.
+the paper's (X intersect (X_spl_tilde + Q_cmp/2)) / (2 X_spl_tilde + Q)
+with every lattice integral.  Both quotients are finite elementary abelian
+2-groups whenever the input is an honest Cartan involution; anything else
+raises ComputationError.
 
-X is always Z^n, so X_spl and X_spl_tilde depend on theta alone: the
+X is always Z^n, so X_spl and (theta - 1) X depend on theta alone: the
 Involution derives them once and every computation here shares them.  A
 job builds only Q_spl (in pi0) and Q_cmp (in h1_pi1) itself.  Coordinates,
 residues and representatives are computed in integers, from the Hermite
@@ -66,7 +69,7 @@ class SplitLattices(NamedTuple):
     """The four sublattices that control the component group."""
 
     x_spl: Lattice
-    x_spl_tilde: Lattice
+    two_x_spl_tilde: Lattice
     q_spl: Lattice
     q_cmp: Lattice
 
@@ -82,7 +85,7 @@ def split_lattices(rd: RootDatum, inv: Involution) -> SplitLattices:
     _check_rank(rd, inv)
     return SplitLattices(
         x_spl=inv.x_spl,
-        x_spl_tilde=inv.x_spl_tilde,
+        two_x_spl_tilde=inv.two_x_spl_tilde,
         q_spl=kernel_lattice(rd.coroots, inv.plus_one),
         q_cmp=kernel_lattice(rd.coroots, inv.minus_one),
     )
@@ -128,13 +131,6 @@ def _int_tuple(v) -> Optional[tuple[int, ...]]:
     """v as a tuple of ints, or None when an entry is not a whole number."""
     c, ints = integer_row(v)
     return tuple(ints) if c == 1 else None
-
-
-def _as_int_vec(v) -> tuple[int, ...]:
-    out = _int_tuple(v)
-    if out is None:
-        raise ComputationError(f"expected an integral representative, got {tuple(v)}")
-    return out
 
 
 def _parity(coords) -> int:
@@ -200,24 +196,17 @@ def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group
         if len(chosen) == k:
             break
         coords = coords_in_lattice(v, sup)
+        # a vector with coordinates in an integer lattice is integral
         if coords is not None and _extend(echelon, _parity(coords)):
-            chosen.append(_as_int_vec(v))
+            chosen.append(_int_tuple(v))
             names.append(nm)
     if len(chosen) < k:
-        # the residue of sup's i-th Hermite row has coordinates e_i modulo sub;
-        # over one positive denominator d, integer tuples sort as the
-        # rational residues they stand for
-        d = sup.denom
+        # the residue of sup's i-th Hermite row has coordinates e_i modulo sub
         for res, i in sorted((res, i) for i, res in enumerate(basis_residues(sub, sup))):
             if len(chosen) == k:
                 break
             if _extend(echelon, 1 << i):
-                if any(x % d for x in res):
-                    raise ComputationError(
-                        "expected an integral representative, got "
-                        f"{tuple(Fraction(x, d) for x in res)}"
-                    )
-                chosen.append(tuple(x // d for x in res))
+                chosen.append(res)
                 names.append(None)
     return Elementary2Group(
         rank=k, order=2**k, generators=tuple(chosen), generator_names=tuple(names),
@@ -226,25 +215,25 @@ def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group
 
 
 def pi0(rd: RootDatum, inv: Involution) -> Elementary2Group:
-    """The component group of the real points, as X_spl/(2 X_spl_tilde + Q_spl)."""
+    """The component group of the real points, as X_spl/((theta - 1) X + Q_spl)."""
     _check_rank(rd, inv)
     q_spl = kernel_lattice(rd.coroots, inv.plus_one)
-    sub = lattice_sum(inv.x_spl_tilde.scale(2), q_spl)
+    sub = lattice_sum(inv.two_x_spl_tilde, q_spl)
     return _two_group(sub, inv.x_spl, rd.named_vectors, "component group")
 
 
 def h1_pi1(rd: RootDatum, inv: Involution) -> Elementary2Group:
     """Galois cohomology of the fundamental group of the complex group.
 
-    Computed as (X intersect (X_spl_tilde + Q_cmp/2)) / (2 X_spl_tilde + Q),
-    with classes represented by integral cocharacters.
+    Computed as {v in X : 2v in (theta - 1) X + Q_cmp} / ((theta - 1) X + Q),
+    with classes represented by integral cocharacters.  The super-lattice is
+    half of 2X intersect ((theta - 1) X + Q_cmp), whose points are all even.
     """
     _check_rank(rd, inv)
     q_cmp = kernel_lattice(rd.coroots, inv.minus_one)
-    sup = lattice_intersect(
-        rd.cochar, lattice_sum(inv.x_spl_tilde, q_cmp.scale(Fraction(1, 2)))
-    )
-    sub = lattice_sum(inv.x_spl_tilde.scale(2), rd.coroots)
+    doubled = lattice_intersect(rd.cochar.scale(2), lattice_sum(inv.two_x_spl_tilde, q_cmp))
+    sup = Lattice(rd.rank, [[x // 2 for x in row] for row in doubled.basis])
+    sub = lattice_sum(inv.two_x_spl_tilde, rd.coroots)
     return _two_group(sub, sup, rd.named_vectors, "cohomology group")
 
 
@@ -275,19 +264,19 @@ def cocycle_check(rd: RootDatum, inv: Involution, nu) -> bool:
 def coboundary_check(rd: RootDatum, inv: Involution, nu) -> bool:
     """Does exp(pi i nu) give the trivial cohomology class?
 
-    True exactly when nu lies in 2 X_spl_tilde + Q = (theta - 1) X + Q.  A
+    True exactly when nu lies in (theta - 1) X + Q = 2 X_spl_tilde + Q.  A
     vector passing this test is automatically a cocycle.
     """
     nu_int = _cocharacter(rd, nu)
     if nu_int is None:
         raise ValueError(f"{tuple(map(Fraction, nu))} is not in the cocharacter lattice")
-    return membership(nu_int, lattice_sum(inv.x_spl_tilde.scale(2), rd.coroots))
+    return membership(nu_int, lattice_sum(inv.two_x_spl_tilde, rd.coroots))
 
 
 def kernel_embedding_check(rd: RootDatum, inv: Involution) -> bool:
     """Check that the natural map from pi0 into H1 is injective.
 
-    Both groups are quotients by 2 X_spl_tilde + (part of Q); a split
+    Both groups are quotients by (theta - 1) X + (part of Q); a split
     cocharacter equals its own projection, so pi0 classes map to H1
     classes by doing nothing to the vector.  Injectivity means the pi0
     generators lie in H1's super-lattice and, written in its basis, stay

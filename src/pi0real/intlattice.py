@@ -1,15 +1,15 @@
-"""Exact arithmetic on integer and rational lattices.
+"""Exact arithmetic on integer lattices.
 
-A lattice here is the row span over ZZ of an integer basis matrix, scaled
-by a single positive denominator: L = (1/denom) * rowspan(basis).  The
-constructor canonicalizes (Hermite form, reduced denominator), so equal
-point sets compare equal as Python objects.
+A lattice here is the row span over ZZ of an integer basis matrix.  The
+constructor puts the basis in Hermite form, so equal point sets compare
+equal as Python objects.
 
-Everything is exact.  Matrices are tuples of tuples of Python ints,
-vectors are tuples of ints or fractions.Fraction; no floating point
-anywhere.  A rational vector enters the integer arithmetic through one
-routine, integer_row, which returns the lcm c of its denominators and the
-integer vector c * v.  One integer row Hermite reduction (_hermite) does
+Everything is exact.  Matrices are tuples of tuples of Python ints; no
+floating point anywhere.  Vectors given to coords_in_lattice, membership
+and reduce_mod may have Fraction entries, and a non-integral vector lies
+in no lattice.  A rational vector enters the integer arithmetic through
+one routine, integer_row, which returns the lcm c of its denominators and
+the integer vector c * v.  One integer row Hermite reduction (_hermite) does
 every elimination: Hermite forms, kernels and intersections, the Smith
 form (by alternating row and column passes), and the rational rank,
 inverse and solve (rat_solve), where a triangular back-substitution is
@@ -20,9 +20,9 @@ of sub's Hermite rows in sup's basis (relation_matrix).  The Smith route
 (quotient_structure) and lattice_index read R; the coset enumeration
 (brute_force_quotient) uses it only as its containment check, so each
 route can serve as an oracle for the other.  The enumeration is an integer
-walk over one common denominator: each coset is an integer residue, and
-the walk takes only the + steps along the super-lattice's Hermite rows,
-sharing one integer reduction loop with reduce_mod.
+walk: each coset is an integer residue, and the walk takes only the + steps
+along the super-lattice's Hermite rows, sharing one integer reduction loop
+with reduce_mod.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -245,34 +245,20 @@ def snf(m, ncols: int | None = None):
 
 @dataclass(frozen=True)
 class Lattice:
-    """(1/denom) * rowspan_ZZ(basis), canonicalized on construction.
+    """rowspan_ZZ(basis) for an integer basis, canonicalized on construction.
 
-    The basis is stored in Hermite form with zero rows removed, and the
-    denominator is reduced against the gcd of the basis entries, which
-    makes representation unique: two Lattice objects are equal exactly
-    when they describe the same set of points.
+    The basis is stored in Hermite form with zero rows removed, which makes
+    representation unique: two Lattice objects are equal exactly when they
+    describe the same set of points.
     """
 
     ambient_dim: int
     basis: IntMatrix = ()
-    denom: int = 1
 
     def __post_init__(self):
         if self.ambient_dim < 0:
             raise LatticeError("negative ambient dimension")
-        if not isinstance(self.denom, int) or self.denom <= 0:
-            raise LatticeError("denominator must be a positive integer")
-        h = hnf(self.basis, self.ambient_dim)
-        d = self.denom
-        if h:
-            g = gcd(d, *(x for row in h for x in row))
-            if g > 1:
-                h = tuple(tuple(x // g for x in row) for row in h)
-                d //= g
-        else:
-            d = 1
-        object.__setattr__(self, "basis", h)
-        object.__setattr__(self, "denom", d)
+        object.__setattr__(self, "basis", hnf(self.basis, self.ambient_dim))
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":
@@ -283,15 +269,6 @@ class Lattice:
     def zero(cls, n: int) -> "Lattice":
         return cls(n, ())
 
-    @classmethod
-    def from_vectors(cls, n: int, vectors) -> "Lattice":
-        """Lattice spanned by rational row vectors."""
-        rows = [integer_row(v) for v in vectors]
-        if any(len(r) != n for _, r in rows):
-            raise DimensionMismatch("generator has wrong length")
-        d = lcm(*(c for c, _ in rows))
-        return cls(n, tuple(tuple(x * (d // c) for x in r) for c, r in rows), d)
-
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -300,21 +277,14 @@ class Lattice:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def vectors(self) -> tuple[Vector, ...]:
-        """Basis as exact rational row vectors."""
-        d = self.denom
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self.basis)
-
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
         """The pivot column of each Hermite row."""
         return tuple(next(k for k, x in enumerate(row) if x) for row in self.basis)
 
-    def scale(self, c) -> "Lattice":
-        """The scaled lattice c * L for a rational scalar c."""
-        c = Fraction(c)
-        rows = [[c.numerator * x for x in row] for row in self.basis]
-        return Lattice(self.ambient_dim, rows, self.denom * c.denominator)
+    def scale(self, c: int) -> "Lattice":
+        """The scaled lattice c * L for an integer c."""
+        return Lattice(self.ambient_dim, [[c * x for x in row] for row in self.basis])
 
     def __contains__(self, v) -> bool:
         return membership(v, self)
@@ -332,26 +302,14 @@ def coords_in_lattice(v, lat: Lattice):
     if len(v) != lat.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
     c, w = integer_row(v)
-    return _coords(w, c, lat)
+    return _coords(w, lat) if c == 1 else None
 
 
-def _coords(nums, den: int, lat: Lattice):
-    """Integer coordinates of the vector nums/den in lat's basis, or None.
+def _coords(w: list[int], lat: Lattice):
+    """Integer coordinates of the integer vector w in lat's basis, or None.
 
-    ``nums`` is a sequence of ints as long as lat's ambient dimension and
-    ``den`` a positive int; the work is all in integers.
+    w is a list as long as lat's ambient dimension; it is consumed.
     """
-    d = lat.denom
-    if d % den == 0:
-        m = d // den
-        w = [x * m for x in nums]
-    else:
-        w = []
-        for x in nums:
-            q, rem = divmod(x * d, den)
-            if rem:
-                return None
-            w.append(q)
     coeffs = []
     n = len(w)
     for j, row in zip(lat._pivots, lat.basis):
@@ -373,7 +331,7 @@ def membership(v, lat: Lattice) -> bool:
     return coords_in_lattice(v, lat) is not None
 
 
-def _hermite_rows(lat: Lattice, mult: int):
+def _hermite_rows(lat: Lattice, mult: int = 1):
     """lat's Hermite rows scaled by mult, as (pivot column, pivot, row)."""
     return [
         (j, row[j] * mult, tuple(x * mult for x in row))
@@ -402,37 +360,27 @@ def reduce_mod(v, sub: Lattice) -> Vector:
     """
     if len(v) != sub.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
+    # v = w / c, reduced as w modulo c * sub
     c, w = integer_row(v)
-    d = lcm(sub.denom, c)
-    w = [x * (d // c) for x in w]
-    rows = _hermite_rows(sub, d // sub.denom)
-    return tuple(Fraction(x, d) for x in _reduce_ints(w, rows))
-
-
-def _scaled_rows(lat: Lattice, d: int) -> list[list[int]]:
-    """lat's basis rows over the denominator d, a multiple of lat.denom."""
-    return [[x * (d // lat.denom) for x in row] for row in lat.basis]
+    return tuple(Fraction(x, c) for x in _reduce_ints(w, _hermite_rows(sub, c)))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     """Smallest lattice containing both summands."""
     _same_ambient(a, b)
-    d = lcm(a.denom, b.denom)
-    return Lattice(a.ambient_dim, _scaled_rows(a, d) + _scaled_rows(b, d), d)
+    return Lattice(a.ambient_dim, a.basis + b.basis)
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     """Intersection, from one Hermite reduction of [[A, A], [B, 0]].
 
-    A and B are the bases over a common denominator; a kernel row (y, z)
-    has y*A == -z*B, so its right-hand part y*A lies in both lattices.
+    A and B are the two bases; a kernel row (y, z) has y*A == -z*B, so its
+    right-hand part y*A lies in both lattices.
     """
     _same_ambient(a, b)
     n = a.ambient_dim
-    d = lcm(a.denom, b.denom)
-    rows = [r + r for r in _scaled_rows(a, d)]
-    rows += [r + [0] * n for r in _scaled_rows(b, d)]
-    return Lattice(n, _stacked_kernel(rows, n), d)
+    rows = [list(r + r) for r in a.basis] + [list(r) + [0] * n for r in b.basis]
+    return Lattice(n, _stacked_kernel(rows, n))
 
 
 def _basis_images(lat: Lattice, a) -> IntMatrix:
@@ -465,7 +413,7 @@ def kernel_lattice(lat: Lattice, a) -> Lattice:
     x*B with x*B*a^T == 0.
     """
     rows = [list(c) + list(r) for c, r in zip(_basis_images(lat, a), lat.basis)]
-    return Lattice(lat.ambient_dim, _stacked_kernel(rows, lat.ambient_dim), lat.denom)
+    return Lattice(lat.ambient_dim, _stacked_kernel(rows, lat.ambient_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +432,8 @@ class QuotientStructure:
 
     invariant_factors: tuple[int, ...]
     free_rank: int
-    generators: tuple[Vector, ...]
-    free_generators: tuple[Vector, ...] = ()
+    generators: tuple[tuple[int, ...], ...]
+    free_generators: tuple[tuple[int, ...], ...] = ()
 
     @property
     def order(self) -> int | None:
@@ -505,18 +453,17 @@ def relation_matrix(sub: Lattice, sup: Lattice) -> IntMatrix:
     """
     _same_ambient(sub, sup)
     relation = []
-    for i, row in enumerate(sub.basis):
-        coords = _coords(row, sub.denom, sup)
+    for row in sub.basis:
+        coords = _coords(list(row), sup)
         if coords is None:
-            raise NotASublattice(f"generator {sub.vectors()[i]} is not in the super-lattice")
+            raise NotASublattice(f"generator {row} is not in the super-lattice")
         relation.append(coords)
     return tuple(relation)
 
 
 def basis_residues(sub: Lattice, sup: Lattice) -> IntMatrix:
-    """The canonical residues modulo sub of sup's basis vectors, times sup.denom,
-    a denominator common to both lattices once sub lies in sup (relation_matrix)."""
-    rows = _hermite_rows(sub, sup.denom // sub.denom)
+    """The canonical residues modulo sub of sup's basis vectors."""
+    rows = _hermite_rows(sub)
     return tuple(_reduce_ints(b, rows) for b in sup.basis)
 
 
@@ -533,9 +480,7 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
     d, _, v = snf(relation, rp)
     ident = [list(r) for r in identity_matrix(rp)]
     _, vinv = _hermite_pair([list(r) for r in v], ident, rp)
-    # sub lies in sup, so sup's denominator is common to both lattices
-    den = sup.denom
-    rows = _hermite_rows(sub, den // sub.denom)
+    rows = _hermite_rows(sub)
     factors = []
     gens = []
     free_gens = []
@@ -545,7 +490,7 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
             continue
         w = [sum(c * row[k] for c, row in zip(vinv[i], sup.basis))
              for k in range(sup.ambient_dim)]
-        g = tuple(Fraction(x, den) for x in _reduce_ints(w, rows))
+        g = _reduce_ints(w, rows)
         if di == 0:
             free_gens.append(g)
         else:
@@ -639,12 +584,11 @@ def brute_force_quotient(
 ) -> QuotientStructure:
     """Quotient structure by explicit coset enumeration.
 
-    Both lattices are put over one common denominator D (sup's), so every
-    coset is an integer tuple: its canonical residue modulo sub, times D.  A
+    Every coset is an integer tuple, its canonical residue modulo sub.  A
     breadth-first walk adds sup's Hermite rows (the + steps only) to
     reach every coset.  Element orders are then measured directly, giving
     invariant factors by a route fully independent of Smith normal form.
-    Generators are returned as rational vectors, like every residue.
+    Generators are returned as residues, like those of quotient_structure.
 
     Raises InfiniteIndex when ranks show the quotient is infinite, and
     BoundExceeded when more than `bound` cosets appear.
@@ -652,10 +596,7 @@ def brute_force_quotient(
     relation_matrix(sub, sup)
     if sub.rank < sup.rank:
         raise InfiniteIndex("sub-lattice has lower rank; quotient is infinite")
-    # sub lies in sup, so sub.denom divides sup.denom: sup's denominator is
-    # common to both lattices, and sup's Hermite rows are integer steps
-    d = sup.denom
-    rows = _hermite_rows(sub, d // sub.denom)
+    rows = _hermite_rows(sub)
     steps = sup.basis
     # The rank test makes sup/sub finite, so each -g is a positive multiple
     # of g modulo sub: the + steps reach the same cosets as the +- steps,
@@ -679,8 +620,6 @@ def brute_force_quotient(
         return QuotientStructure((), 0, ())
     factors = _invariant_factors_from_orders(found, rows, n)
 
-    # over one positive denominator, integer tuples sort as the rational
-    # vectors they stand for
     chosen: list[tuple[int, ...]] = []
     span = {zero}
     for x in sorted(found):
@@ -697,8 +636,7 @@ def brute_force_quotient(
             span |= shift
         if len(span) == n:
             break
-    gens = tuple(tuple(Fraction(a, d) for a in x) for x in chosen)
-    return QuotientStructure(factors, 0, gens)
+    return QuotientStructure(factors, 0, tuple(chosen))
 
 
 # ---------------------------------------------------------------------------

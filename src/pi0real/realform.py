@@ -13,8 +13,10 @@ span of that set, it then preserves the coroot lattice as well.
 
 Since the cocharacter lattice is always Z^n, everything that depends on
 theta alone is derived once, on first use, by the :class:`Involution`
-itself: theta's nonzero terms, theta + 1 and theta - 1, and the two split
-lattices of X, X_spl = ker(theta + 1) and X_spl_tilde = (theta - 1) Z^n / 2.
+itself: theta's nonzero terms, theta + 1 and theta - 1, and the two
+lattices of X that pi0 and H1 read, X_spl = ker(theta + 1) and
+(theta - 1) X = 2 X_spl_tilde.  Every lattice is integral: the projected
+cocharacters X_spl_tilde = (theta - 1) X / 2 enter only doubled.
 """
 
 from __future__ import annotations
@@ -90,13 +92,12 @@ class Involution:
         return kernel_lattice(Lattice.standard(len(self.theta)), self.plus_one)
 
     @cached_property
-    def x_spl_tilde(self) -> Lattice:
-        """X_spl_tilde = (theta - 1) X / 2, spanned by the columns of theta - 1
-        over the denominator 2.
+    def two_x_spl_tilde(self) -> Lattice:
+        """2 X_spl_tilde = (theta - 1) X, spanned by the columns of theta - 1.
 
         (theta - 1) X is (1 - theta) X: a lattice is closed under negation.
         """
-        return Lattice(len(self.theta), transpose(self.minus_one), 2)
+        return Lattice(len(self.theta), transpose(self.minus_one))
 
 
 def _shift_diagonal(m: IntMatrix, c: int) -> IntMatrix:
@@ -136,7 +137,7 @@ def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
         if image not in coroot_set:
             raise InvolutionError(
                 f"involution does not normalize the coroot set: "
-                f"theta({c}) = {image} is not a coroot"
+                f"theta({_brief(str(c))}) = {_brief(str(image))} is not a coroot"
             )
     return inv
 
@@ -159,7 +160,9 @@ def involution_from_eigenspaces(
     compact = [vec_frac(v) for v in compact_span]
     for v in split + compact:
         if len(v) != n:
-            raise InvolutionError(f"eigenvector {v} has wrong length, expected {n}")
+            raise InvolutionError(
+                f"eigenvector {_brief(str(v))} has wrong length, expected {n}"
+            )
     if rat_rank(split) != len(split) or rat_rank(compact) != len(compact):
         raise InvolutionError("eigenspace spans contain dependent vectors")
     if len(split) + len(compact) != n:

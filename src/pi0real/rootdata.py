@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .intlattice import (
@@ -126,14 +126,14 @@ class RootDatum:
         seen = set(self.coroot_generators)
         for c in self.coroot_generators:
             if len(c) != n:
-                bad.append(f"coroot {c} has wrong length")
+                bad.append(f"coroot {_brief(str(c))} has wrong length")
                 continue
             if not _integral(c):
-                bad.append(f"coroot {c} not in cocharacter lattice")
+                bad.append(f"coroot {_brief(str(c))} not in cocharacter lattice")
             if not any(c):
                 bad.append(f"coroot {_brief(str(c))} is zero")
             if _neg(c) not in seen:
-                bad.append(f"coroot set is not symmetric: missing {_neg(c)}")
+                bad.append(f"coroot set is not symmetric: missing {_brief(str(_neg(c)))}")
         for label, w in self.display_weights:
             if len(w) != n:
                 bad.append(f"display weight {label!r} has wrong length")
@@ -399,11 +399,13 @@ def cartan_matrix(cartan_type: str, rank: int) -> IntMatrix:
     return as_int_matrix(c)
 
 
+@cache
 def _coroot_closure(cartan: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """All coroots, as integer coordinate vectors over the simple coroots.
 
     Orbit of the simple coroots under the simple reflections; the reflection
-    s_j sends a coordinate vector c to c - (sum_i C[j][i] c_i) e_j.
+    s_j sends a coordinate vector c to c - (sum_i C[j][i] c_i) e_j.  Cached
+    per Cartan matrix, since every E7 and SIMPLE job walks one.
     """
     n = len(cartan)
     frontier = {_unit(n, i) for i in range(n)} | {_neg(_unit(n, i)) for i in range(n)}

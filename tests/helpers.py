@@ -58,7 +58,7 @@ def det(m) -> int:
 
 def image_lattice(lat, a):
     """a(lat) for a square integer matrix a acting on columns, densely."""
-    return Lattice(lat.ambient_dim, [mat_vec(a, v) for v in lat.basis], lat.denom)
+    return Lattice(lat.ambient_dim, [mat_vec(a, v) for v in lat.basis])
 
 
 def vec_add(u, v):

@@ -172,6 +172,10 @@ def test_rejects_mistyped_preset_field(doc, field, tmp_path, capsys):
         ({"rank": 2000, "coroots": [[0] * 2000], "theta": [[-1]]}, "is zero"),
         ({"rank": 1, "coroots": [[2]], "theta": [[-1]],
           "display_weights": [["w" * 10**5, ["1/4"]]]}, "pairing of weight"),
+        # one coroot pair +-e1 on Z^300, and theta swapping e1 and e2
+        ({"rank": 300, "coroots": [[1] + [0] * 299, [-1] + [0] * 299],
+          "theta": [[int(j == {0: 1, 1: 0}.get(i, i)) for j in range(300)]
+                    for i in range(300)]}, "normalize the coroot set"),
     ],
 )
 def test_error_line_quotes_a_bounded_prefix(doc, where, tmp_path, capsys):

@@ -62,7 +62,7 @@ def test_split_lattices_gl():
     rd, inv = build(gl(4))
     sl = split_lattices(rd, inv)
     assert sl.x_spl == Lattice.standard(4)
-    assert sl.x_spl_tilde == Lattice.standard(4)
+    assert sl.two_x_spl_tilde == Lattice.standard(4).scale(2)
     assert sl.q_spl == rd.coroots
     assert sl.q_cmp.is_zero
 
@@ -71,21 +71,20 @@ def test_split_lattices_compact():
     rd, inv = build(torus_compact(3))
     sl = split_lattices(rd, inv)
     assert sl.x_spl.is_zero
-    assert sl.x_spl_tilde.is_zero
+    assert sl.two_x_spl_tilde.is_zero
 
 
 def test_split_lattices_weil():
     rd, inv = build(torus_weil())
     sl = split_lattices(rd, inv)
-    assert sl.x_spl == Lattice.from_vectors(2, [(1, 1)])
-    assert sl.x_spl_tilde == Lattice.from_vectors(
-        2, [(Fraction(1, 2), Fraction(1, 2))]
-    )
+    assert sl.x_spl == Lattice(2, [(1, 1)])
+    # X_spl_tilde is spanned by (1/2, 1/2)
+    assert sl.two_x_spl_tilde == Lattice(2, [(1, 1)])
 
 
 def test_split_lattices_unpack():
     rd, inv = build(gl(2))
-    x_spl, x_spl_tilde, q_spl, q_cmp = split_lattices(rd, inv)
+    x_spl, two_x_spl_tilde, q_spl, q_cmp = split_lattices(rd, inv)
     assert x_spl == Lattice.standard(2)
 
 
@@ -99,10 +98,11 @@ def test_sandwich_invariant():
         else:
             rd, inv = build(item)
         sl = split_lattices(rd, inv)
-        for v in sl.x_spl_tilde.scale(2).vectors():
+        for v in sl.two_x_spl_tilde.basis:
             assert membership(v, sl.x_spl), rd.name
-        for v in sl.x_spl.vectors():
-            assert membership(v, sl.x_spl_tilde), rd.name
+        # v lies in X_spl_tilde exactly when 2v lies in 2 X_spl_tilde
+        for v in sl.x_spl.basis:
+            assert membership(tuple(2 * x for x in v), sl.two_x_spl_tilde), rd.name
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_h1_contains_pi0():
 def test_cocycle_split_vectors_always_pass():
     rd, inv = build(so(2, 3))
     sl = split_lattices(rd, inv)
-    for v in sl.x_spl.vectors():
+    for v in sl.x_spl.basis:
         assert cocycle_check(rd, inv, v)
 
 
@@ -384,7 +384,7 @@ def split_fixtures():
 def test_representative_accepts_exactly_the_split_lattice():
     for rd, inv in split_fixtures():
         sl = split_lattices(rd, inv)
-        for v in sl.x_spl.vectors():
+        for v in sl.x_spl.basis:
             assert representative(rd, inv, v).nu == v
         for i in range(rd.rank):
             e = tuple(int(i == j) for j in range(rd.rank))
@@ -398,8 +398,8 @@ def test_cocycle_and_coboundary_match_lattice_definitions():
     for rd, inv in split_fixtures():
         sl = split_lattices(rd, inv)
         h = h1_pi1(rd, inv)
-        basis = rd.cochar.vectors()
-        nus = list(h.sup.vectors()) + list(h.sub.vectors())
+        basis = rd.cochar.basis
+        nus = list(h.sup.basis) + list(h.sub.basis)
         for _ in range(6):
             coeffs = [rng.randint(-2, 2) for _ in basis]
             nus.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis))
@@ -408,6 +408,24 @@ def test_cocycle_and_coboundary_match_lattice_definitions():
             cocycle = membership(vec_add(nu, mat_vec(inv.theta, nu)), sl.q_cmp)
             assert cocycle_check(rd, inv, nu) == cocycle
             assert coboundary_check(rd, inv, nu) == membership(nu, h.sub)
+
+
+def test_h1_sup_is_x_where_twice_lies_in_theta_minus_one_x_plus_q_cmp():
+    # the paper's X intersect (X_spl_tilde + Q_cmp/2), kept integral:
+    # v lies in it exactly when 2v lies in (theta - 1) X + Q_cmp
+    rng = random.Random(0x4A1F)
+    seen = {True: 0, False: 0}
+    for rd, inv in split_fixtures():
+        sl = split_lattices(rd, inv)
+        doubled = lattice_sum(sl.two_x_spl_tilde, sl.q_cmp)
+        sup = h1_pi1(rd, inv).sup
+        vs = list(sup.basis)
+        vs += [tuple(rng.randint(-3, 3) for _ in range(rd.rank)) for _ in range(12)]
+        for v in vs:
+            inside = membership(v, sup)
+            assert inside == membership(tuple(2 * x for x in v), doubled), (rd.name, v)
+            seen[inside] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_job_builds_split_lattices_at_most_twice(monkeypatch):
@@ -453,7 +471,7 @@ def test_rank_zero_datum():
 def test_two_group_guard_rejects_odd_factors():
     with pytest.raises(ComputationError, match="elementary"):
         _two_group(
-            Lattice.from_vectors(1, [(4,)]), Lattice.standard(1), (), "test group"
+            Lattice(1, [(4,)]), Lattice.standard(1), (), "test group"
         )
 
 
@@ -465,7 +483,7 @@ def test_two_group_guard_rejects_infinite():
 def test_two_group_rejects_non_sublattice():
     with pytest.raises(NotASublattice):
         _two_group(
-            Lattice.standard(1), Lattice.from_vectors(1, [(2,)]), (), "test group"
+            Lattice.standard(1), Lattice(1, [(2,)]), (), "test group"
         )
 
 
@@ -493,10 +511,10 @@ def reference_picks(sub, sup, named):
     Needs 2 sup inside sub, so subset sums of sup's basis reach every coset.
     """
     n = sup.ambient_dim
-    basis = sup.vectors()
+    basis = sup.basis
     residues = set()
     for mask in range(2 ** len(basis)):
-        total = (Fraction(0),) * n
+        total = (0,) * n
         for i, b in enumerate(basis):
             if mask >> i & 1:
                 total = tuple(x + y for x, y in zip(total, b))
@@ -532,9 +550,9 @@ def test_two_group_matches_coset_enumeration_random():
         sup = Lattice(n, rows)
         if sup.is_zero:
             continue
-        basis = sup.vectors()
+        basis = sup.basis
         relations = [combo(basis) for _ in range(rng.randint(0, 2))]
-        sub = lattice_sum(sup.scale(2), Lattice.from_vectors(n, relations or [(0,) * n]))
+        sub = lattice_sum(sup.scale(2), Lattice(n, relations or [(0,) * n]))
         named = ()
         if checked % 2:
             named = tuple(
@@ -665,6 +683,10 @@ def test_integral_input_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(components, "Fraction", counted)
     monkeypatch.setattr(intlattice, "Fraction", counted)
     for rd, inv, g, h in groups:
+        # the job path, on a fresh involution so its lattices are built here
+        fresh = Involution(inv.theta, inv.name)
+        assert pi0(rd, fresh) == g and h1_pi1(rd, fresh) == h
+        assert oracle_check(g) and oracle_check(h)
         for v in g.elements():
             representative(rd, inv, v)
             assert components.coords_in_lattice(v, g.sup) is not None

@@ -17,6 +17,7 @@ from pi0real.intlattice import (
     DimensionMismatch,
     InfiniteIndex,
     Lattice,
+    LatticeError,
     NotASublattice,
     QuotientStructure,
     brute_force_quotient,
@@ -171,34 +172,32 @@ def test_snf_transforms_stay_short_on_the_ladder_matrix():
 
 
 def test_lattice_equality_after_scaling():
-    assert Lattice(2, ((2, 0), (0, 2)), 2) == Lattice.standard(2)
+    assert Lattice(2, ((2, 0), (0, 2))) == Lattice.standard(2).scale(2)
+    assert Lattice(2, ((2, 0), (2, 2))) == Lattice(2, ((0, 1), (1, 0))).scale(-2)
 
 
-def test_lattice_denominator_is_minimal():
-    half_diagonal = Lattice(2, ((1, 1),), 2)
-    assert half_diagonal.denom == 2
-    assert half_diagonal.basis == ((1, 1),)
+def test_lattice_is_a_dimension_and_an_integer_basis():
+    diagonal = Lattice(2, ((-1, -1),))
+    assert diagonal.basis == ((1, 1),)
+    assert list(Lattice.__dataclass_fields__) == ["ambient_dim", "basis"]
 
 
 def test_lattice_rejects_bad_input():
     with pytest.raises(ValueError):
-        Lattice(2, ((1, 0),), 0)
+        Lattice(-1)
     with pytest.raises(ValueError):
         Lattice(2, ((1,),))
     with pytest.raises(ValueError):
         Lattice(2, ((Fraction(1, 2), 0),))
 
 
-def test_lattice_from_vectors_clears_denominators():
-    lat = Lattice.from_vectors(2, ((HALF, HALF),))
-    assert lat == Lattice(2, ((1, 1),), 2)
-
-
 def test_lattice_scale():
     lat = Lattice.standard(2)
     assert lat.scale(2) == Lattice(2, ((2, 0), (0, 2)))
-    assert lat.scale(HALF) == Lattice(2, identity_matrix(2), 2)
     assert lat.scale(0) == Lattice.zero(2)
+    # the scalar is an integer: a rational one is a non-integer basis entry
+    with pytest.raises(LatticeError, match="non-integer"):
+        lat.scale(HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +207,12 @@ def test_lattice_scale():
 def test_membership_examples():
     diag = Lattice(2, ((1, 1),))
     assert membership((0, 0), diag)
-    assert membership((1, 1), Lattice(2, ((1, 1),), 2))
+    assert membership((1, 1), diag)
     assert not membership((1, 0), diag)
-    assert membership((HALF, HALF), Lattice(2, ((1, 1),), 2))
+    assert membership((Fraction(2), 2), diag.scale(2))
     assert not membership((HALF, HALF), diag)
+    # a non-integral vector lies in no integer lattice
+    assert not membership((HALF, HALF), Lattice.standard(2))
 
 
 def test_membership_dimension_mismatch():
@@ -251,13 +252,14 @@ def test_intersect_frozen_example_with_enumeration_oracle():
         assert both == membership(v, meet)
 
 
-def test_intersect_with_denominator():
-    half_diag = Lattice(2, ((1, 1),), 2)
-    meet = lattice_intersect(Lattice.standard(2), half_diag)
-    assert meet == Lattice(2, ((1, 1),))
-    # oracle: multiples k*(1/2, 1/2) are integral exactly for even k
+def test_intersect_with_doubled_lattice():
+    # the shape of H1's super-lattice: 2X meets a lattice with odd points
+    diag = Lattice(2, ((1, 1),))
+    meet = lattice_intersect(Lattice.standard(2).scale(2), diag)
+    assert meet == Lattice(2, ((2, 2),))
+    # oracle: multiples k*(1, 1) are even exactly for even k
     for k in range(-6, 7):
-        v = (k * HALF, k * HALF)
+        v = (k, k)
         expect = k % 2 == 0
         assert membership(v, meet) == expect
 
@@ -266,8 +268,8 @@ def test_sum_intersect_laws_random():
     rng = random.Random(0xA11CE)
     for _ in range(50):
         n = rng.randint(1, 4)
-        a = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n), rng.choice([1, 2]))
-        b = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n), rng.choice([1, 2]))
+        a = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n)).scale(rng.choice([1, 2]))
+        b = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n)).scale(rng.choice([1, 2]))
         c = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n))
         assert lattice_sum(a, b) == lattice_sum(b, a)
         assert lattice_intersect(a, b) == lattice_intersect(b, a)
@@ -304,8 +306,8 @@ def test_kernel_of_zero_map_is_everything():
 
 def test_image_frozen_example():
     one_minus_theta = ((1, 1), (1, 1))
-    img = image_lattice(Lattice.standard(2), one_minus_theta).scale(HALF)
-    assert img == Lattice(2, ((1, 1),), 2)
+    img = image_lattice(Lattice.standard(2), one_minus_theta)
+    assert img == Lattice(2, ((1, 1),))
 
 
 def test_matrix_of_wrong_size_raises_dimension_mismatch():
@@ -380,31 +382,32 @@ def _transform_left_kernel(m):
 
 def _transform_kernel_lattice(lat, a):
     kernel = _transform_left_kernel(mat_mul(lat.basis, transpose(a)))
-    return Lattice(lat.ambient_dim, mat_mul(kernel, lat.basis), lat.denom)
+    return Lattice(lat.ambient_dim, mat_mul(kernel, lat.basis))
 
 
 def _transform_intersect(a, b):
     n = a.ambient_dim
     if a.is_zero or b.is_zero:
         return Lattice.zero(n)
-    d = math.lcm(a.denom, b.denom)
-    ra = [[x * (d // a.denom) for x in row] for row in a.basis]
-    rb = [[-x * (d // b.denom) for x in row] for row in b.basis]
+    ra = [list(row) for row in a.basis]
+    rb = [[-x for x in row] for row in b.basis]
     gens = [
         tuple(sum(k * r[j] for k, r in zip(kv, ra)) for j in range(n))
         for kv in _transform_left_kernel(ra + rb)
     ]
-    return Lattice(n, gens, d)
+    return Lattice(n, gens)
 
 
-def _random_lattice(rng, n, denom, kind):
+def _random_lattice(rng, n, scale, kind):
     if kind == "zero":
-        return Lattice(n, (), denom)
+        return Lattice(n, ())
     if kind == "full":
         u, _ = random_unimodular(rng, n)
         scales = [rng.choice([1, 2, 3, -2]) for _ in range(n)]
-        return Lattice(n, tuple(tuple(c * x for x in row) for c, row in zip(scales, u)), denom)
-    return Lattice(n, random_int_matrix(rng, rng.randint(1, n + 1), n), denom)
+        rows = tuple(tuple(c * x for x in row) for c, row in zip(scales, u))
+    else:
+        rows = random_int_matrix(rng, rng.randint(1, n + 1), n)
+    return Lattice(n, rows).scale(scale)
 
 
 def _random_square(rng, n, singular):
@@ -425,17 +428,17 @@ def test_stacked_kernels_match_transform_route_random():
     seen = set()
     for case in range(240):
         n = 1 + case % 6
-        denom = 1 + (case // 6) % 4
+        scale = 1 + (case // 6) % 4
         kind = kinds[(case // 24) % 3]
         singular = case % 2 == 0
-        lat = _random_lattice(rng, n, denom, kind)
+        lat = _random_lattice(rng, n, scale, kind)
         a = _random_square(rng, n, singular)
         assert (det(a) == 0) == singular
         assert kernel_lattice(lat, a) == _transform_kernel_lattice(lat, a), (lat, a)
         other = _random_lattice(rng, n, rng.randint(1, 4), rng.choice(kinds))
         assert lattice_intersect(lat, other) == _transform_intersect(lat, other), (lat, other)
-        seen.add((n, denom, lat.is_zero, lat.rank == n, singular))
-    # every dimension, denominator, lattice shape and matrix kind came up
+        seen.add((n, scale, lat.is_zero, lat.rank == n, singular))
+    # every dimension, scale, lattice shape and matrix kind came up
     assert {s[0] for s in seen} == set(range(1, 7))
     assert {s[1] for s in seen} == set(range(1, 5))
     assert {(s[2], s[3]) for s in seen} >= {(True, False), (False, True), (False, False)}
@@ -523,8 +526,8 @@ def test_reduce_mod_is_a_coset_invariant():
 
 def mat_vec_rows(lat, coeffs):
     n = lat.ambient_dim
-    out = [Fraction(0)] * n
-    for c, row in zip(coeffs, lat.vectors()):
+    out = [0] * n
+    for c, row in zip(coeffs, lat.basis):
         for i in range(n):
             out[i] += c * row[i]
     return out
@@ -578,16 +581,14 @@ def test_brute_force_agrees_with_snf_random():
     trials = 0
     while trials < 40:
         n = rng.randint(1, 4)
-        sup = Lattice(
-            n, random_int_matrix(rng, n + 1, n), rng.choice([1, 1, 2])
-        )
+        sup = Lattice(n, random_int_matrix(rng, n + 1, n)).scale(rng.choice([1, 1, 2]))
         if sup.rank < n:
             continue
         r = random_int_matrix(rng, n, n, -3, 3)
         d = det(r)
         if d == 0 or abs(d) > 512:
             continue
-        sub = Lattice(n, mat_mul(r, sup.basis), sup.denom)
+        sub = Lattice(n, mat_mul(r, sup.basis))
         fast = quotient_structure(sub, sup)
         slow = brute_force_quotient(sub, sup, bound=600)
         assert fast.invariant_factors == slow.invariant_factors
@@ -604,7 +605,7 @@ def test_brute_force_agrees_with_snf_random():
 def _fraction_reduce(v, sub):
     """Canonical residue of v modulo sub, in Fraction arithmetic."""
     w = tuple(v)
-    for row in sub.vectors():
+    for row in map(frac_vec, sub.basis):
         j = next(k for k, x in enumerate(row) if x)
         q = w[j] // row[j]
         if q:
@@ -615,7 +616,7 @@ def _fraction_reduce(v, sub):
 def _fraction_walk(sub, sup, bound):
     """Reference coset walk in Fraction arithmetic: +- steps, element
     orders by membership, generators grown from the sorted cosets."""
-    for v in sub.vectors():
+    for v in sub.basis:
         if not membership(v, sup):
             raise NotASublattice(f"generator {v} is not in the super-lattice")
     if sub.rank < sup.rank:
@@ -625,7 +626,7 @@ def _fraction_walk(sub, sup, bound):
         return _fraction_reduce(tuple(a + b for a, b in zip(x, y)), sub)
 
     zero = (Fraction(0),) * sup.ambient_dim
-    steps = [s for g in sup.vectors() for s in (g, tuple(-x for x in g))]
+    steps = [s for g in map(frac_vec, sup.basis) for s in (g, tuple(-x for x in g))]
     found, frontier = {zero}, [zero]
     while frontier:
         nxt = []
@@ -686,23 +687,22 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def test_integer_walk_matches_fraction_walk_mixed_denominators():
-    """The integer coset walk over one common denominator returns what the
-    Fraction walk returns, exceptions included, when sub and sup have
-    different denominators."""
+def test_integer_walk_matches_fraction_walk():
+    """The integer coset walk returns what the Fraction walk returns,
+    exceptions included, on sums of scaled lattices."""
     rng = random.Random(0xC05E7)
     seen = {"ok": 0, NotASublattice: 0, InfiniteIndex: 0, BoundExceeded: 0}
     cases = 0
     while cases < 240:
         n = rng.randint(1, 3)
         lower_rank = rng.random() < 0.05
-        sub = Lattice(n, random_int_matrix(rng, n - lower_rank, n, -3, 3), rng.choice([1, 2, 3, 4, 6]))
-        extra = Lattice(n, random_int_matrix(rng, rng.randint(1, 2), n, -2, 2), rng.choice([1, 2, 3, 6]))
+        sub = Lattice(n, random_int_matrix(rng, n - lower_rank, n, -3, 3))
+        sub = sub.scale(rng.choice([1, 2, 3, 4, 6]))
+        extra = Lattice(n, random_int_matrix(rng, rng.randint(1, 2), n, -2, 2))
+        extra = extra.scale(rng.choice([1, 2, 3, 6]))
         sup = lattice_sum(sub, extra)
         if rng.random() < 0.15:
             sub, sup = sup, sub
-        if sub.denom == sup.denom:
-            continue
         bound = rng.choice([8, 64, 150])
         want = _outcome(_fraction_walk, sub, sup, bound)
         got = _outcome(brute_force_quotient, sub, sup, bound)
@@ -810,7 +810,7 @@ def _fraction_coords(v, lat):
     for coords_in_lattice."""
     if len(v) != lat.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    w = [Fraction(x) * lat.denom for x in v]
+    w = [Fraction(x) for x in v]
     if any(x.denominator != 1 for x in w):
         return None
     w = [int(x) for x in w]
@@ -834,14 +834,14 @@ def test_integer_coords_match_fraction_coords():
     for _ in range(300):
         n = rng.randint(1, 5)
         basis = random_int_matrix(rng, rng.randint(0, n), n, -4, 4)
-        lat = Lattice(n, basis, rng.randint(1, 6))
+        scale = rng.randint(1, 6)
+        lat = Lattice(n, basis).scale(scale)
         for _ in range(6):
             c = [rng.randint(-3, 3) for _ in range(lat.rank)]
-            point = [Fraction(sum(a * row[j] for a, row in zip(c, lat.basis)), lat.denom)
+            point = [Fraction(sum(a * row[j] for a, row in zip(c, lat.basis)))
                      for j in range(n)]
-            whole = all(x.denominator == 1 for x in point)
             candidates = {
-                "int": [tuple(int(x) for x in point)] if whole else [],
+                "int": [tuple(int(x) for x in point)],
                 "fraction": [tuple(point),
                              tuple(x + Fraction(1, rng.randint(2, 6)) for x in point)],
                 "bool": [tuple(rng.random() < 0.5 for _ in range(n))],
@@ -849,7 +849,7 @@ def test_integer_coords_match_fraction_coords():
                                 for x in point)],
             }
             candidates["int"].append(tuple(rng.randint(-6, 6) for _ in range(n)))
-            candidates["int"].append(tuple(d * lat.denom for d in candidates["int"][-1]))
+            candidates["int"].append(tuple(d * scale for d in candidates["int"][-1]))
             for kind, vs in candidates.items():
                 for v in vs:
                     want = _fraction_coords(v, lat)

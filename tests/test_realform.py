@@ -60,8 +60,11 @@ def test_rejects_coroot_lattice_violation():
     # diag(1,-1) sends e1 - e2 to e1 + e2, outside the trace-zero lattice;
     # the coroot-set check catches it, since Q is the span of the coroots
     rd, _ = gl(2)
-    with pytest.raises(InvolutionError, match="normalize the coroot set"):
+    with pytest.raises(InvolutionError) as exc:
         involution_from_matrix(rd, ((1, 0), (0, -1)))
+    assert str(exc.value) == (
+        "involution does not normalize the coroot set: theta((1, -1)) = (1, 1) is not a coroot"
+    )
 
 
 def test_rejects_coroot_set_violation():
@@ -73,6 +76,22 @@ def test_rejects_coroot_set_violation():
     )
     with pytest.raises(InvolutionError, match="normalize the coroot set"):
         involution_from_matrix(rd, ((1, 0), (0, -1)))
+
+
+def test_vector_quotes_in_involution_messages_are_bounded():
+    # one coroot pair +-e1 on Z^300, and theta swapping e1 and e2
+    n = 300
+    e1 = (1,) + (0,) * (n - 1)
+    rd = RootDatum(rank=n, coroot_generators=(e1, tuple(-x for x in e1)))
+    swap = [list(row) for row in identity_matrix(n)]
+    swap[0], swap[1] = swap[1], swap[0]
+    with pytest.raises(InvolutionError, match=r"theta\(\(1, 0, 0, .*\.\.\.\) = \(0, 1, 0") as long:
+        involution_from_matrix(rd, swap)
+    assert len(str(long.value)) < 250
+    quoted = r"eigenvector \(Fraction\(1, 1\), .*\.\.\. has wrong"
+    with pytest.raises(InvolutionError, match=quoted) as long:
+        involution_from_eigenspaces(torus_datum(2), [(1,) * n], [])
+    assert len(str(long.value)) < 150
 
 
 def _signed_permutations(n):
@@ -237,13 +256,23 @@ def test_e7_evi_split_span_is_saturated():
 
     rd, inv = e7_preset("EVI")
     named = dict(rd.named_vectors)
-    span = Lattice.from_vectors(7, [named[nm] for nm in ("w2", "w4", "w5", "w6")])
+    span = Lattice(7, [named[nm] for nm in ("w2", "w4", "w5", "w6")])
     x_spl = kernel_lattice(rd.cochar, mat_add(inv.theta, identity_matrix(7)))
     assert x_spl.rank == 4
     for nm in ("w2", "w4", "w5", "w6"):
         assert membership(named[nm], x_spl), nm
     # the computed split lattice saturates the quoted span
     assert lattice_index(span, x_spl) is not None
+
+
+def test_e7_presets_walk_the_coroot_closure_once():
+    from pi0real import rootdata
+
+    rootdata._coroot_closure.cache_clear()
+    first, second = e7_preset("EVII"), e7_preset("EVII")
+    info = rootdata._coroot_closure.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first == second
 
 
 def test_e7_presets_are_cartan_involutions():
@@ -357,9 +386,7 @@ def test_involution_derives_split_lattices_of_x():
         plus_one, minus_one = mat_add(theta, one), mat_sub(theta, one)
         assert inv.plus_one == plus_one and inv.minus_one == minus_one
         assert inv.x_spl == kernel_lattice(Lattice.standard(n), plus_one)
-        assert inv.x_spl_tilde == image_lattice(Lattice.standard(n), minus_one).scale(
-            Fraction(1, 2)
-        )
+        assert inv.two_x_spl_tilde == image_lattice(Lattice.standard(n), minus_one)
         for v in helpers.random_int_matrix(rng, 3, n):
             assert inv.apply(v) == mat_vec(theta, v)
         asymmetric += theta != tuple(zip(*theta))

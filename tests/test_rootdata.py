@@ -55,7 +55,7 @@ def test_gl_shape():
 
 def test_gl_coroots_are_trace_zero():
     rd, _ = gl(4)
-    for v in rd.coroots.vectors():
+    for v in rd.coroots.basis:
         assert sum(v) == 0
     # the trace functional cuts out exactly the coroot lattice
     assert membership((1, 0, 0, -1), rd.coroots)
@@ -506,10 +506,24 @@ def test_validate_flags_bad_data():
     )
 
 
+def test_validate_quotes_a_bounded_prefix_of_long_coroots():
+    long = (1,) * 1000
+    bad = RootDatum(rank=1, coroot_generators=(long, (1,), (-1,)))
+    assert bad.validate() == (
+        f"coroot {str(long)[:80]}... has wrong length",
+    )
+    half = (Fraction(1, 2),) * 300
+    bad = RootDatum(rank=300, coroot_generators=(half,))
+    assert bad.validate() == (
+        f"coroot {str(half)[:80]}... not in cocharacter lattice",
+        f"coroot set is not symmetric: missing {str(tuple(-x for x in half))[:80]}...",
+    )
+
+
 def test_derived_lattices():
     rd, _ = so(3, 4)
     assert rd.cochar == Lattice.standard(3)
-    assert rd.coroots == Lattice.from_vectors(3, rd.coroot_generators)
+    assert rd.coroots == Lattice(3, rd.coroot_generators)
     assert rd.coroots is rd.coroots  # built once
     assert RootDatum(rank=2).coroots == Lattice.zero(2)
 
