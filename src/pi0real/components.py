@@ -16,20 +16,24 @@ the group of connected components of the real points is
 
 every class containing an order-at-most-2 torus element exp(pi i nu) with
 nu in X_spl, and the first Galois cohomology of the fundamental group is
+cocycles modulo coboundaries,
 
-  H1 = {v in X : 2v in (theta - 1) X + Q_cmp} / ((theta - 1) X + Q),
+  H1 = {v in X : v + theta(v) in Q} / ((theta - 1) X + Q),
 
-the paper's (X intersect (X_spl_tilde + Q_cmp/2)) / (2 X_spl_tilde + Q)
-with every lattice integral.  Both quotients are finite elementary abelian
+the paper's (X intersect (X_spl_tilde + Q_cmp/2)) / (2 X_spl_tilde + Q):
+in 2v = (v - theta(v)) + (v + theta(v)), theta negates the first term and
+fixes the second, so 2v is in (theta - 1) X + Q_cmp exactly when
+v + theta(v) is in Q.  Both quotients are finite elementary abelian
 2-groups whenever the input is an honest Cartan involution; anything else
 raises ComputationError.
 
 X is always Z^n, so X_spl and (theta - 1) X depend on theta alone: the
 Involution derives them once and every computation here shares them.  A
-job builds only Q_spl (in pi0) and Q_cmp (in h1_pi1) itself.  Coordinates,
-residues and representatives are computed in integers, from the Hermite
-rows of the lattices and theta's nonzero terms; a Fraction appears only
-for rational input or a rational display weight.
+job builds only Q_spl (in pi0) and the cocycles (in h1_pi1) itself, each
+by one kernel_lattice call.  Coordinates, residues and representatives are
+computed in integers, from the Hermite rows of the lattices and theta's
+nonzero terms; a Fraction appears only for rational input or a rational
+display weight.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .intlattice import (
     coords_in_lattice,
     integer_row,
     kernel_lattice,
-    lattice_intersect,
     lattice_sum,
     membership,
     relation_matrix,
@@ -225,39 +228,43 @@ def pi0(rd: RootDatum, inv: Involution) -> Elementary2Group:
 def h1_pi1(rd: RootDatum, inv: Involution) -> Elementary2Group:
     """Galois cohomology of the fundamental group of the complex group.
 
-    Computed as {v in X : 2v in (theta - 1) X + Q_cmp} / ((theta - 1) X + Q),
-    with classes represented by integral cocharacters.  The super-lattice is
-    half of 2X intersect ((theta - 1) X + Q_cmp), whose points are all even.
+    Computed as cocycles modulo coboundaries, {v in X : v + theta(v) in Q}
+    / ((theta - 1) X + Q), with classes represented by integral cocharacters;
+    the cocycles are the preimage of Q under theta + 1 (kernel_lattice).
     """
     _check_rank(rd, inv)
-    q_cmp = kernel_lattice(rd.coroots, inv.minus_one)
-    doubled = lattice_intersect(rd.cochar.scale(2), lattice_sum(inv.two_x_spl_tilde, q_cmp))
-    sup = Lattice(rd.rank, [[x // 2 for x in row] for row in doubled.basis])
+    sup = kernel_lattice(rd.cochar, inv.plus_one, rd.coroots)
     sub = lattice_sum(inv.two_x_spl_tilde, rd.coroots)
     return _two_group(sub, sup, rd.named_vectors, "cohomology group")
 
 
-def _cocharacter(rd: RootDatum, nu) -> Optional[tuple[int, ...]]:
-    """nu as a tuple of ints when it lies in X = Z^rank, else None.
+def _cocharacter(rd: RootDatum, nu, inv: Optional[Involution] = None) -> tuple[int, ...]:
+    """nu as a tuple of ints, for nu in X = Z^rank, split by theta when inv is given.
 
-    Raises DimensionMismatch when nu has the wrong length.
+    Raises DimensionMismatch for the wrong length, and otherwise ValueError,
+    quoting nu through _brief, when nu is not such a cocharacter.
     """
     nu_int = _int_tuple(nu)
     if len(nu) != rd.rank:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    return nu_int
+    if inv is not None and (nu_int is None or inv.apply(nu_int) != tuple(-a for a in nu_int)):
+        kind = "a split cocharacter (need an integral vector with theta(nu) = -nu)"
+    elif nu_int is None:
+        kind = "in the cocharacter lattice"
+    else:
+        return nu_int
+    raise ValueError(f"{_brief(str(tuple(map(Fraction, nu))))} is not {kind}")
 
 
 def cocycle_check(rd: RootDatum, inv: Involution, nu) -> bool:
     """Does exp(pi i nu) define a Galois cocycle valued in the fundamental group?
 
     The condition is that nu + theta(nu), which theta fixes, lands in the
-    compact part Q intersect ker(theta - 1) of Q, that is, in Q.  ``nu`` must
-    be a cocharacter.
+    compact part Q intersect ker(theta - 1) of Q, that is, in Q: exactly
+    when nu lies in the super-lattice of h1_pi1.  ``nu`` must be a
+    cocharacter.
     """
     nu_int = _cocharacter(rd, nu)
-    if nu_int is None:
-        raise ValueError(f"{tuple(map(Fraction, nu))} is not in the cocharacter lattice")
     return membership(tuple(a + b for a, b in zip(nu_int, inv.apply(nu_int))), rd.coroots)
 
 
@@ -268,8 +275,6 @@ def coboundary_check(rd: RootDatum, inv: Involution, nu) -> bool:
     vector passing this test is automatically a cocycle.
     """
     nu_int = _cocharacter(rd, nu)
-    if nu_int is None:
-        raise ValueError(f"{tuple(map(Fraction, nu))} is not in the cocharacter lattice")
     return membership(nu_int, lattice_sum(inv.two_x_spl_tilde, rd.coroots))
 
 
@@ -311,12 +316,7 @@ class Representative:
 
 def representative(rd: RootDatum, inv: Involution, nu) -> Representative:
     """Evaluate the display weights on exp(pi i nu) for nu in X with theta(nu) = -nu."""
-    nu_int = _cocharacter(rd, nu)
-    if nu_int is None or inv.apply(nu_int) != tuple(-a for a in nu_int):
-        raise ValueError(
-            f"{tuple(map(Fraction, nu))} is not a split cocharacter "
-            "(need an integral vector with theta(nu) = -nu)"
-        )
+    nu_int = _cocharacter(rd, nu, inv)
     evals = []
     for label, c, terms in rd.weight_terms:
         # 2<w, nu> = h / c, with the weight's terms scaled by c

@@ -10,7 +10,8 @@ and reduce_mod may have Fraction entries, and a non-integral vector lies
 in no lattice.  A rational vector enters the integer arithmetic through
 one routine, integer_row, which returns the lcm c of its denominators and
 the integer vector c * v.  One integer row Hermite reduction (_hermite) does
-every elimination: Hermite forms, kernels and intersections, the Smith
+every elimination: Hermite forms, the preimage kernel (kernel_lattice, which
+gives kernels, intersections and preimages of a lattice), the Smith
 form (by alternating row and column passes), and the rational rank,
 inverse and solve (rat_solve), where a triangular back-substitution is
 the only step that divides.
@@ -172,17 +173,6 @@ def hnf(m, ncols: int | None = None) -> IntMatrix:
     rows = [list(r) for r in as_int_matrix(m, ncols)]
     rank = _hermite(rows)
     return tuple(tuple(r) for r in rows[:rank])
-
-
-def _stacked_kernel(rows: list[list[int]], width: int) -> list[list[int]]:
-    """Hermite-reduce the rows [left | right], left `width` wide, and return
-    the right-hand parts of the rows whose left-hand part became zero.
-
-    Row operations keep every row in the form [x*left | x*right], so these
-    span {x*right : x*left == 0} (Cohen, GTM 138, section 2.4).
-    """
-    _hermite(rows)
-    return [r[width:] for r in rows if not any(r[:width])]
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +361,6 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     return Lattice(a.ambient_dim, a.basis + b.basis)
 
 
-def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection, from one Hermite reduction of [[A, A], [B, 0]].
-
-    A and B are the two bases; a kernel row (y, z) has y*A == -z*B, so its
-    right-hand part y*A lies in both lattices.
-    """
-    _same_ambient(a, b)
-    n = a.ambient_dim
-    rows = [list(r + r) for r in a.basis] + [list(r) + [0] * n for r in b.basis]
-    return Lattice(n, _stacked_kernel(rows, n))
-
-
 def _basis_images(lat: Lattice, a) -> IntMatrix:
     """The rows a(v) for the basis rows v of lat; a is an n x n integer matrix.
 
@@ -406,14 +384,28 @@ def _basis_images(lat: Lattice, a) -> IntMatrix:
     return tuple(out)
 
 
-def kernel_lattice(lat: Lattice, a) -> Lattice:
-    """{v in lat : a(v) == 0} for an integer matrix a acting on columns.
+def kernel_lattice(lat: Lattice, a, target: Lattice | None = None) -> Lattice:
+    """{v in lat : a(v) in target} for an integer matrix a acting on columns,
+    or a = 1 for the identity; without a target, the kernel of a on lat.
 
-    One Hermite reduction of [B*a^T | B], B = lat.basis, gives the rows
-    x*B with x*B*a^T == 0.
+    One Hermite reduction of [[B*a^T, B], [T, 0]], B = lat.basis and
+    T = target.basis, keeps each row in the form [x*B*a^T + y*T | x*B], so
+    the rows with a zero left part give the x*B with x*B*a^T in target
+    (Cohen, GTM 138, section 2.4).
     """
-    rows = [list(c) + list(r) for c, r in zip(_basis_images(lat, a), lat.basis)]
-    return Lattice(lat.ambient_dim, _stacked_kernel(rows, lat.ambient_dim))
+    n = lat.ambient_dim
+    images = lat.basis if a == 1 else _basis_images(lat, a)
+    rows = [list(c + r) for c, r in zip(images, lat.basis)]
+    if target is not None:
+        _same_ambient(lat, target)
+        rows += [list(t) + [0] * n for t in target.basis]
+    _hermite(rows)
+    return Lattice(n, [r[n:] for r in rows if not any(r[:n])])
+
+
+def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
+    """Intersection, from kernel_lattice's rows [[A, A], [B, 0]] for bases A, B."""
+    return kernel_lattice(a, 1, b)
 
 
 # ---------------------------------------------------------------------------

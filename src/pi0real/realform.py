@@ -257,9 +257,8 @@ def build_preset(family: str, **fields) -> tuple[RootDatum, Involution]:
     for key in {**PRESET_FIELDS, **fields}:  # table order, then names outside it
         if key in fields and key not in params:
             takes = ", ".join(repr(k) for k in params) or "no fields"
-            raise PresetError(
-                f"preset field {key!r} is not used by preset {family!r}, which takes {takes}"
-            )
+            raise PresetError(f"preset field {_brief(repr(key))} is not used by preset "
+                              f"{family!r}, which takes {takes}")
     given = {**PRESET_DEFAULTS, **{k: v for k, v in fields.items() if v is not None}}
     for key in params:
         if key not in given:

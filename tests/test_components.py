@@ -412,7 +412,8 @@ def test_cocycle_and_coboundary_match_lattice_definitions():
 
 def test_h1_sup_is_x_where_twice_lies_in_theta_minus_one_x_plus_q_cmp():
     # the paper's X intersect (X_spl_tilde + Q_cmp/2), kept integral:
-    # v lies in it exactly when 2v lies in (theta - 1) X + Q_cmp
+    # v lies in it exactly when 2v lies in (theta - 1) X + Q_cmp, and h1_pi1
+    # builds it as the cocycles, where v + theta(v) lies in Q
     rng = random.Random(0x4A1F)
     seen = {True: 0, False: 0}
     for rd, inv in split_fixtures():
@@ -424,6 +425,7 @@ def test_h1_sup_is_x_where_twice_lies_in_theta_minus_one_x_plus_q_cmp():
         for v in vs:
             inside = membership(v, sup)
             assert inside == membership(tuple(2 * x for x in v), doubled), (rd.name, v)
+            assert inside == cocycle_check(rd, inv, v), (rd.name, v)
             seen[inside] += 1
     assert min(seen.values()) >= 50, seen
 
@@ -645,7 +647,7 @@ def test_job_builds_each_split_lattice_once(monkeypatch):
     report = cli.run(job)
     assert report["h1_order"] is not None
     # X_spl and X_spl_tilde once each, on the involution; Q_spl in pi0 and
-    # Q_cmp in h1_pi1
+    # the cocycles in h1_pi1
     assert sorted(calls) == [
         "pi0real.components.kernel_lattice",
         "pi0real.components.kernel_lattice",
@@ -727,6 +729,17 @@ def test_vector_check_messages(check, nu, error, message):
         check(rd, inv, nu)
     assert type(err.value).__name__ == error
     assert str(err.value) == message
+
+
+def test_vector_check_messages_are_bounded():
+    # a long non-integral vector is quoted in at most QUOTE_LIMIT characters
+    rd, inv = build(torus_split(300))
+    nu = (Fraction(1, 2),) + (0,) * 299
+    for check in (representative, cocycle_check, coboundary_check):
+        with pytest.raises(ValueError) as err:
+            check(rd, inv, nu)
+        assert type(err.value) is ValueError
+        assert len(str(err.value).encode()) < 250, check.__name__
 
 
 def test_representative_messages_for_theta_and_pairing():

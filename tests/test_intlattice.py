@@ -385,6 +385,17 @@ def _transform_kernel_lattice(lat, a):
     return Lattice(lat.ambient_dim, mat_mul(kernel, lat.basis))
 
 
+def _transform_preimage(lat, a, target):
+    """{v in lat : a(v) in target}: the left kernel of [B*a^T ; T], with its
+    first rank(B) coordinates applied to B."""
+    kernel = _transform_left_kernel(mat_mul(lat.basis, transpose(a)) + target.basis)
+    gens = [
+        tuple(sum(k * row[j] for k, row in zip(kv, lat.basis)) for j in range(lat.ambient_dim))
+        for kv in kernel
+    ]
+    return Lattice(lat.ambient_dim, gens)
+
+
 def _transform_intersect(a, b):
     n = a.ambient_dim
     if a.is_zero or b.is_zero:
@@ -437,6 +448,10 @@ def test_stacked_kernels_match_transform_route_random():
         assert kernel_lattice(lat, a) == _transform_kernel_lattice(lat, a), (lat, a)
         other = _random_lattice(rng, n, rng.randint(1, 4), rng.choice(kinds))
         assert lattice_intersect(lat, other) == _transform_intersect(lat, other), (lat, other)
+        assert kernel_lattice(lat, a, other) == _transform_preimage(lat, a, other), (lat, a, other)
+        assert kernel_lattice(lat, a, Lattice.zero(n)) == kernel_lattice(lat, a)
+        with pytest.raises(DimensionMismatch):
+            kernel_lattice(lat, a, Lattice.zero(n + 1))
         seen.add((n, scale, lat.is_zero, lat.rank == n, singular))
     # every dimension, scale, lattice shape and matrix kind came up
     assert {s[0] for s in seen} == set(range(1, 7))

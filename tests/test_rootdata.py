@@ -590,6 +590,8 @@ def test_build_preset_missing_params():
          "preset field 'colour' is not used by preset 'GL', which takes 'n'"),
         ("SIMPLE", {"rank": 3}, "preset 'SIMPLE' needs parameter 'type'"),
         ("GL", {"n": None}, "preset 'GL' needs parameter 'n'"),
+        ("GL", {"n": 3, "x" * 1000: 1},
+         "preset field '" + "x" * 79 + "... is not used by preset 'GL', which takes 'n'"),
     ],
 )
 def test_build_preset_checks_fields(family, fields, message):
