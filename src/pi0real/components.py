@@ -32,8 +32,8 @@ Involution derives them once and every computation here shares them.  A
 job builds only Q_spl (in pi0) and the cocycles (in h1_pi1) itself, each
 by one kernel_lattice call.  Coordinates, residues and representatives are
 computed in integers, from the Hermite rows of the lattices and theta's
-nonzero terms; a Fraction appears only for rational input or a rational
-display weight.
+action by its nonzero columns; a Fraction appears only for rational input
+or a rational display weight.
 """
 
 from __future__ import annotations
@@ -115,19 +115,15 @@ class Elementary2Group:
         """All group elements as subset sums of the generators, by size.
 
         The zero vector comes first, then single generators, then pairs,
-        and so on; within one size the generator order is respected.
+        and so on; within one size the subsets come in the order of their
+        bitmasks, bit i for generator i.
         """
-        out = [tuple(0 for _ in range(self.sub.ambient_dim))]
-        by_size: list[list[tuple[int, ...]]] = [[] for _ in range(self.rank + 1)]
-        for mask in range(1, 2**self.rank):
-            total = [0] * self.sub.ambient_dim
-            for i in range(self.rank):
-                if mask >> i & 1:
-                    total = [a + b for a, b in zip(total, self.generators[i])]
-            by_size[bin(mask).count("1")].append(tuple(total))
-        for bucket in by_size:
-            out.extend(bucket)
-        return tuple(out)
+        # sums[m] is the sum of the generators in the bitmask m
+        sums = [(0,) * self.sub.ambient_dim]
+        for g in self.generators:
+            sums += [tuple(a + b for a, b in zip(s, g)) for s in sums]
+        masks = sorted(range(len(sums)), key=lambda m: (bin(m).count("1"), m))
+        return tuple(sums[m] for m in masks)
 
 
 def _int_tuple(v) -> Optional[tuple[int, ...]]:
@@ -264,6 +260,7 @@ def cocycle_check(rd: RootDatum, inv: Involution, nu) -> bool:
     when nu lies in the super-lattice of h1_pi1.  ``nu`` must be a
     cocharacter.
     """
+    _check_rank(rd, inv)
     nu_int = _cocharacter(rd, nu)
     return membership(tuple(a + b for a, b in zip(nu_int, inv.apply(nu_int))), rd.coroots)
 
@@ -274,6 +271,7 @@ def coboundary_check(rd: RootDatum, inv: Involution, nu) -> bool:
     True exactly when nu lies in (theta - 1) X + Q = 2 X_spl_tilde + Q.  A
     vector passing this test is automatically a cocycle.
     """
+    _check_rank(rd, inv)
     nu_int = _cocharacter(rd, nu)
     return membership(nu_int, lattice_sum(inv.two_x_spl_tilde, rd.coroots))
 
@@ -316,6 +314,7 @@ class Representative:
 
 def representative(rd: RootDatum, inv: Involution, nu) -> Representative:
     """Evaluate the display weights on exp(pi i nu) for nu in X with theta(nu) = -nu."""
+    _check_rank(rd, inv)
     nu_int = _cocharacter(rd, nu, inv)
     evals = []
     for label, c, terms in rd.weight_terms:

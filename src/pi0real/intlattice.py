@@ -5,11 +5,12 @@ constructor puts the basis in Hermite form, so equal point sets compare
 equal as Python objects.
 
 Everything is exact.  Matrices are tuples of tuples of Python ints; no
-floating point anywhere.  Vectors given to coords_in_lattice, membership
-and reduce_mod may have Fraction entries, and a non-integral vector lies
-in no lattice.  A rational vector enters the integer arithmetic through
-one routine, integer_row, which returns the lcm c of its denominators and
-the integer vector c * v.  One integer row Hermite reduction (_hermite) does
+floating point anywhere.  A square matrix acts on column vectors through
+one routine, matrix_action, by its nonzero columns.  Vectors given to
+coords_in_lattice, membership and reduce_mod may have Fraction entries, and
+a non-integral vector lies in no lattice.  A rational vector enters the
+integer arithmetic through one routine, integer_row, which returns the lcm
+c of its denominators and the integer vector c * v.  One integer row Hermite reduction (_hermite) does
 every elimination: Hermite forms, the preimage kernel (kernel_lattice, which
 gives kernels, intersections and preimages of a lattice), the Smith
 form (by alternating row and column passes), and the rational rank,
@@ -72,7 +73,7 @@ def as_int_matrix(rows, ncols: int | None = None) -> IntMatrix:
         if len(t) != width:
             raise LatticeError("ragged matrix")
         for x in t:
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise LatticeError(f"non-integer matrix entry {x!r}")
         out.append(t)
     return tuple(out)
@@ -361,27 +362,28 @@ def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
     return Lattice(a.ambient_dim, a.basis + b.basis)
 
 
-def _basis_images(lat: Lattice, a) -> IntMatrix:
-    """The rows a(v) for the basis rows v of lat; a is an n x n integer matrix.
+def matrix_action(a, n: int):
+    """v -> a(v) for an n x n integer matrix a acting on column vectors.
 
-    a(v) is the sum of v_j times column j of a, taken over the nonzero v_j
-    and the nonzero entries of each column, so the images of the standard
-    basis are just the columns of a.
+    a's nonzero columns are built once; a(v) is the sum of v_j times
+    column j of a, taken over the nonzero v_j only.
     """
-    n = lat.ambient_dim
     rows = [tuple(r) for r in a]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("matrix does not act on the ambient space")
     cols = [[(i, x) for i, x in enumerate(c) if x] for c in transpose(as_int_matrix(rows, n))]
-    out = []
-    for v in lat.basis:
+
+    def act(v) -> tuple:
+        if len(v) != n:
+            raise DimensionMismatch("vector length does not match ambient dimension")
         image = [0] * n
-        for j, c in enumerate(v):
+        for c, col in zip(v, cols):
             if c:
-                for i, x in cols[j]:
+                for i, x in col:
                     image[i] += c * x
-        out.append(tuple(image))
-    return tuple(out)
+        return tuple(image)
+
+    return act
 
 
 def kernel_lattice(lat: Lattice, a, target: Lattice | None = None) -> Lattice:
@@ -394,7 +396,7 @@ def kernel_lattice(lat: Lattice, a, target: Lattice | None = None) -> Lattice:
     (Cohen, GTM 138, section 2.4).
     """
     n = lat.ambient_dim
-    images = lat.basis if a == 1 else _basis_images(lat, a)
+    images = lat.basis if a == 1 else map(matrix_action(a, n), lat.basis)
     rows = [list(c + r) for c, r in zip(images, lat.basis)]
     if target is not None:
         _same_ambient(lat, target)
@@ -463,15 +465,14 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
     """Structure of sup/sub through Smith normal form.
 
     The Smith form u * R * v = diag(d) of the relation matrix R gives the
-    invariant factors, and the rows of v^-1, read in sup's basis, give the
-    generators.  v^-1 is the right half of the Hermite form of [v | 1],
-    since v is unimodular.
+    invariant factors, and the rows of v^-1 * B, B = sup.basis, give the
+    generators.  Since v is unimodular, the Hermite form of [v | B] is
+    [1 | v^-1 * B].
     """
     relation = relation_matrix(sub, sup)
     rp = sup.rank
     d, _, v = snf(relation, rp)
-    ident = [list(r) for r in identity_matrix(rp)]
-    _, vinv = _hermite_pair([list(r) for r in v], ident, rp)
+    _, vinv_b = _hermite_pair([list(r) for r in v], [list(r) for r in sup.basis], rp)
     rows = _hermite_rows(sub)
     factors = []
     gens = []
@@ -480,9 +481,7 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
         di = d[i] if i < len(d) else 0
         if di == 1:
             continue
-        w = [sum(c * row[k] for c, row in zip(vinv[i], sup.basis))
-             for k in range(sup.ambient_dim)]
-        g = _reduce_ints(w, rows)
+        g = _reduce_ints(vinv_b[i], rows)
         if di == 0:
             free_gens.append(g)
         else:

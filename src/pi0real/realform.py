@@ -13,7 +13,7 @@ span of that set, it then preserves the coroot lattice as well.
 
 Since the cocharacter lattice is always Z^n, everything that depends on
 theta alone is derived once, on first use, by the :class:`Involution`
-itself: theta's nonzero terms, theta + 1 and theta - 1, and the two
+itself: its action (matrix_action), theta + 1 and theta - 1, and the two
 lattices of X that pi0 and H1 read, X_spl = ker(theta + 1) and
 (theta - 1) X = 2 X_spl_tilde.  Every lattice is integral: the projected
 cocharacters X_spl_tilde = (theta - 1) X / 2 enter only doubled.
@@ -30,7 +30,9 @@ from .intlattice import (
     Lattice,
     as_int_matrix,
     block_diag,
+    identity_matrix,
     kernel_lattice,
+    matrix_action,
     rat_rank,
     rat_solve,
     transpose,
@@ -68,13 +70,9 @@ class Involution:
     name: str = ""
 
     @cached_property
-    def terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Theta's nonzero entries, row by row, as (column, entry) pairs."""
-        return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.theta)
-
-    def apply(self, v) -> tuple:
-        """theta(v) for a column vector v, by theta's nonzero terms."""
-        return tuple(sum(a * v[j] for j, a in row) for row in self.terms)
+    def apply(self):
+        """v -> theta(v) for column vectors v, by theta's nonzero columns."""
+        return matrix_action(self.theta, len(self.theta))
 
     @cached_property
     def plus_one(self) -> IntMatrix:
@@ -106,18 +104,6 @@ def _shift_diagonal(m: IntMatrix, c: int) -> IntMatrix:
     )
 
 
-def _squares_to_one(terms) -> bool:
-    """Is the matrix with these row terms its own inverse?"""
-    for i, row in enumerate(terms):
-        square = {i: -1}
-        for j, a in row:
-            for k, b in terms[j]:
-                square[k] = square.get(k, 0) + a * b
-        if any(square.values()):
-            return False
-    return True
-
-
 def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
     """Validate an integer matrix as a Cartan involution for ``rd``."""
     n = rd.rank
@@ -128,12 +114,13 @@ def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
     if len(theta) != n:
         raise InvolutionError(f"involution matrix must be {n} x {n}")
     inv = Involution(theta=theta, name=name)
-    if not _squares_to_one(inv.terms):
+    apply = inv.apply
+    if any(apply(apply(e)) != e for e in identity_matrix(n)):
         raise InvolutionError("matrix is not an involution")
     # theta^2 = 1 and theta permuting the coroots give theta(Q) = Q
     coroot_set = set(rd.coroot_generators)
     for c in rd.coroot_generators:
-        image = inv.apply(c)
+        image = apply(c)
         if image not in coroot_set:
             raise InvolutionError(
                 f"involution does not normalize the coroot set: "

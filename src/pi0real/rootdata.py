@@ -31,6 +31,7 @@ from .intlattice import (
     as_int_matrix,
     identity_matrix,
     integer_row,
+    matrix_action,
     transpose,
 )
 
@@ -256,10 +257,9 @@ def so(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
         for i in range(ell):
             gens.append(tuple(2 * x for x in _unit(ell, i)))
             gens.append(tuple(-2 * x for x in _unit(ell, i)))
-    gens = tuple(dict.fromkeys(gens))
     rd = RootDatum(
         rank=ell,
-        coroot_generators=gens,
+        coroot_generators=tuple(gens),
         display_weights=_so_like_display(p, q, lambda w: tuple(w)),
         named_vectors=tuple((f"e{i + 1}", _unit(ell, i)) for i in range(ell)),
         name=f"SO({p},{q})",
@@ -300,7 +300,7 @@ def pso(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
         half = Fraction(sum(lmbda), 2)
         return tuple(lmbda[:-1]) + (int(half) if half.denominator == 1 else half,)
 
-    gens = tuple(dict.fromkeys(conv_vec(v) for v in _d_coroots(ell)))
+    gens = tuple(conv_vec(v) for v in _d_coroots(ell))
     named = [(f"e{i + 1}", conv_vec(_unit(ell, i))) for i in range(ell)]
     named.append((f"w{ell}", _unit(ell, ell - 1)))
     rd = RootDatum(
@@ -404,17 +404,17 @@ def _coroot_closure(cartan: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """All coroots, as integer coordinate vectors over the simple coroots.
 
     Orbit of the simple coroots under the simple reflections; the reflection
-    s_j sends a coordinate vector c to c - (sum_i C[j][i] c_i) e_j.  Cached
-    per Cartan matrix, since every E7 and SIMPLE job walks one.
+    s_j sends a coordinate vector c to c - (C.c)_j e_j.  Cached per Cartan
+    matrix, since every E7 and SIMPLE job walks one.
     """
     n = len(cartan)
+    pairings = matrix_action(cartan, n)
     frontier = {_unit(n, i) for i in range(n)} | {_neg(_unit(n, i)) for i in range(n)}
     seen = set(frontier)
     while frontier:
         nxt = set()
         for c in frontier:
-            for j in range(n):
-                pairing = sum(cartan[j][i] * c[i] for i in range(n))
+            for j, pairing in enumerate(pairings(c)):
                 image = list(c)
                 image[j] -= pairing
                 image = tuple(image)
@@ -438,9 +438,7 @@ def _simple_datum(cartan: IntMatrix, isogeny: str, name: str) -> RootDatum:
         vecs = coords
         named = tuple((f"a{i + 1}", _unit(n, i)) for i in range(n))
     else:
-        vecs = tuple(
-            tuple(sum(a * x for a, x in zip(row, c)) for row in cartan) for c in coords
-        )
+        vecs = tuple(map(matrix_action(cartan, n), coords))
         named = tuple((f"w{i + 1}", _unit(n, i)) for i in range(n)) + tuple(
             (f"a{i + 1}", col) for i, col in enumerate(transpose(cartan))
         )

@@ -313,6 +313,15 @@ def test_torus_pi0_rejects_size_mismatch():
         pi0(RootDatum(rank=3), involution_from_matrix(rd, theta))
 
 
+@pytest.mark.parametrize("check", [representative, cocycle_check, coboundary_check])
+@pytest.mark.parametrize("size, rank", [(3, 2), (2, 3)])
+def test_vector_checks_reject_an_involution_of_another_size(check, size, rank):
+    inv = Involution(torus_split(size)[1])
+    with pytest.raises(ValueError) as err:
+        check(RootDatum(rank=rank), inv, (0,) * rank)
+    assert str(err.value) == f"involution is {size} x {size}, datum has rank {rank}"
+
+
 # ---------------------------------------------------------------------------
 # representatives
 

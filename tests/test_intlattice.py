@@ -11,7 +11,15 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import det, frac_vec, image_lattice, mat_mul, random_int_matrix, random_unimodular
+from helpers import (
+    det,
+    frac_vec,
+    image_lattice,
+    mat_mul,
+    mat_vec,
+    random_int_matrix,
+    random_unimodular,
+)
 from pi0real.intlattice import (
     BoundExceeded,
     DimensionMismatch,
@@ -29,6 +37,7 @@ from pi0real.intlattice import (
     lattice_index,
     lattice_intersect,
     lattice_sum,
+    matrix_action,
     membership,
     quotient_structure,
     rat_rank,
@@ -316,6 +325,37 @@ def test_matrix_of_wrong_size_raises_dimension_mismatch():
         with pytest.raises(DimensionMismatch):
             kernel_lattice(lat, a)
     assert kernel_lattice(Lattice.standard(0), ()) == Lattice.standard(0)
+
+
+def test_matrix_action_matches_dense_product():
+    rng = random.Random(0xAC71)
+    for n in range(9):
+        for kind in ("dense", "sparse", "zero columns"):
+            a = random_int_matrix(rng, n, n)
+            if kind == "sparse":
+                a = tuple(tuple(x if rng.random() < 0.2 else 0 for x in row) for row in a)
+            elif kind == "zero columns":
+                zero = {j for j in range(n) if rng.random() < 0.5}
+                a = tuple(tuple(0 if j in zero else x for j, x in enumerate(row)) for row in a)
+            act = matrix_action(a, n)
+            vectors = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(3)]
+            for v in vectors + [(0,) * n] + list(identity_matrix(n)):
+                image = act(v)
+                assert image == mat_vec(a, v), (a, v)
+                assert all(type(x) is int for x in image)
+
+
+def test_matrix_action_rejects_what_does_not_act():
+    for a, n in ((((1, 0),), 2), (((1, 0),), 1), (((1, 0), (0, 1)), 3)):
+        with pytest.raises(DimensionMismatch, match="^matrix does not act on the ambient space$"):
+            matrix_action(a, n)
+    act = matrix_action(((0, 1), (1, 0)), 2)
+    for v in ((), (1,), (1, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            act(v)
+    for x in (Fraction(1, 2), Fraction(1)):
+        with pytest.raises(LatticeError, match="^non-integer matrix entry Fraction"):
+            matrix_action(((1, 0), (0, x)), 2)
 
 
 def test_image_of_identity():

@@ -9,7 +9,9 @@ import pytest
 import helpers
 from helpers import image_lattice, mat_add, mat_mul, mat_sub, mat_vec
 from pi0real.intlattice import (
+    DimensionMismatch,
     Lattice,
+    LatticeError,
     kernel_lattice,
     identity_matrix,
     membership,
@@ -54,6 +56,22 @@ def test_rejects_wrong_shape():
         involution_from_matrix(rd, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(InvolutionError):
         involution_from_matrix(rd, ((Fraction(1, 2),),))
+
+
+def test_boolean_entries_are_not_integers():
+    with pytest.raises(LatticeError, match="^non-integer matrix entry True$"):
+        Lattice(1, [[True]])
+    with pytest.raises(LatticeError, match="^non-integer matrix entry True$"):
+        kernel_lattice(Lattice.standard(1), [[True]])
+    with pytest.raises(InvolutionError, match="^bad involution matrix: non-integer matrix entry True$"):
+        involution_from_matrix(torus_datum(1), [[True]])
+
+
+def test_apply_rejects_a_theta_that_does_not_act():
+    with pytest.raises(DimensionMismatch, match="^matrix does not act on the ambient space$"):
+        Involution(((1, 0),)).apply((1, 0))
+    with pytest.raises(DimensionMismatch):
+        Involution(((-1, 0), (0, 1))).apply((1, 0, 0))
 
 
 def test_rejects_coroot_lattice_violation():
