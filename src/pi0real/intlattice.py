@@ -22,9 +22,10 @@ of sub's Hermite rows in sup's basis (relation_matrix).  The Smith route
 (quotient_structure) and lattice_index read R; the coset enumeration
 (brute_force_quotient) uses it only as its containment check, so each
 route can serve as an oracle for the other.  The enumeration is an integer
-walk: each coset is an integer residue, and the walk takes only the + steps
-along the super-lattice's Hermite rows, sharing one integer reduction loop
-with reduce_mod.
+walk: each coset is an integer residue, and the walk closes the trivial
+coset under one Hermite row of the super-lattice at a time (_close), sharing
+one integer reduction loop with reduce_mod.  Each lattice caches its Hermite
+rows sparsely (Lattice._rows), so a reduction touches only nonzero entries.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def integer_row(v) -> tuple[int, list[int]]:
 # Hermite normal form
 
 
-def _row_sub(r, s, q):
-    for j in range(len(r)):
+def _row_sub(r, s, q, start):
+    """r -= q * s, from column start on; s must be zero left of start."""
+    for j in range(start, len(r)):
         r[j] -= q * s[j]
 
 
@@ -149,7 +151,7 @@ def _hermite(rows: list[list[int]]) -> int:
                 if rows[i][col]:
                     q = rows[i][col] // p
                     if q:
-                        _row_sub(rows[i], rows[piv], q)
+                        _row_sub(rows[i], rows[piv], q, col)
                     if rows[i][col]:
                         dirty = True
             if not dirty:
@@ -160,7 +162,7 @@ def _hermite(rows: list[list[int]]) -> int:
         for i in range(piv):
             q = rows[i][col] // p
             if q:
-                _row_sub(rows[i], rows[piv], q)
+                _row_sub(rows[i], rows[piv], q, col)
         piv += 1
     return piv
 
@@ -269,9 +271,13 @@ class Lattice:
         return not self.basis
 
     @cached_property
-    def _pivots(self) -> tuple[int, ...]:
-        """The pivot column of each Hermite row."""
-        return tuple(next(k for k, x in enumerate(row) if x) for row in self.basis)
+    def _rows(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """Each Hermite row as (pivot column, pivot, its nonzero (column, entry) pairs)."""
+        out = []
+        for row in self.basis:
+            pairs = tuple((k, x) for k, x in enumerate(row) if x)
+            out.append((pairs[0][0], pairs[0][1], pairs))
+        return tuple(out)
 
     def scale(self, c: int) -> "Lattice":
         """The scaled lattice c * L for an integer c."""
@@ -302,15 +308,13 @@ def _coords(w: list[int], lat: Lattice):
     w is a list as long as lat's ambient dimension; it is consumed.
     """
     coeffs = []
-    n = len(w)
-    for j, row in zip(lat._pivots, lat.basis):
-        q, rem = divmod(w[j], row[j])
+    for j, p, pairs in lat._rows:
+        q, rem = divmod(w[j], p)
         if rem:
             return None
         if q:
-            # a Hermite row is zero left of its pivot
-            for k in range(j, n):
-                w[k] -= q * row[k]
+            for k, x in pairs:
+                w[k] -= q * x
         coeffs.append(q)
     if any(w):
         return None
@@ -323,23 +327,27 @@ def membership(v, lat: Lattice) -> bool:
 
 
 def _hermite_rows(lat: Lattice, mult: int = 1):
-    """lat's Hermite rows scaled by mult, as (pivot column, pivot, row)."""
+    """lat's Hermite rows scaled by mult, in the sparse form of Lattice._rows."""
+    if mult == 1:
+        return lat._rows
     return [
-        (j, row[j] * mult, tuple(x * mult for x in row))
-        for j, row in zip(lat._pivots, lat.basis)
+        (j, p * mult, tuple((k, x * mult) for k, x in pairs))
+        for j, p, pairs in lat._rows
     ]
 
 
-def _reduce_ints(w, rows) -> tuple[int, ...]:
+def _reduce_ints(w: list[int], rows) -> tuple[int, ...]:
     """Reduce the integer vector w by Hermite rows from _hermite_rows.
 
     Each pivot digit is brought into [0, pivot), in pivot order, which
-    picks the same representative for every member of a coset.
+    picks the same representative for every member of a coset.  w is a
+    list; it is consumed.
     """
-    for j, p, row in rows:
+    for j, p, pairs in rows:
         q = w[j] // p
         if q:
-            w = [x - q * y for x, y in zip(w, row)]
+            for k, x in pairs:
+                w[k] -= q * x
     return tuple(w)
 
 
@@ -368,7 +376,10 @@ def matrix_action(a, n: int):
     a's nonzero columns are built once; a(v) is the sum of v_j times
     column j of a, taken over the nonzero v_j only.
     """
-    rows = [tuple(r) for r in a]
+    try:
+        rows = [tuple(r) for r in a]
+    except TypeError:
+        raise LatticeError(f"not a matrix: {type(a).__name__}") from None
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("matrix does not act on the ambient space")
     cols = [[(i, x) for i, x in enumerate(c) if x] for c in transpose(as_int_matrix(rows, n))]
@@ -396,7 +407,8 @@ def kernel_lattice(lat: Lattice, a, target: Lattice | None = None) -> Lattice:
     (Cohen, GTM 138, section 2.4).
     """
     n = lat.ambient_dim
-    images = lat.basis if a == 1 else map(matrix_action(a, n), lat.basis)
+    identity = type(a) is int and a == 1
+    images = lat.basis if identity else map(matrix_action(a, n), lat.basis)
     rows = [list(c + r) for c, r in zip(images, lat.basis)]
     if target is not None:
         _same_ambient(lat, target)
@@ -458,7 +470,7 @@ def relation_matrix(sub: Lattice, sup: Lattice) -> IntMatrix:
 def basis_residues(sub: Lattice, sup: Lattice) -> IntMatrix:
     """The canonical residues modulo sub of sup's basis vectors."""
     rows = _hermite_rows(sub)
-    return tuple(_reduce_ints(b, rows) for b in sup.basis)
+    return tuple(_reduce_ints(list(b), rows) for b in sup.basis)
 
 
 def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
@@ -570,16 +582,44 @@ def _invariant_factors_from_orders(cosets, rows, n: int) -> tuple[int, ...]:
 COSET_BOUND = 4096
 
 
+def _close(span: set, step, rows, bound: int) -> None:
+    """Grow the finite coset group span, in place, to span + <g>.
+
+    span is a set of canonical residues modulo the Hermite rows `rows`,
+    closed under addition; step lists g's nonzero (column, entry) pairs.
+    span + <g> is the union of the shifts span + m*g, and each shift is a
+    coset of span, so it is either new or span itself, which ends it: one
+    residue of a shift tells which.  Raises BoundExceeded as soon as span
+    holds more than `bound` residues, so it never holds more than 2 * bound.
+    """
+    shift = span
+    while True:
+        sums = []
+        for s in shift:
+            w = list(s)
+            for k, x in step:
+                w[k] += x
+            r = _reduce_ints(w, rows)
+            if not sums and r in span:
+                return
+            sums.append(r)
+        shift = set(sums)
+        span |= shift
+        if len(span) > bound:
+            raise BoundExceeded(f"more than {bound} cosets")
+
+
 def brute_force_quotient(
     sub: Lattice, sup: Lattice, bound: int = COSET_BOUND
 ) -> QuotientStructure:
     """Quotient structure by explicit coset enumeration.
 
-    Every coset is an integer tuple, its canonical residue modulo sub.  A
-    breadth-first walk adds sup's Hermite rows (the + steps only) to
-    reach every coset.  Element orders are then measured directly, giving
-    invariant factors by a route fully independent of Smith normal form.
-    Generators are returned as residues, like those of quotient_structure.
+    Every coset is an integer tuple, its canonical residue modulo sub.  The
+    walk closes the trivial coset under sup's Hermite rows, one row at a
+    time (_close), which reaches every coset.  Element orders are then
+    measured directly, giving invariant factors by a route fully
+    independent of Smith normal form.  Generators are returned as
+    residues, like those of quotient_structure.
 
     Raises InfiniteIndex when ranks show the quotient is infinite, and
     BoundExceeded when more than `bound` cosets appear.
@@ -588,24 +628,12 @@ def brute_force_quotient(
     if sub.rank < sup.rank:
         raise InfiniteIndex("sub-lattice has lower rank; quotient is infinite")
     rows = _hermite_rows(sub)
-    steps = sup.basis
-    # The rank test makes sup/sub finite, so each -g is a positive multiple
-    # of g modulo sub: the + steps reach the same cosets as the +- steps,
-    # and BoundExceeded is raised in the same cases.
+    # The rank test makes sup/sub finite, so each row g has finite order
+    # modulo sub and the closure under g ends.
     zero = (0,) * sup.ambient_dim
     found = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in steps:
-                y = _reduce_ints([a + b for a, b in zip(x, g)], rows)
-                if y not in found:
-                    if len(found) >= bound:
-                        raise BoundExceeded(f"more than {bound} cosets")
-                    found.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    for _, _, step in sup._rows:
+        _close(found, step, rows, bound)
     n = len(found)
     if n == 1:
         return QuotientStructure((), 0, ())
@@ -617,14 +645,7 @@ def brute_force_quotient(
         if x in span:
             continue
         chosen.append(x)
-        # span + <x> is the union of the shifts span + m*x; each shift is a
-        # coset of span, so it is either new or span itself, which ends it
-        shift = span
-        while True:
-            shift = {_reduce_ints([a + b for a, b in zip(s, x)], rows) for s in shift}
-            if shift <= span:
-                break
-            span |= shift
+        _close(span, [(k, a) for k, a in enumerate(x) if a], rows, n)
         if len(span) == n:
             break
     return QuotientStructure(factors, 0, tuple(chosen))

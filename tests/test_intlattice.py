@@ -28,6 +28,7 @@ from pi0real.intlattice import (
     LatticeError,
     NotASublattice,
     QuotientStructure,
+    basis_residues,
     brute_force_quotient,
     coords_in_lattice,
     hnf,
@@ -628,6 +629,81 @@ def test_brute_force_larger_power_of_two_index():
     sub = Lattice(3, ((16, 0, 0), (0, 16, 0), (0, 0, 16)))
     q = brute_force_quotient(sub, Lattice.standard(3), bound=4096)
     assert q.invariant_factors == (16, 16, 16)
+
+
+def _seeded_quotients(rng):
+    """(sub, sup) pairs with finite quotients, among them Z/4 x Z/2, Z/6,
+    Z/8, Z/3 x Z/3 and (Z/2)^3, each also conjugated by a unimodular matrix."""
+    diagonals = [(4, 2), (2, 3), (8, 1), (3, 3), (2, 2, 2), (4, 2, 1), (6, 1, 2), (1, 1)]
+    pairs = []
+    for d in diagonals:
+        n = len(d)
+        sub = Lattice(n, [[d[i] * int(i == j) for j in range(n)] for i in range(n)])
+        pairs.append((sub, Lattice.standard(n)))
+        u, _ = random_unimodular(rng, n)
+        sup = Lattice(n, u).scale(rng.choice([1, 2]))
+        pairs.append((Lattice(n, mat_mul(sub.basis, sup.basis)), sup))
+    while len(pairs) < 40:
+        n = rng.randint(1, 4)
+        sup = _random_lattice(rng, n, rng.choice([1, 2]), "full")
+        r = random_int_matrix(rng, n, n, -3, 3)
+        if det(r) and abs(det(r)) <= 300:
+            pairs.append((Lattice(n, mat_mul(r, sup.basis)), sup))
+    return pairs
+
+
+def test_brute_force_bound_is_the_coset_count():
+    """The walk succeeds with bound = |G| and raises with bound = |G| - 1."""
+    rng = random.Random(0xB0B0)
+    orders = set()
+    for sub, sup in _seeded_quotients(rng):
+        want = quotient_structure(sub, sup)
+        order = want.order
+        orders.add(order)
+        got = brute_force_quotient(sub, sup, bound=order)
+        assert got == brute_force_quotient(sub, sup)
+        assert got.invariant_factors == want.invariant_factors
+        assert got.order == order
+        assert all(reduce_mod(g, sub) == g and membership(g, sup) for g in got.generators)
+        if order > 1:
+            with pytest.raises(BoundExceeded, match=f"^more than {order - 1} cosets$"):
+                brute_force_quotient(sub, sup, bound=order - 1)
+    assert {1, 6, 8, 9} <= orders, orders
+    z2 = Lattice.standard(2)
+    assert brute_force_quotient(Lattice(2, ((4, 0), (0, 2))), z2, bound=8).invariant_factors == (2, 4)
+    assert brute_force_quotient(Lattice(2, ((2, 0), (0, 3))), z2, bound=6).invariant_factors == (6,)
+
+
+def test_sparse_rows_match_the_hermite_basis():
+    rng = random.Random(0x5A55)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        kind = rng.choice(["zero", "full", "any", "any"]) if n else "zero"
+        lat = _random_lattice(rng, n, rng.choice([1, 2, 3]), kind)
+        assert len(lat._rows) == lat.rank
+        for (j, p, pairs), row in zip(lat._rows, lat.basis):
+            assert j == next(k for k, x in enumerate(row) if x)
+            assert p == row[j] > 0
+            assert pairs == tuple((k, x) for k, x in enumerate(row) if x)
+
+
+def test_reductions_leave_their_arguments_alone():
+    rng = random.Random(0xA11CE)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        sub = _random_lattice(rng, n, rng.choice([1, 2, 4]), rng.choice(["full", "any"]))
+        sup = lattice_sum(sub, _random_lattice(rng, n, 1, "any"))
+        before = (sub.basis, sup.basis, sub._rows, sup._rows)
+        for v in ([rng.randint(-9, 9) for _ in range(n)],
+                  [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)],
+                  mat_vec_rows(sub, [rng.randint(-2, 2) for _ in range(sub.rank)])):
+            kept = list(v)
+            reduce_mod(v, sub)
+            coords_in_lattice(v, sub)
+            assert v == kept
+        basis_residues(sub, sup)
+        relation_matrix(sub, sup)
+        assert (sub.basis, sup.basis, sub._rows, sup._rows) == before
 
 
 def test_brute_force_agrees_with_snf_random():

@@ -63,6 +63,10 @@ def test_boolean_entries_are_not_integers():
         Lattice(1, [[True]])
     with pytest.raises(LatticeError, match="^non-integer matrix entry True$"):
         kernel_lattice(Lattice.standard(1), [[True]])
+    # only the int 1 names the identity map
+    for a in (True, 1.0):
+        with pytest.raises(LatticeError, match=f"^not a matrix: {type(a).__name__}$"):
+            kernel_lattice(Lattice(2, [[2, 0], [0, 2]]), a, Lattice.standard(2))
     with pytest.raises(InvolutionError, match="^bad involution matrix: non-integer matrix entry True$"):
         involution_from_matrix(torus_datum(1), [[True]])
 
