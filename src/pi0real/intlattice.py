@@ -254,9 +254,18 @@ class Lattice:
         object.__setattr__(self, "basis", hnf(self.basis, self.ambient_dim))
 
     @classmethod
+    def _from_hermite(cls, n: int, basis: IntMatrix) -> "Lattice":
+        """The lattice of rows already in the canonical Hermite form of
+        _hermite, zero rows removed; they are taken as they are."""
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "ambient_dim", n)
+        object.__setattr__(lat, "basis", basis)
+        return lat
+
+    @classmethod
     def standard(cls, n: int) -> "Lattice":
         """The full integer lattice ZZ^n."""
-        return cls(n, identity_matrix(n))
+        return cls._from_hermite(n, identity_matrix(n))
 
     @classmethod
     def zero(cls, n: int) -> "Lattice":
@@ -278,10 +287,6 @@ class Lattice:
             pairs = tuple((k, x) for k, x in enumerate(row) if x)
             out.append((pairs[0][0], pairs[0][1], pairs))
         return tuple(out)
-
-    def scale(self, c: int) -> "Lattice":
-        """The scaled lattice c * L for an integer c."""
-        return Lattice(self.ambient_dim, [[c * x for x in row] for row in self.basis])
 
     def __contains__(self, v) -> bool:
         return membership(v, self)
@@ -374,7 +379,8 @@ def matrix_action(a, n: int):
     """v -> a(v) for an n x n integer matrix a acting on column vectors.
 
     a's nonzero columns are built once; a(v) is the sum of v_j times
-    column j of a, taken over the nonzero v_j only.
+    column j of a, taken over the nonzero v_j only.  The map keeps them as
+    its attribute ``columns``: column j as its nonzero (row, entry) pairs.
     """
     try:
         rows = [tuple(r) for r in a]
@@ -394,6 +400,7 @@ def matrix_action(a, n: int):
                     image[i] += c * x
         return tuple(image)
 
+    act.columns = cols
     return act
 
 
@@ -404,7 +411,9 @@ def kernel_lattice(lat: Lattice, a, target: Lattice | None = None) -> Lattice:
     One Hermite reduction of [[B*a^T, B], [T, 0]], B = lat.basis and
     T = target.basis, keeps each row in the form [x*B*a^T + y*T | x*B], so
     the rows with a zero left part give the x*B with x*B*a^T in target
-    (Cohen, GTM 138, section 2.4).
+    (Cohen, GTM 138, section 2.4).  The stacked rows are independent, so
+    none becomes zero; the kernel rows come last, and their right parts are
+    already in Hermite form, so they are not reduced again.
     """
     n = lat.ambient_dim
     identity = type(a) is int and a == 1
@@ -414,7 +423,8 @@ def kernel_lattice(lat: Lattice, a, target: Lattice | None = None) -> Lattice:
         _same_ambient(lat, target)
         rows += [list(t) + [0] * n for t in target.basis]
     _hermite(rows)
-    return Lattice(n, [r[n:] for r in rows if not any(r[:n])])
+    kernel = tuple(tuple(r[n:]) for r in rows if not any(r[:n]))
+    return Lattice._from_hermite(n, kernel)
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:

@@ -30,7 +30,6 @@ from .intlattice import (
     Lattice,
     as_int_matrix,
     block_diag,
-    identity_matrix,
     kernel_lattice,
     matrix_action,
     rat_rank,
@@ -104,6 +103,22 @@ def _shift_diagonal(m: IntMatrix, c: int) -> IntMatrix:
     )
 
 
+def _squares_to_one(columns) -> bool:
+    """Whether theta^2 = 1, for theta given by its sparse columns.
+
+    theta^2 = 1 says that theta maps its own column j to e_j; that image
+    is summed over the column's nonzero entries only.
+    """
+    for j, col in enumerate(columns):
+        image: dict[int, int] = {}
+        for i, x in col:
+            for k, y in columns[i]:
+                image[k] = image.get(k, 0) + x * y
+        if {k: v for k, v in image.items() if v} != {j: 1}:
+            return False
+    return True
+
+
 def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
     """Validate an integer matrix as a Cartan involution for ``rd``."""
     n = rd.rank
@@ -115,17 +130,21 @@ def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
         raise InvolutionError(f"involution matrix must be {n} x {n}")
     inv = Involution(theta=theta, name=name)
     apply = inv.apply
-    if any(apply(apply(e)) != e for e in identity_matrix(n)):
+    if not _squares_to_one(apply.columns):
         raise InvolutionError("matrix is not an involution")
-    # theta^2 = 1 and theta permuting the coroots give theta(Q) = Q
-    coroot_set = set(rd.coroot_generators)
-    for c in rd.coroot_generators:
-        image = apply(c)
-        if image not in coroot_set:
-            raise InvolutionError(
-                f"involution does not normalize the coroot set: "
-                f"theta({_brief(str(c))}) = {_brief(str(image))} is not a coroot"
-            )
+    # theta^2 = 1 and theta permuting the coroots give theta(Q) = Q.  The
+    # set is symmetric and theta(-c) = -theta(c), so theta is applied to one
+    # coroot of each +- pair, the one whose first nonzero entry is positive;
+    # a failure then quotes the first offending coroot in list order.
+    gens = rd.coroot_generators
+    coroot_set = set(gens)
+    zero = (0,) * n
+    if any(c > zero and apply(c) not in coroot_set for c in gens):
+        c = next(c for c in gens if apply(c) not in coroot_set)
+        raise InvolutionError(
+            f"involution does not normalize the coroot set: "
+            f"theta({_brief(str(c))}) = {_brief(str(apply(c)))} is not a coroot"
+        )
     return inv
 
 

@@ -20,7 +20,7 @@ turns each matrix into an involution is ``realform.PRESETS``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Optional, Sequence
@@ -61,6 +61,13 @@ def _neg(v: Sequence) -> tuple:
     return tuple(-x for x in v)
 
 
+def _difference(n: int, i: int, j: int) -> tuple[int, ...]:
+    """e_i - e_j in Z^n, for i != j."""
+    v = [0] * n
+    v[i], v[j] = 1, -1
+    return tuple(v)
+
+
 # ---------------------------------------------------------------------------
 # the datum itself
 
@@ -76,7 +83,9 @@ class RootDatum:
     X and Q are derived, not stored: ``cochar`` is the standard lattice
     Z^rank, and ``coroots`` is the lattice spanned by ``coroot_generators``.
     Both are built on first use and cached, so :meth:`validate` can report a
-    malformed generator before anything tries to span it.
+    malformed generator before anything tries to span it.  A builder that
+    knows a basis of Q passes it as ``coroot_basis``, and Q is spanned by
+    that alone; it takes no part in printing or comparing a datum.
 
     ``display_weights`` are pairs (label, weight) of characters evaluated on
     torus representatives; a weight is a covector, stored as a plain tuple in
@@ -93,6 +102,9 @@ class RootDatum:
     named_vectors: tuple[tuple[str, tuple[int, ...]], ...] = ()
     name: str = ""
     lift_note: Optional[str] = None
+    coroot_basis: Optional[tuple[tuple[int, ...], ...]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @cached_property
     def cochar(self) -> Lattice:
@@ -101,8 +113,19 @@ class RootDatum:
 
     @cached_property
     def coroots(self) -> Lattice:
-        """The coroot lattice Q, spanned by the coroot generators."""
-        return Lattice(self.rank, self.coroot_generators)
+        """The coroot lattice Q, spanned by ``coroot_basis`` when it is given.
+
+        Otherwise it is spanned by one coroot of each +- pair, the one whose
+        first nonzero entry is positive; a set that is not symmetric still
+        gets the span of all its coroots.
+        """
+        basis = self.coroot_basis
+        if basis is None:
+            zero = (0,) * self.rank
+            basis = tuple(
+                dict.fromkeys(c if c > zero else _neg(c) for c in self.coroot_generators)
+            )
+        return Lattice(self.rank, basis)
 
     @cached_property
     def weight_terms(self) -> tuple[tuple[str, int, tuple[tuple[int, int], ...]], ...]:
@@ -191,18 +214,14 @@ def gl(n: int) -> tuple[RootDatum, IntMatrix]:
     """GL(n, R): cocharacters Z^n, coroots e_i - e_j, split involution."""
     if n < 1:
         raise PresetError("GL(n) needs n >= 1")
-    gens = tuple(
-        tuple(a - b for a, b in zip(_unit(n, i), _unit(n, j)))
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    )
+    gens = tuple(_difference(n, i, j) for i in range(n) for j in range(n) if i != j)
     rd = RootDatum(
         rank=n,
         coroot_generators=gens,
         display_weights=tuple((f"eps{i + 1}", _unit(n, i)) for i in range(n)),
         named_vectors=tuple((f"e{i + 1}", _unit(n, i)) for i in range(n)),
         name=f"GL({n})",
+        coroot_basis=tuple(_difference(n, i, i + 1) for i in range(n - 1)),
     )
     theta = tuple(tuple(-x for x in row) for row in identity_matrix(n))
     return rd, theta
@@ -245,6 +264,17 @@ def _d_coroots(ell: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _bd_simple_coroots(ell: int, odd: bool) -> tuple[tuple[int, ...], ...]:
+    """The simple coroots of B_ell (odd) or D_ell, in eps-coordinates:
+    e_i - e_{i+1}, then 2 e_ell for B or e_{ell-1} + e_ell for D."""
+    last = [0] * ell
+    if odd:
+        last[-1] = 2
+    else:
+        last[-2:] = [1, 1]
+    return tuple(_difference(ell, i, i + 1) for i in range(ell - 1)) + (tuple(last),)
+
+
 def so(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
     """SO(p,q): type B or D datum with theta = -1 on the first p axes."""
     p, q = _normalize_signature(p, q)
@@ -263,6 +293,7 @@ def so(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
         display_weights=_so_like_display(p, q, lambda w: tuple(w)),
         named_vectors=tuple((f"e{i + 1}", _unit(ell, i)) for i in range(ell)),
         name=f"SO({p},{q})",
+        coroot_basis=_bd_simple_coroots(ell, n % 2 == 1),
     )
     theta = tuple(
         tuple((-1 if i < p else 1) if i == j else 0 for j in range(ell))
@@ -310,6 +341,7 @@ def pso(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
         named_vectors=tuple(named),
         name=f"PSO({p},{q})",
         lift_note="matrix entries fixed only up to a global sign",
+        coroot_basis=tuple(conv_vec(v) for v in _bd_simple_coroots(ell, False)),
     )
     # column k of theta is theta_eps = diag(signs) applied to basis vector k
     signs = [-1 if i < p else 1 for i in range(ell)]
@@ -430,19 +462,25 @@ def _simple_datum(cartan: IntMatrix, isogeny: str, name: str) -> RootDatum:
 
     In the simply connected case the cocharacter lattice is spanned by the
     simple coroots; in the adjoint case by the fundamental coweights, so a
-    coroot with simple-coroot coordinates c becomes the vector C.c.
+    coroot with simple-coroot coordinates c becomes the vector C.c.  The
+    simple coroots are a basis of Q: the standard basis, or the columns of C.
     """
     n = len(cartan)
     coords = _coroot_closure(cartan)
     if isogeny == "sc":
         vecs = coords
-        named = tuple((f"a{i + 1}", _unit(n, i)) for i in range(n))
+        simple_coroots = identity_matrix(n)
+        named = tuple((f"a{i + 1}", e) for i, e in enumerate(simple_coroots))
     else:
         vecs = tuple(map(matrix_action(cartan, n), coords))
+        simple_coroots = transpose(cartan)
         named = tuple((f"w{i + 1}", _unit(n, i)) for i in range(n)) + tuple(
-            (f"a{i + 1}", col) for i, col in enumerate(transpose(cartan))
+            (f"a{i + 1}", col) for i, col in enumerate(simple_coroots)
         )
-    return RootDatum(rank=n, coroot_generators=vecs, named_vectors=named, name=name)
+    return RootDatum(
+        rank=n, coroot_generators=vecs, named_vectors=named, name=name,
+        coroot_basis=simple_coroots,
+    )
 
 
 def simple(

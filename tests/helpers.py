@@ -1,6 +1,6 @@
 """Shared test utilities: seeded random matrices and basis changes, dense
 vector and matrix arithmetic on ints or Fractions, and dense references for
-determinants and lattice images."""
+determinants, lattice images and scaled lattices."""
 
 from __future__ import annotations
 
@@ -59,6 +59,12 @@ def det(m) -> int:
 def image_lattice(lat, a):
     """a(lat) for a square integer matrix a acting on columns, densely."""
     return Lattice(lat.ambient_dim, [mat_vec(a, v) for v in lat.basis])
+
+
+def scaled(lat, c):
+    """The lattice c * lat for an integer c; a non-integer c is a
+    non-integer basis entry, which Lattice rejects."""
+    return Lattice(lat.ambient_dim, [[c * x for x in row] for row in lat.basis])
 
 
 def vec_add(u, v):

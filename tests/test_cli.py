@@ -206,6 +206,20 @@ def test_error_line_quotes_a_bounded_prefix(doc, where, tmp_path, capsys):
          "unknown E7 real form 'EIX'; choose EV, EVI, or EVII"),
         ({"rank": 1, "coroots": [[0]], "theta": [[-1]]},
          "invalid root datum: coroot (0,) is zero"),
+        # the inline path checks only for a zero coroot, with the message
+        # the full datum validation gave
+        ({"rank": 2, "coroots": [[1, -1], [0, 0], [2, 0]], "theta": [[-1, 0], [0, -1]]},
+         "invalid root datum: coroot (0, 0) is zero"),
+        ({"rank": 0, "coroots": [[]], "theta": []}, "invalid root datum: coroot () is zero"),
+        ({"rank": 30, "coroots": [[1] + [0] * 29, [0] * 30],
+          "theta": [[-int(i == j) for j in range(30)] for i in range(30)]},
+         "invalid root datum: coroot (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "
+         "0, 0, 0, 0, 0, 0, 0, 0, 0, 0... is zero"),
+        # theta is checked on one coroot per +- pair, but the message quotes
+        # the first offender in list order: here the negative one
+        ({"rank": 2, "coroots": [[0, -1], [-1, 0]], "theta": [[-1, 0], [1, 1]]},
+         "involution does not normalize the coroot set: "
+         "theta((-1, 0)) = (1, -1) is not a coroot"),
     ],
 )
 def test_error_line_quotes_a_short_value_in_full(doc, message, tmp_path, capsys):
@@ -296,7 +310,12 @@ def test_inline_job_builds_coroot_lattice_once(monkeypatch):
     cli.run(job)
     coroot_set = set(job.datum.coroot_generators)
     assert len(coroot_set) == 30
-    assert sum(rows == coroot_set for rows in calls) == 1
+    # Q is spanned by one coroot of each +- pair, the one with a positive
+    # first nonzero entry: e_i - e_j with i < j
+    one_per_pair = {c for c in coroot_set if c > (0,) * n}
+    assert len(one_per_pair) == 15
+    assert sum(rows == one_per_pair for rows in calls) == 1
+    assert not any(rows & (coroot_set - one_per_pair) for rows in calls)
 
     calls.clear()
     cli.parse_jobspec({"rank": 2, "coroots": [], "theta": [[0, -1], [-1, 0]]})

@@ -9,7 +9,7 @@ import pytest
 
 import helpers
 import pi0real
-from helpers import mat_vec, vec_add
+from helpers import mat_vec, scaled, vec_add
 from pi0real.components import (
     ComputationError,
     _two_group,
@@ -62,7 +62,7 @@ def test_split_lattices_gl():
     rd, inv = build(gl(4))
     sl = split_lattices(rd, inv)
     assert sl.x_spl == Lattice.standard(4)
-    assert sl.two_x_spl_tilde == Lattice.standard(4).scale(2)
+    assert sl.two_x_spl_tilde == scaled(Lattice.standard(4), 2)
     assert sl.q_spl == rd.coroots
     assert sl.q_cmp.is_zero
 
@@ -563,7 +563,7 @@ def test_two_group_matches_coset_enumeration_random():
             continue
         basis = sup.basis
         relations = [combo(basis) for _ in range(rng.randint(0, 2))]
-        sub = lattice_sum(sup.scale(2), Lattice(n, relations or [(0,) * n]))
+        sub = lattice_sum(scaled(sup, 2), Lattice(n, relations or [(0,) * n]))
         named = ()
         if checked % 2:
             named = tuple(

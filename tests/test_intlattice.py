@@ -19,6 +19,7 @@ from helpers import (
     mat_vec,
     random_int_matrix,
     random_unimodular,
+    scaled,
 )
 from pi0real.intlattice import (
     BoundExceeded,
@@ -182,8 +183,8 @@ def test_snf_transforms_stay_short_on_the_ladder_matrix():
 
 
 def test_lattice_equality_after_scaling():
-    assert Lattice(2, ((2, 0), (0, 2))) == Lattice.standard(2).scale(2)
-    assert Lattice(2, ((2, 0), (2, 2))) == Lattice(2, ((0, 1), (1, 0))).scale(-2)
+    assert Lattice(2, ((2, 0), (0, 2))) == scaled(Lattice.standard(2), 2)
+    assert Lattice(2, ((2, 0), (2, 2))) == scaled(Lattice(2, ((0, 1), (1, 0))), -2)
 
 
 def test_lattice_is_a_dimension_and_an_integer_basis():
@@ -203,11 +204,11 @@ def test_lattice_rejects_bad_input():
 
 def test_lattice_scale():
     lat = Lattice.standard(2)
-    assert lat.scale(2) == Lattice(2, ((2, 0), (0, 2)))
-    assert lat.scale(0) == Lattice.zero(2)
+    assert scaled(lat, 2) == Lattice(2, ((2, 0), (0, 2)))
+    assert scaled(lat, 0) == Lattice.zero(2)
     # the scalar is an integer: a rational one is a non-integer basis entry
     with pytest.raises(LatticeError, match="non-integer"):
-        lat.scale(HALF)
+        scaled(lat, HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def test_membership_examples():
     assert membership((0, 0), diag)
     assert membership((1, 1), diag)
     assert not membership((1, 0), diag)
-    assert membership((Fraction(2), 2), diag.scale(2))
+    assert membership((Fraction(2), 2), scaled(diag, 2))
     assert not membership((HALF, HALF), diag)
     # a non-integral vector lies in no integer lattice
     assert not membership((HALF, HALF), Lattice.standard(2))
@@ -242,18 +243,18 @@ def test_membership_catches_non_pivot_junk():
 
 
 def test_sum_frozen_example():
-    two = Lattice.standard(2).scale(2)
-    three = Lattice.standard(2).scale(3)
+    two = scaled(Lattice.standard(2), 2)
+    three = scaled(Lattice.standard(2), 3)
     total = lattice_sum(two, three)
     # witness: (1,0) = 2*(2,0) - (3,0)
     assert total == Lattice.standard(2)
 
 
 def test_intersect_frozen_example_with_enumeration_oracle():
-    two = Lattice.standard(2).scale(2)
-    three = Lattice.standard(2).scale(3)
+    two = scaled(Lattice.standard(2), 2)
+    three = scaled(Lattice.standard(2), 3)
     meet = lattice_intersect(two, three)
-    expected = Lattice.standard(2).scale(6)
+    expected = scaled(Lattice.standard(2), 6)
     assert meet == expected
     # oracle: integer points in a box belong to both iff they belong to meet
     for x, y in iproduct(range(-7, 8), repeat=2):
@@ -265,7 +266,7 @@ def test_intersect_frozen_example_with_enumeration_oracle():
 def test_intersect_with_doubled_lattice():
     # the shape of H1's super-lattice: 2X meets a lattice with odd points
     diag = Lattice(2, ((1, 1),))
-    meet = lattice_intersect(Lattice.standard(2).scale(2), diag)
+    meet = lattice_intersect(scaled(Lattice.standard(2), 2), diag)
     assert meet == Lattice(2, ((2, 2),))
     # oracle: multiples k*(1, 1) are even exactly for even k
     for k in range(-6, 7):
@@ -278,8 +279,10 @@ def test_sum_intersect_laws_random():
     rng = random.Random(0xA11CE)
     for _ in range(50):
         n = rng.randint(1, 4)
-        a = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n)).scale(rng.choice([1, 2]))
-        b = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n)).scale(rng.choice([1, 2]))
+        a = scaled(Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n)),
+                   rng.choice([1, 2]))
+        b = scaled(Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n)),
+                   rng.choice([1, 2]))
         c = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n))
         assert lattice_sum(a, b) == lattice_sum(b, a)
         assert lattice_intersect(a, b) == lattice_intersect(b, a)
@@ -357,6 +360,28 @@ def test_matrix_action_rejects_what_does_not_act():
     for x in (Fraction(1, 2), Fraction(1)):
         with pytest.raises(LatticeError, match="^non-integer matrix entry Fraction"):
             matrix_action(((1, 0), (0, x)), 2)
+
+
+def test_kernel_rows_are_already_canonical():
+    # kernel_lattice and Lattice.standard build their lattices from rows
+    # already in Hermite form, without a second reduction; the public
+    # constructor must give the same canonical basis
+    for n in range(8):
+        assert Lattice.standard(n).basis == Lattice(n, identity_matrix(n)).basis
+    rng = random.Random(0x4E57)
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        lat = _random_lattice(rng, n, rng.choice([1, 2, 3]),
+                              rng.choice(["zero", "full", "random"]))
+        a = random_int_matrix(rng, n, n, -2, 2)
+        if rng.random() < 0.3:
+            a = tuple(tuple(x if rng.random() < 0.3 else 0 for x in row) for row in a)
+        target = None
+        if rng.random() < 0.5:
+            target = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n))
+        ker = kernel_lattice(lat, a, target)
+        assert ker.basis == Lattice(n, ker.basis).basis, (lat, a, target)
+        assert ker.basis == hnf(ker.basis, n)
 
 
 def test_image_of_identity():
@@ -459,7 +484,7 @@ def _random_lattice(rng, n, scale, kind):
         rows = tuple(tuple(c * x for x in row) for c, row in zip(scales, u))
     else:
         rows = random_int_matrix(rng, rng.randint(1, n + 1), n)
-    return Lattice(n, rows).scale(scale)
+    return scaled(Lattice(n, rows), scale)
 
 
 def _random_square(rng, n, singular):
@@ -525,7 +550,7 @@ def test_quotient_frozen_cyclic6():
 
 
 def test_quotient_frozen_klein_four():
-    sub = Lattice.standard(2).scale(2)
+    sub = scaled(Lattice.standard(2), 2)
     q = quotient_structure(sub, Lattice.standard(2))
     assert q.invariant_factors == (2, 2)
     assert q.order == 4
@@ -556,7 +581,7 @@ def test_quotient_rank_zero_ambient():
 
 def test_quotient_rejects_non_sublattice():
     with pytest.raises(NotASublattice):
-        quotient_structure(Lattice.standard(2), Lattice.standard(2).scale(2))
+        quotient_structure(Lattice.standard(2), scaled(Lattice.standard(2), 2))
 
 
 def test_quotient_generators_are_canonical_residues():
@@ -594,7 +619,7 @@ def mat_vec_rows(lat, coeffs):
 
 
 def test_brute_force_frozen_klein_four():
-    sub = Lattice.standard(2).scale(2)
+    sub = scaled(Lattice.standard(2), 2)
     q = brute_force_quotient(sub, Lattice.standard(2))
     assert q.invariant_factors == (2, 2)
     # every nontrivial class has order 2
@@ -620,7 +645,7 @@ def test_brute_force_infinite_index():
 
 
 def test_brute_force_bound_exceeded():
-    sub = Lattice.standard(2).scale(64)
+    sub = scaled(Lattice.standard(2), 64)
     with pytest.raises(BoundExceeded):
         brute_force_quotient(sub, Lattice.standard(2), bound=100)
 
@@ -641,7 +666,7 @@ def _seeded_quotients(rng):
         sub = Lattice(n, [[d[i] * int(i == j) for j in range(n)] for i in range(n)])
         pairs.append((sub, Lattice.standard(n)))
         u, _ = random_unimodular(rng, n)
-        sup = Lattice(n, u).scale(rng.choice([1, 2]))
+        sup = scaled(Lattice(n, u), rng.choice([1, 2]))
         pairs.append((Lattice(n, mat_mul(sub.basis, sup.basis)), sup))
     while len(pairs) < 40:
         n = rng.randint(1, 4)
@@ -712,7 +737,7 @@ def test_brute_force_agrees_with_snf_random():
     trials = 0
     while trials < 40:
         n = rng.randint(1, 4)
-        sup = Lattice(n, random_int_matrix(rng, n + 1, n)).scale(rng.choice([1, 1, 2]))
+        sup = scaled(Lattice(n, random_int_matrix(rng, n + 1, n)), rng.choice([1, 1, 2]))
         if sup.rank < n:
             continue
         r = random_int_matrix(rng, n, n, -3, 3)
@@ -828,9 +853,9 @@ def test_integer_walk_matches_fraction_walk():
         n = rng.randint(1, 3)
         lower_rank = rng.random() < 0.05
         sub = Lattice(n, random_int_matrix(rng, n - lower_rank, n, -3, 3))
-        sub = sub.scale(rng.choice([1, 2, 3, 4, 6]))
+        sub = scaled(sub, rng.choice([1, 2, 3, 4, 6]))
         extra = Lattice(n, random_int_matrix(rng, rng.randint(1, 2), n, -2, 2))
-        extra = extra.scale(rng.choice([1, 2, 3, 6]))
+        extra = scaled(extra, rng.choice([1, 2, 3, 6]))
         sup = lattice_sum(sub, extra)
         if rng.random() < 0.15:
             sub, sup = sup, sub
@@ -966,7 +991,7 @@ def test_integer_coords_match_fraction_coords():
         n = rng.randint(1, 5)
         basis = random_int_matrix(rng, rng.randint(0, n), n, -4, 4)
         scale = rng.randint(1, 6)
-        lat = Lattice(n, basis).scale(scale)
+        lat = scaled(Lattice(n, basis), scale)
         for _ in range(6):
             c = [rng.randint(-3, 3) for _ in range(lat.rank)]
             point = [Fraction(sum(a * row[j] for a, row in zip(c, lat.basis)))

@@ -374,6 +374,43 @@ def test_non_involution_message(theta):
     assert str(err.value) == "matrix is not an involution"
 
 
+def test_involution_check_matches_dense_square():
+    # theta^2 = 1 is checked on theta's sparse columns; compare with the
+    # dense square on random matrices, involutions and near misses
+    rng = random.Random(0x7E7A)
+    accepted = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        theta = _random_involution(rng, n)
+        if rng.random() < 0.5:
+            i, j = rng.randrange(n), rng.randrange(n)
+            theta = tuple(
+                tuple(x + rng.choice((-1, 1)) * (r == i and c == j) for c, x in enumerate(row))
+                for r, row in enumerate(theta)
+            )
+        square_is_one = mat_mul(theta, theta) == identity_matrix(n)
+        try:
+            involution_from_matrix(torus_datum(n), theta)
+        except InvolutionError as err:
+            assert not square_is_one and str(err) == "matrix is not an involution"
+        else:
+            assert square_is_one
+            accepted += 1
+    assert 100 < accepted < 300
+
+
+def test_coroot_check_reports_the_first_offender_in_list_order():
+    # theta is applied to one coroot of each +- pair, the positive one; a
+    # failure still quotes the first offender in list order, here a negative
+    rd = RootDatum(rank=2, coroot_generators=((0, -1), (0, 1), (-1, 0), (1, 0)))
+    with pytest.raises(InvolutionError) as err:
+        involution_from_matrix(rd, ((-1, 0), (1, 1)))
+    assert str(err.value) == (
+        "involution does not normalize the coroot set: "
+        "theta((-1, 0)) = (1, -1) is not a coroot"
+    )
+
+
 # ---------------------------------------------------------------------------
 # what the involution derives from theta alone
 

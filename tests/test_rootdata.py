@@ -528,6 +528,58 @@ def test_derived_lattices():
     assert RootDatum(rank=2).coroots == Lattice.zero(2)
 
 
+def _preset_data():
+    """Every preset family over a range of sizes, as (label, datum)."""
+    for n in range(1, 13):
+        yield f"GL({n})", gl(n)[0]
+    for total in range(3, 15):
+        for p in range(total + 1):
+            yield f"SO({p},{total - p})", so(p, total - p)[0]
+            if total % 2 == 0 and total >= 4:
+                yield f"PSO({p},{total - p})", pso(p, total - p)[0]
+    types = [("A", r) for r in range(1, 9)] + [(t, r) for t in "BC" for r in range(2, 9)]
+    types += [("D", r) for r in range(3, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    for t, r in types:
+        for isogeny in ("sc", "adj"):
+            yield f"{t}{r} {isogeny}", simple(t, r, isogeny, "split")[0]
+    yield "E7", e7_adjoint()
+
+
+def test_preset_coroot_basis_spans_the_coroot_lattice():
+    # presets are code: this is the one check of the basis each one passes
+    count = 0
+    for label, rd in _preset_data():
+        basis = rd.coroot_basis
+        assert basis is not None, label
+        assert set(basis) <= set(rd.coroot_generators), label
+        full = Lattice(rd.rank, rd.coroot_generators)
+        assert Lattice(rd.rank, basis) == full, label
+        assert rd.coroots == full and len(basis) == full.rank, label
+        count += 1
+    assert count == 12 + 114 + 60 + 2 * 33 + 1
+
+
+def test_coroot_basis_takes_no_part_in_printing_or_comparing():
+    rd, _ = gl(3)
+    plain = RootDatum(rank=3, coroot_generators=rd.coroot_generators,
+                      display_weights=rd.display_weights,
+                      named_vectors=rd.named_vectors, name=rd.name)
+    assert rd == plain and repr(rd) == repr(plain)
+    assert rd.coroots == plain.coroots
+
+
+def test_coroots_without_a_basis_take_one_coroot_per_pair():
+    gens = ((0, -2), (1, 1), (0, 2), (-1, -1), (1, 1))
+    rd = RootDatum(rank=2, coroot_generators=gens)
+    assert rd.coroots == Lattice(2, ((1, 1), (0, 2)))
+    # a set that is not symmetric still gets the span of all its coroots
+    lopsided = RootDatum(rank=2, coroot_generators=((-1, 0), (0, 3)))
+    assert lopsided.coroots == Lattice(2, ((1, 0), (0, 3)))
+    assert product(gl(2)[0], gl(3)[0]).coroots == Lattice(
+        5, ((1, -1, 0, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 1, -1))
+    )
+
+
 # ---------------------------------------------------------------------------
 # preset dispatch
 
