@@ -55,7 +55,6 @@ class OutputFlags:
 
 @dataclass(frozen=True)
 class JobSpec:
-    datum: RootDatum
     involution: Involution
     outputs: OutputFlags
     fmt: str
@@ -143,7 +142,7 @@ def _parse_format(doc: dict) -> str:
     return _FORMAT_ALIASES[fmt]
 
 
-def _preset_job(doc: dict) -> tuple[RootDatum, Involution]:
+def _preset_job(doc: dict) -> Involution:
     unknown = set(doc) - _PRESET_JOB_FIELDS - _COMMON_FIELDS
     if unknown:
         raise ValueError(f"unknown fields in preset job: {_brief(str(sorted(unknown)))}")
@@ -151,7 +150,7 @@ def _preset_job(doc: dict) -> tuple[RootDatum, Involution]:
     return build_preset(str(doc["preset"]), **fields)
 
 
-def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
+def _inline_job(doc: dict) -> Involution:
     unknown = set(doc) - _INLINE_FIELDS - _COMMON_FIELDS
     if unknown:
         raise ValueError(f"unknown fields in job: {_brief(str(sorted(unknown)))}")
@@ -201,35 +200,29 @@ def _inline_job(doc: dict) -> tuple[RootDatum, Involution]:
             "provide exactly one of 'theta' or 'split_span'/'compact_span'"
         )
     if has_theta:
-        theta = _matrix(doc["theta"], rank, "theta")
-        inv = involution_from_matrix(rd, theta, name=rd.name)
-    else:
-        split = [
-            _vector(r, rank, f"split_span {i}")
-            for i, r in enumerate(doc.get("split_span", []))
-        ]
-        compact = [
-            _vector(r, rank, f"compact_span {i}")
-            for i, r in enumerate(doc.get("compact_span", []))
-        ]
-        inv = involution_from_eigenspaces(rd, split, compact, name=rd.name)
-    return rd, inv
+        return involution_from_matrix(rd, _matrix(doc["theta"], rank, "theta"), name=rd.name)
+    split = [
+        _vector(r, rank, f"split_span {i}")
+        for i, r in enumerate(doc.get("split_span", []))
+    ]
+    compact = [
+        _vector(r, rank, f"compact_span {i}")
+        for i, r in enumerate(doc.get("compact_span", []))
+    ]
+    return involution_from_eigenspaces(rd, split, compact, name=rd.name)
 
 
 def parse_jobspec(doc) -> JobSpec:
     """Validate a JSON job document and build the objects it describes."""
     if not isinstance(doc, dict):
         raise ValueError("job specification must be a JSON object")
-    has_preset = "preset" in doc
-    has_inline = "rank" in doc and not has_preset
-    if has_preset:
-        rd, inv = _preset_job(doc)
-    elif has_inline:
-        rd, inv = _inline_job(doc)
+    if "preset" in doc:
+        inv = _preset_job(doc)
+    elif "rank" in doc:
+        inv = _inline_job(doc)
     else:
         raise ValueError("job must contain either 'preset' or inline 'rank' data")
     return JobSpec(
-        datum=rd,
         involution=inv,
         outputs=_parse_outputs(doc),
         fmt=_parse_format(doc),
@@ -278,11 +271,11 @@ def _component_list(group: Elementary2Group) -> list[tuple[int, ...]]:
 
 def run(job: JobSpec) -> dict:
     """Execute a job and return the report as a plain dict with fixed key order."""
-    group = pi0(job.datum, job.involution)
+    group = pi0(job.involution)
     reps = []
     if job.outputs.representatives:
         for nu in _component_list(group):
-            r = representative(job.datum, job.involution, nu)
+            r = representative(job.involution, nu)
             reps.append(
                 {
                     "nu": list(r.nu),
@@ -293,7 +286,7 @@ def run(job: JobSpec) -> dict:
     h1_order = None
     checked: list[Elementary2Group] = []
     if job.outputs.h1 or job.outputs.oracle:
-        h = h1_pi1(job.datum, job.involution)
+        h = h1_pi1(job.involution)
         if job.outputs.h1:
             h1_order = h.order
         checked = [group, h]
@@ -323,7 +316,8 @@ def _vec_str(v) -> str:
 
 
 def render_text(report: dict, job: JobSpec) -> str:
-    rd, inv = job.datum, job.involution
+    inv = job.involution
+    rd = inv.datum
     lines = []
     header = rd.name or "unnamed datum"
     if inv.name and inv.name != rd.name:

@@ -27,10 +27,11 @@ v + theta(v) is in Q.  Both quotients are finite elementary abelian
 2-groups whenever the input is an honest Cartan involution; anything else
 raises ComputationError.
 
-X is always Z^n, so X_spl and (theta - 1) X depend on theta alone: the
-Involution derives them once and every computation here shares them.  A
-job builds only Q_spl (in pi0) and the cocycles (in h1_pi1) itself, each
-by one kernel_lattice call.  Coordinates, residues and representatives are
+Every function here takes one Involution, which carries the datum it was
+validated against.  It derives X_spl, (theta - 1) X and the coboundaries
+(theta - 1) X + Q once, and every computation here shares them.  A job
+builds only Q_spl (in pi0) and the cocycles (in h1_pi1) itself, each by
+one kernel_lattice call.  Coordinates, residues and representatives are
 computed in integers, from the Hermite rows of the lattices and theta's
 action by its nonzero columns; a Fraction appears only for rational input
 or a rational display weight.
@@ -57,7 +58,7 @@ from .intlattice import (
     relation_matrix,
 )
 from .realform import Involution
-from .rootdata import RootDatum, _brief
+from .rootdata import _brief
 
 
 class ComputationError(RuntimeError):
@@ -77,20 +78,14 @@ class SplitLattices(NamedTuple):
     q_cmp: Lattice
 
 
-def _check_rank(rd: RootDatum, inv: Involution) -> None:
-    n, m = rd.rank, len(inv.theta)
-    if m != n:
-        raise ValueError(f"involution is {m} x {m}, datum has rank {n}")
-
-
-def split_lattices(rd: RootDatum, inv: Involution) -> SplitLattices:
+def split_lattices(inv: Involution) -> SplitLattices:
     """All four split lattices; the two in X are the involution's own."""
-    _check_rank(rd, inv)
+    q = inv.datum.coroots
     return SplitLattices(
         x_spl=inv.x_spl,
         two_x_spl_tilde=inv.two_x_spl_tilde,
-        q_spl=kernel_lattice(rd.coroots, inv.plus_one),
-        q_cmp=kernel_lattice(rd.coroots, inv.minus_one),
+        q_spl=kernel_lattice(q, inv.plus_one),
+        q_cmp=kernel_lattice(q, inv.minus_one),
     )
 
 
@@ -213,37 +208,36 @@ def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group
     )
 
 
-def pi0(rd: RootDatum, inv: Involution) -> Elementary2Group:
+def pi0(inv: Involution) -> Elementary2Group:
     """The component group of the real points, as X_spl/((theta - 1) X + Q_spl)."""
-    _check_rank(rd, inv)
+    rd = inv.datum
     q_spl = kernel_lattice(rd.coroots, inv.plus_one)
     sub = lattice_sum(inv.two_x_spl_tilde, q_spl)
     return _two_group(sub, inv.x_spl, rd.named_vectors, "component group")
 
 
-def h1_pi1(rd: RootDatum, inv: Involution) -> Elementary2Group:
+def h1_pi1(inv: Involution) -> Elementary2Group:
     """Galois cohomology of the fundamental group of the complex group.
 
     Computed as cocycles modulo coboundaries, {v in X : v + theta(v) in Q}
     / ((theta - 1) X + Q), with classes represented by integral cocharacters;
     the cocycles are the preimage of Q under theta + 1 (kernel_lattice).
     """
-    _check_rank(rd, inv)
+    rd = inv.datum
     sup = kernel_lattice(rd.cochar, inv.plus_one, rd.coroots)
-    sub = lattice_sum(inv.two_x_spl_tilde, rd.coroots)
-    return _two_group(sub, sup, rd.named_vectors, "cohomology group")
+    return _two_group(inv.coboundaries, sup, rd.named_vectors, "cohomology group")
 
 
-def _cocharacter(rd: RootDatum, nu, inv: Optional[Involution] = None) -> tuple[int, ...]:
-    """nu as a tuple of ints, for nu in X = Z^rank, split by theta when inv is given.
+def _cocharacter(inv: Involution, nu, split: bool = False) -> tuple[int, ...]:
+    """nu as a tuple of ints, for nu in X = Z^rank, with theta(nu) = -nu when split.
 
     Raises DimensionMismatch for the wrong length, and otherwise ValueError,
     quoting nu through _brief, when nu is not such a cocharacter.
     """
     nu_int = _int_tuple(nu)
-    if len(nu) != rd.rank:
+    if len(nu) != inv.datum.rank:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    if inv is not None and (nu_int is None or inv.apply(nu_int) != tuple(-a for a in nu_int)):
+    if split and (nu_int is None or inv.apply(nu_int) != tuple(-a for a in nu_int)):
         kind = "a split cocharacter (need an integral vector with theta(nu) = -nu)"
     elif nu_int is None:
         kind = "in the cocharacter lattice"
@@ -252,7 +246,7 @@ def _cocharacter(rd: RootDatum, nu, inv: Optional[Involution] = None) -> tuple[i
     raise ValueError(f"{_brief(str(tuple(map(Fraction, nu))))} is not {kind}")
 
 
-def cocycle_check(rd: RootDatum, inv: Involution, nu) -> bool:
+def cocycle_check(inv: Involution, nu) -> bool:
     """Does exp(pi i nu) define a Galois cocycle valued in the fundamental group?
 
     The condition is that nu + theta(nu), which theta fixes, lands in the
@@ -260,23 +254,21 @@ def cocycle_check(rd: RootDatum, inv: Involution, nu) -> bool:
     when nu lies in the super-lattice of h1_pi1.  ``nu`` must be a
     cocharacter.
     """
-    _check_rank(rd, inv)
-    nu_int = _cocharacter(rd, nu)
-    return membership(tuple(a + b for a, b in zip(nu_int, inv.apply(nu_int))), rd.coroots)
+    nu_int = _cocharacter(inv, nu)
+    return membership(tuple(a + b for a, b in zip(nu_int, inv.apply(nu_int))),
+                      inv.datum.coroots)
 
 
-def coboundary_check(rd: RootDatum, inv: Involution, nu) -> bool:
+def coboundary_check(inv: Involution, nu) -> bool:
     """Does exp(pi i nu) give the trivial cohomology class?
 
-    True exactly when nu lies in (theta - 1) X + Q = 2 X_spl_tilde + Q.  A
+    True exactly when nu lies in the coboundaries (theta - 1) X + Q.  A
     vector passing this test is automatically a cocycle.
     """
-    _check_rank(rd, inv)
-    nu_int = _cocharacter(rd, nu)
-    return membership(nu_int, lattice_sum(inv.two_x_spl_tilde, rd.coroots))
+    return membership(_cocharacter(inv, nu), inv.coboundaries)
 
 
-def kernel_embedding_check(rd: RootDatum, inv: Involution) -> bool:
+def kernel_embedding_check(inv: Involution) -> bool:
     """Check that the natural map from pi0 into H1 is injective.
 
     Both groups are quotients by (theta - 1) X + (part of Q); a split
@@ -285,8 +277,8 @@ def kernel_embedding_check(rd: RootDatum, inv: Involution) -> bool:
     generators lie in H1's super-lattice and, written in its basis, stay
     independent over F2 modulo H1's relations.
     """
-    p = pi0(rd, inv)
-    h = h1_pi1(rd, inv)
+    p = pi0(inv)
+    h = h1_pi1(inv)
     echelon = _echelon(relation_matrix(h.sub, h.sup))
     for v in p.generators:
         coords = coords_in_lattice(v, h.sup)
@@ -312,10 +304,10 @@ class Representative:
     note: Optional[str]
 
 
-def representative(rd: RootDatum, inv: Involution, nu) -> Representative:
+def representative(inv: Involution, nu) -> Representative:
     """Evaluate the display weights on exp(pi i nu) for nu in X with theta(nu) = -nu."""
-    _check_rank(rd, inv)
-    nu_int = _cocharacter(rd, nu, inv)
+    rd = inv.datum
+    nu_int = _cocharacter(inv, nu, split=True)
     evals = []
     for label, c, terms in rd.weight_terms:
         # 2<w, nu> = h / c, with the weight's terms scaled by c

@@ -6,16 +6,14 @@ matrices against a root datum and builds them from eigenspace data or from
 the Satake diagrams of the real forms of adjoint E7.  It also holds the
 presets, the named groups of ``PRESETS``: :func:`build_preset` checks a
 preset's fields, calls its rootdata builder and validates the matrix it
-returns, so every preset comes back as a datum and an involution.  A valid
-matrix is an
+returns, so every preset comes back as one involution.  A valid matrix is an
 involution that permutes the coroot set; since the coroot lattice is the
 span of that set, it then preserves the coroot lattice as well.
 
-Since the cocharacter lattice is always Z^n, everything that depends on
-theta alone is derived once, on first use, by the :class:`Involution`
-itself: its action (matrix_action), theta + 1 and theta - 1, and the two
-lattices of X that pi0 and H1 read, X_spl = ker(theta + 1) and
-(theta - 1) X = 2 X_spl_tilde.  Every lattice is integral: the projected
+An :class:`Involution` carries the datum it was validated against, and
+derives once, on first use, what pi0 and H1 read: its action, theta + 1,
+theta - 1, X_spl = ker(theta + 1), (theta - 1) X = 2 X_spl_tilde and the
+coboundaries (theta - 1) X + Q.  Every lattice is integral: the projected
 cocharacters X_spl_tilde = (theta - 1) X / 2 enter only doubled.
 """
 
@@ -28,9 +26,10 @@ from typing import Sequence
 from .intlattice import (
     IntMatrix,
     Lattice,
-    as_int_matrix,
+    LatticeError,
     block_diag,
     kernel_lattice,
+    lattice_sum,
     matrix_action,
     rat_rank,
     rat_solve,
@@ -43,6 +42,7 @@ from .rootdata import (
     _brief,
     e7_adjoint,
     gl,
+    product,
     pso,
     simple,
     so,
@@ -58,20 +58,27 @@ class InvolutionError(ValueError):
 
 @dataclass(frozen=True)
 class Involution:
-    """An order-2 integer matrix acting on the cocharacter lattice.
+    """An order-2 integer matrix acting on the cocharacter lattice of ``datum``.
 
     The matrix acts on column vectors; ``name`` is free-form and only used
-    in printed output.  The attributes below depend on theta alone and are
-    built on first use, then cached, like a root datum's X and Q.
+    in printed output.  Building one checks theta's size against the datum;
+    :func:`involution_from_matrix` checks the rest.  The attributes below
+    are built on first use, then cached, like a root datum's X and Q.
     """
 
     theta: IntMatrix
+    datum: RootDatum
     name: str = ""
+
+    def __post_init__(self):
+        m, n = len(self.theta), self.datum.rank
+        if m != n:
+            raise InvolutionError(f"involution is {m} x {m}, datum has rank {n}")
 
     @cached_property
     def apply(self):
         """v -> theta(v) for column vectors v, by theta's nonzero columns."""
-        return matrix_action(self.theta, len(self.theta))
+        return matrix_action(self.theta, self.datum.rank)
 
     @cached_property
     def plus_one(self) -> IntMatrix:
@@ -86,7 +93,7 @@ class Involution:
     @cached_property
     def x_spl(self) -> Lattice:
         """The split cocharacters X_spl = ker(theta + 1) in X = Z^n."""
-        return kernel_lattice(Lattice.standard(len(self.theta)), self.plus_one)
+        return kernel_lattice(self.datum.cochar, self.plus_one)
 
     @cached_property
     def two_x_spl_tilde(self) -> Lattice:
@@ -94,7 +101,12 @@ class Involution:
 
         (theta - 1) X is (1 - theta) X: a lattice is closed under negation.
         """
-        return Lattice(len(self.theta), transpose(self.minus_one))
+        return Lattice(self.datum.rank, transpose(self.minus_one))
+
+    @cached_property
+    def coboundaries(self) -> Lattice:
+        """(theta - 1) X + Q, the sub-lattice of H1."""
+        return lattice_sum(self.two_x_spl_tilde, self.datum.coroots)
 
 
 def _shift_diagonal(m: IntMatrix, c: int) -> IntMatrix:
@@ -121,15 +133,11 @@ def _squares_to_one(columns) -> bool:
 
 def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
     """Validate an integer matrix as a Cartan involution for ``rd``."""
-    n = rd.rank
+    inv = Involution(theta=tuple(map(tuple, theta)), datum=rd, name=name)
     try:
-        theta = as_int_matrix(theta, ncols=n)
-    except ValueError as exc:
+        apply = inv.apply
+    except LatticeError as exc:
         raise InvolutionError(f"bad involution matrix: {exc}") from exc
-    if len(theta) != n:
-        raise InvolutionError(f"involution matrix must be {n} x {n}")
-    inv = Involution(theta=theta, name=name)
-    apply = inv.apply
     if not _squares_to_one(apply.columns):
         raise InvolutionError("matrix is not an involution")
     # theta^2 = 1 and theta permuting the coroots give theta(Q) = Q.  The
@@ -138,7 +146,7 @@ def involution_from_matrix(rd: RootDatum, theta, name: str = "") -> Involution:
     # a failure then quotes the first offending coroot in list order.
     gens = rd.coroot_generators
     coroot_set = set(gens)
-    zero = (0,) * n
+    zero = (0,) * rd.rank
     if any(c > zero and apply(c) not in coroot_set for c in gens):
         c = next(c for c in gens if apply(c) not in coroot_set)
         raise InvolutionError(
@@ -188,9 +196,10 @@ def involution_from_eigenspaces(
 
 
 def product_involution(a: Involution, b: Involution, name: str = "") -> Involution:
-    """Block-diagonal involution on a product root datum."""
+    """Block-diagonal involution on the product of the two data."""
     return Involution(
         theta=block_diag(a.theta, b.theta),
+        datum=product(a.datum, b.datum),
         name=name or " x ".join(s for s in (a.name, b.name) if s),
     )
 
@@ -205,7 +214,7 @@ def product_involution(a: Involution, b: Involution, name: str = "") -> Involuti
 _E7_BLACK_NODES = {"EV": (), "EVI": (1, 3, 7), "EVII": (3, 4, 5, 7)}
 
 
-def e7_preset(form: str) -> tuple[RootDatum, Involution]:
+def e7_preset(form: str) -> Involution:
     """Adjoint E7 with the involution of one of its real forms EV, EVI, EVII."""
     key = form.upper().strip()
     if key not in _E7_BLACK_NODES:
@@ -217,7 +226,7 @@ def e7_preset(form: str) -> tuple[RootDatum, Involution]:
     black = _E7_BLACK_NODES[key]
     split = [named[f"w{i}"] for i in range(1, 8) if i not in black]
     compact = [named[f"a{k}"] for k in black]
-    return rd, involution_from_eigenspaces(rd, split, compact, name=key)
+    return involution_from_eigenspaces(rd, split, compact, name=key)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +252,7 @@ PRESET_FIELDS = {
 PRESET_DEFAULTS = {"isogeny": "sc", "real": "split"}
 
 
-def build_preset(family: str, **fields) -> tuple[RootDatum, Involution]:
+def build_preset(family: str, **fields) -> Involution:
     """Build a preset family from its fields, named as in a job file.
 
     The checks run in a fixed order, each raising PresetError: every
@@ -269,7 +278,7 @@ def build_preset(family: str, **fields) -> tuple[RootDatum, Involution]:
     for key in params:
         if key not in given:
             raise PresetError(f"preset {family!r} needs parameter {key!r}")
-    rd, theta = builder(*(given[k] for k in params))
-    if isinstance(theta, Involution):  # E7 validates its own
-        return rd, theta
-    return rd, involution_from_matrix(rd, theta, name=rd.name)
+    built = builder(*(given[k] for k in params))
+    if isinstance(built, Involution):  # E7 validates its own
+        return built
+    return involution_from_matrix(*built, name=built[0].name)

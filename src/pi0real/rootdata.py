@@ -72,20 +72,15 @@ def _difference(n: int, i: int, j: int) -> tuple[int, ...]:
 # the datum itself
 
 
-def _integral(v: Sequence) -> bool:
-    return integer_row(v)[0] == 1
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """The rank, a symmetric set of coroots, and printing metadata.
 
     X and Q are derived, not stored: ``cochar`` is the standard lattice
     Z^rank, and ``coroots`` is the lattice spanned by ``coroot_generators``.
-    Both are built on first use and cached, so :meth:`validate` can report a
-    malformed generator before anything tries to span it.  A builder that
-    knows a basis of Q passes it as ``coroot_basis``, and Q is spanned by
-    that alone; it takes no part in printing or comparing a datum.
+    Both are built on first use and cached.  A builder that knows a basis
+    of Q passes it as ``coroot_basis``, and Q is spanned by that alone; it
+    takes no part in printing or comparing a datum.
 
     ``display_weights`` are pairs (label, weight) of characters evaluated on
     torus representatives; a weight is a covector, stored as a plain tuple in
@@ -140,33 +135,6 @@ class RootDatum:
             c, ints = integer_row(w)
             out.append((label, c, tuple((j, x) for j, x in zip(range(self.rank), ints) if x)))
         return tuple(out)
-
-    def validate(self) -> tuple[str, ...]:
-        """Return a tuple of human-readable diagnostics; empty means valid."""
-        bad = []
-        n = self.rank
-        if n < 0:
-            bad.append("rank is negative")
-        seen = set(self.coroot_generators)
-        for c in self.coroot_generators:
-            if len(c) != n:
-                bad.append(f"coroot {_brief(str(c))} has wrong length")
-                continue
-            if not _integral(c):
-                bad.append(f"coroot {_brief(str(c))} not in cocharacter lattice")
-            if not any(c):
-                bad.append(f"coroot {_brief(str(c))} is zero")
-            if _neg(c) not in seen:
-                bad.append(f"coroot set is not symmetric: missing {_brief(str(_neg(c)))}")
-        for label, w in self.display_weights:
-            if len(w) != n:
-                bad.append(f"display weight {label!r} has wrong length")
-        for name, v in self.named_vectors:
-            if len(v) != n:
-                bad.append(f"named vector {name!r} has wrong length")
-            elif not _integral(v):
-                bad.append(f"named vector {name!r} is not in the cocharacter lattice")
-        return tuple(bad)
 
 
 def product(a: RootDatum, b: RootDatum) -> RootDatum:

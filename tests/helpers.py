@@ -1,14 +1,21 @@
 """Shared test utilities: seeded random matrices and basis changes, dense
-vector and matrix arithmetic on ints or Fractions, and dense references for
-determinants, lattice images and scaled lattices."""
+vector and matrix arithmetic on ints or Fractions, dense references for
+determinants, lattice images and scaled lattices, and a validity check
+for root data."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pi0real.intlattice import DimensionMismatch, Lattice, identity_matrix, transpose
+from pi0real.intlattice import (
+    DimensionMismatch,
+    Lattice,
+    identity_matrix,
+    integer_row,
+    transpose,
+)
 from pi0real.realform import involution_from_matrix
-from pi0real.rootdata import RootDatum
+from pi0real.rootdata import RootDatum, _brief
 
 
 def mat_mul(a, b):
@@ -114,16 +121,16 @@ def frac_vec(v):
     return tuple(Fraction(x) for x in v)
 
 
-def conjugate_datum(rd, inv, u, uinv):
-    """Transport a datum and involution through the basis change v -> u.v.
+def conjugate_datum(inv, u, uinv):
+    """Transport an involution and its datum through the basis change v -> u.v.
 
     Vectors map by u, weights by the inverse transpose, and the involution
     by conjugation; the result describes the same group in new coordinates.
     """
-    n = rd.rank
+    rd = inv.datum
     gens = tuple(tuple(mat_vec(u, c)) for c in rd.coroot_generators)
     conjugated = RootDatum(
-        rank=n,
+        rank=rd.rank,
         coroot_generators=gens,
         display_weights=tuple(
             (label, tuple(mat_vec(transpose(uinv), frac_vec(lam))))
@@ -136,4 +143,42 @@ def conjugate_datum(rd, inv, u, uinv):
         lift_note=rd.lift_note,
     )
     theta = mat_mul(mat_mul(u, inv.theta), uinv)
-    return conjugated, involution_from_matrix(conjugated, theta, name=inv.name)
+    return involution_from_matrix(conjugated, theta, name=inv.name)
+
+
+def _integral(v) -> bool:
+    return integer_row(v)[0] == 1
+
+
+def datum_problems(rd) -> tuple[str, ...]:
+    """Human-readable diagnostics of a malformed root datum; empty means valid.
+
+    The checks: a nonnegative rank; coroots of the right length, integral,
+    nonzero and closed under negation; display weights and named vectors of
+    the right length, the named vectors integral.
+    """
+    bad = []
+    n = rd.rank
+    if n < 0:
+        bad.append("rank is negative")
+    seen = set(rd.coroot_generators)
+    for c in rd.coroot_generators:
+        if len(c) != n:
+            bad.append(f"coroot {_brief(str(c))} has wrong length")
+            continue
+        if not _integral(c):
+            bad.append(f"coroot {_brief(str(c))} not in cocharacter lattice")
+        if not any(c):
+            bad.append(f"coroot {_brief(str(c))} is zero")
+        neg = tuple(-x for x in c)
+        if neg not in seen:
+            bad.append(f"coroot set is not symmetric: missing {_brief(str(neg))}")
+    for label, w in rd.display_weights:
+        if len(w) != n:
+            bad.append(f"display weight {label!r} has wrong length")
+    for name, v in rd.named_vectors:
+        if len(v) != n:
+            bad.append(f"named vector {name!r} has wrong length")
+        elif not _integral(v):
+            bad.append(f"named vector {name!r} is not in the cocharacter lattice")
+    return tuple(bad)

@@ -31,7 +31,6 @@ from pi0real.realform import (
 from pi0real.rootdata import (
     e7_adjoint,
     gl,
-    product,
     pso,
     simple,
     so,
@@ -42,9 +41,9 @@ from pi0real.rootdata import (
 
 
 def _form(built, name=""):
-    """Wrap a (datum, theta-matrix) pair from a preset builder."""
+    """Validate the (datum, theta-matrix) pair from a preset builder."""
     rd, theta = built
-    return rd, involution_from_matrix(rd, theta, name=name or rd.name)
+    return involution_from_matrix(rd, theta, name=name or rd.name)
 
 
 def _report(number, label, failures):
@@ -58,8 +57,8 @@ def _same_coset(group, vec, expected):
     return membership(vec_sub(vec_frac(vec), vec_frac(expected)), group.sub)
 
 
-def _values(rd, inv, nu):
-    rep = representative(rd, inv, nu)
+def _values(inv, nu):
+    rep = representative(inv, nu)
     return tuple(value for _, value in rep.evaluations)
 
 
@@ -70,16 +69,16 @@ def _values(rd, inv, nu):
 def test_criterion_1_gl_component_groups():
     failures = []
     for n in range(1, 9):
-        rd, inv = _form(gl(n))
-        g = pi0(rd, inv)
+        inv = _form(gl(n))
+        g = pi0(inv)
         if g.order != 2:
             failures.append(f"GL({n}): order {g.order} != 2")
             continue
-        e1 = rd.named_vectors[0][1]
+        e1 = inv.datum.named_vectors[0][1]
         if not _same_coset(g, g.generators[0], e1):
             failures.append(f"GL({n}): generator {g.generators[0]} is not e1's coset")
         expected = ("-1",) + ("1",) * (n - 1)
-        got = _values(rd, inv, g.generators[0])
+        got = _values(inv, g.generators[0])
         if got != expected:
             failures.append(f"GL({n}): representative evaluates to {got}")
     _report(1, "GL(n) component groups", failures)
@@ -94,12 +93,12 @@ def test_criterion_2_so_component_groups():
     for total in range(3, 10):
         for p in range(1, total // 2 + 1):
             q = total - p
-            rd, inv = _form(so(p, q))
-            g = pi0(rd, inv)
+            inv = _form(so(p, q))
+            g = pi0(inv)
             if g.order != 2:
                 failures.append(f"SO({p},{q}): order {g.order} != 2")
                 continue
-            vals = _values(rd, inv, g.generators[0])
+            vals = _values(inv, g.generators[0])
             if not (
                 vals[0] == "-1"
                 and vals[-1] == "-1"
@@ -107,8 +106,8 @@ def test_criterion_2_so_component_groups():
             ):
                 failures.append(f"SO({p},{q}): representative diag {vals}")
     for n in range(3, 10):
-        rd, inv = _form(so(0, n))
-        g = pi0(rd, inv)
+        inv = _form(so(0, n))
+        g = pi0(inv)
         if g.order != 1:
             failures.append(f"SO(0,{n}): order {g.order} != 1")
     _report(2, "SO(p,q) component groups", failures)
@@ -119,9 +118,9 @@ def test_criterion_2_so_component_groups():
 
 
 def _check_pso_equal_signature(ell, failures):
-    rd, inv = _form(pso(ell, ell))
-    g = pi0(rd, inv)
-    named = dict(rd.named_vectors)
+    inv = _form(pso(ell, ell))
+    g = pi0(inv)
+    named = dict(inv.datum.named_vectors)
     if ell % 2 == 1:
         if g.order != 2:
             failures.append(f"PSO({ell},{ell}): order {g.order} != 2")
@@ -142,7 +141,7 @@ def _check_pso_equal_signature(ell, failures):
         ("-i",) + ("i",) * (ell - 1) + ("-i",) * (ell - 1) + ("i",),
     )
     for tag, nu, want in zip(("t1", "t2", "t3"), reps, patterns):
-        got = _values(rd, inv, nu)
+        got = _values(inv, nu)
         if got != want:
             failures.append(f"PSO({ell},{ell}) {tag}: {got} != {want}")
 
@@ -155,7 +154,7 @@ def test_criterion_3_pso_component_table():
             if p == q:
                 _check_pso_equal_signature(p, failures)
                 continue
-            g = pi0(*_form(pso(p, q)))
+            g = pi0(_form(pso(p, q)))
             if p == 0:
                 # compact form, outside the odd/even dichotomy: connected
                 expected = 1
@@ -173,16 +172,16 @@ def test_criterion_3_pso_component_table():
 def test_criterion_4_e7_real_forms():
     failures = []
     for form, expected in (("EV", 2), ("EVI", 1), ("EVII", 2)):
-        rd, inv = e7_preset(form)
-        g = pi0(rd, inv)
+        inv = e7_preset(form)
+        g = pi0(inv)
         if g.order != expected:
             failures.append(f"E7 {form}: order {g.order} != {expected}")
             continue
-        if expected == 2 and not _same_coset(g, g.generators[0], dict(rd.named_vectors)["w1"]):
+        if expected == 2 and not _same_coset(g, g.generators[0], dict(inv.datum.named_vectors)["w1"]):
             failures.append(f"E7 {form}: generator is not the w1 coset")
 
-    rd, inv = e7_preset("EVII")
-    named = {name: vec_frac(v) for name, v in rd.named_vectors}
+    inv = e7_preset("EVII")
+    named = {name: vec_frac(v) for name, v in inv.datum.named_vectors}
 
     def split_part(v):
         return vec_scale(vec_sub(v, vec_frac(mat_vec(inv.theta, v))), Fraction(1, 2))
@@ -210,10 +209,10 @@ def test_criterion_5_connectivity_fixtures():
     failures = []
     split_cases = [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
     for ct, rk in split_cases:
-        g = pi0(*_form(simple(ct, rk, "sc", "split")))
+        g = pi0(_form(simple(ct, rk, "sc", "split")))
         if g.order != 1:
             failures.append(f"sc split {ct}{rk}: order {g.order} != 1")
-    g = pi0(*_form(simple("E", 6, "adj", "split")))
+    g = pi0(_form(simple("E", 6, "adj", "split")))
     if g.order != 1:
         failures.append(f"adjoint split E6: order {g.order} != 1")
 
@@ -223,11 +222,11 @@ def test_criterion_5_connectivity_fixtures():
         for iso in ("sc", "adj")
     ]
     for rd in (gl(4)[0], so(2, 3)[0], pso(3, 3)[0], e7_adjoint()):
-        compact.append((rd, involution_from_matrix(rd, identity_matrix(rd.rank))))
-    for rd, inv in compact:
-        g = pi0(rd, inv)
+        compact.append(involution_from_matrix(rd, identity_matrix(rd.rank)))
+    for inv in compact:
+        g = pi0(inv)
         if g.order != 1:
-            failures.append(f"compact form of {rd.name}: order {g.order} != 1")
+            failures.append(f"compact form of {inv.datum.name}: order {g.order} != 1")
     _report(5, "connectivity fixtures", failures)
 
 
@@ -243,18 +242,18 @@ def _brute_force_agrees(g):
 def test_criterion_6_torus_suite():
     failures = []
     for n in range(1, 6):
-        g = pi0(*_form(torus_split(n)))
+        g = pi0(_form(torus_split(n)))
         if g.order != 2**n:
             failures.append(f"split torus rank {n}: order {g.order} != {2 ** n}")
         elif not _brute_force_agrees(g):
             failures.append(f"split torus rank {n}: brute force disagrees")
     for n in range(1, 4):
-        g = pi0(*_form(torus_compact(n)))
+        g = pi0(_form(torus_compact(n)))
         if g.order != 1:
             failures.append(f"compact torus rank {n}: order {g.order} != 1")
         elif not _brute_force_agrees(g):
             failures.append(f"compact torus rank {n}: brute force disagrees")
-    g = pi0(*_form(torus_weil()))
+    g = pi0(_form(torus_weil()))
     if g.order != 1:
         failures.append(f"Weil torus: order {g.order} != 1")
     elif not _brute_force_agrees(g):
@@ -310,15 +309,15 @@ def _random_order_two_matrix(rng, n):
     return mat_mul(mat_mul(u, tuple(tuple(r) for r in d)), uinv)
 
 
-def _property_failures(rd, inv, tag, failures):
-    g = pi0(rd, inv)
-    h = h1_pi1(rd, inv)
+def _property_failures(inv, tag, failures):
+    g = pi0(inv)
+    h = h1_pi1(inv)
     qs = quotient_structure(g.sub, g.sup)
     if qs.free_rank != 0 or any(f != 2 for f in qs.invariant_factors):
         failures.append(f"{tag}: pi0 not elementary 2: {qs.invariant_factors}")
     if h.order % g.order != 0:
         failures.append(f"{tag}: |pi0|={g.order} does not divide |H1|={h.order}")
-    if not kernel_embedding_check(rd, inv):
+    if not kernel_embedding_check(inv):
         failures.append(f"{tag}: pi0 does not embed into H1")
     if g.order <= 4096 and not oracle_check(g):
         failures.append(f"{tag}: brute force disagrees on pi0")
@@ -333,36 +332,35 @@ def test_criterion_7_randomized_properties():
     fixtures = _all_fixtures()
     cases = []
 
-    for rd, inv in fixtures:
-        base_g = pi0(rd, inv)
-        base_h = h1_pi1(rd, inv)
+    for inv in fixtures:
+        base_g = pi0(inv)
+        base_h = h1_pi1(inv)
         for _ in range(2):
-            u, uinv = helpers.random_unimodular(rng, rd.rank)
-            crd, cinv = helpers.conjugate_datum(rd, inv, u, uinv)
-            tag = f"{rd.name} conjugated"
-            g, h = _property_failures(crd, cinv, tag, failures)
+            u, uinv = helpers.random_unimodular(rng, inv.datum.rank)
+            cinv = helpers.conjugate_datum(inv, u, uinv)
+            tag = f"{inv.datum.name} conjugated"
+            g, h = _property_failures(cinv, tag, failures)
             if (g.order, g.rank, h.order) != (base_g.order, base_g.rank, base_h.order):
                 failures.append(
                     f"{tag}: orders ({g.order},{h.order}) changed under basis change"
                 )
-            cases.append((crd, cinv))
+            cases.append(cinv)
 
     for k in range(60):
         n = rng.randint(1, 5)
         rd = torus_split(n)[0]
         theta = _random_order_two_matrix(rng, n)
         inv = involution_from_matrix(rd, theta, name=f"random torus {k}")
-        _property_failures(rd, inv, f"random torus involution {k} (rank {n})", failures)
-        cases.append((rd, inv))
+        _property_failures(inv, f"random torus involution {k} (rank {n})", failures)
+        cases.append(inv)
 
     for k in range(15):
-        (rd1, inv1), (rd2, inv2) = rng.sample(cases, 2)
-        prd = product(rd1, rd2)
+        inv1, inv2 = rng.sample(cases, 2)
         pinv = product_involution(inv1, inv2)
-        g = pi0(prd, pinv)
-        h = h1_pi1(prd, pinv)
-        o1, o2 = pi0(rd1, inv1).order, pi0(rd2, inv2).order
-        h1, h2 = h1_pi1(rd1, inv1).order, h1_pi1(rd2, inv2).order
+        g = pi0(pinv)
+        h = h1_pi1(pinv)
+        o1, o2 = pi0(inv1).order, pi0(inv2).order
+        h1, h2 = h1_pi1(inv1).order, h1_pi1(inv2).order
         if g.order != o1 * o2:
             failures.append(f"product case {k}: pi0 {g.order} != {o1}*{o2}")
         if h.order != h1 * h2:
@@ -387,8 +385,8 @@ def test_criterion_8_h1_fixtures():
         ("adjoint split E7 (EV)", e7_preset("EV"), 2),
         ("adjoint split E7 (Bourbaki)", _form(simple("E", 7, "adj", "split")), 2),
     ]
-    for label, (rd, inv), expected in cases:
-        h = h1_pi1(rd, inv)
+    for label, inv, expected in cases:
+        h = h1_pi1(inv)
         if h.order != expected:
             failures.append(f"{label}: H1 order {h.order} != {expected}")
         elif not oracle_check(h):

@@ -277,7 +277,7 @@ def test_inline_coroots_are_symmetrized():
     # listing only one coroot of each +- pair is accepted
     doc = {"rank": 1, "coroots": [[2]], "theta": [[-1]]}
     job = cli.parse_jobspec(doc)
-    gens = set(job.datum.coroot_generators)
+    gens = set(job.involution.datum.coroot_generators)
     assert gens == {(2,), (-2,)}
     assert run_job(doc)["order"] == 2  # the split adjoint group of type A1
 
@@ -308,7 +308,7 @@ def test_inline_job_builds_coroot_lattice_once(monkeypatch):
     job = cli.parse_jobspec(doc)
     assert calls == []  # validation spans no lattice; the first use does
     cli.run(job)
-    coroot_set = set(job.datum.coroot_generators)
+    coroot_set = set(job.involution.datum.coroot_generators)
     assert len(coroot_set) == 30
     # Q is spanned by one coroot of each +- pair, the one with a positive
     # first nonzero entry: e_i - e_j with i < j

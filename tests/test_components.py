@@ -30,7 +30,7 @@ from pi0real.intlattice import (
     quotient_structure,
     reduce_mod,
 )
-from pi0real.realform import Involution, involution_from_matrix, e7_preset
+from pi0real.realform import Involution, InvolutionError, involution_from_matrix, e7_preset
 from pi0real.rootdata import (
     RootDatum,
     gl,
@@ -47,7 +47,7 @@ from pi0real.realform import product_involution
 
 def build(spec):
     rd, theta = spec
-    return rd, involution_from_matrix(rd, theta)
+    return involution_from_matrix(rd, theta)
 
 
 def named_generators(group):
@@ -59,50 +59,46 @@ def named_generators(group):
 
 
 def test_split_lattices_gl():
-    rd, inv = build(gl(4))
-    sl = split_lattices(rd, inv)
+    inv = build(gl(4))
+    sl = split_lattices(inv)
     assert sl.x_spl == Lattice.standard(4)
     assert sl.two_x_spl_tilde == scaled(Lattice.standard(4), 2)
-    assert sl.q_spl == rd.coroots
+    assert sl.q_spl == inv.datum.coroots
     assert sl.q_cmp.is_zero
 
 
 def test_split_lattices_compact():
-    rd, inv = build(torus_compact(3))
-    sl = split_lattices(rd, inv)
+    inv = build(torus_compact(3))
+    sl = split_lattices(inv)
     assert sl.x_spl.is_zero
     assert sl.two_x_spl_tilde.is_zero
 
 
 def test_split_lattices_weil():
-    rd, inv = build(torus_weil())
-    sl = split_lattices(rd, inv)
+    inv = build(torus_weil())
+    sl = split_lattices(inv)
     assert sl.x_spl == Lattice(2, [(1, 1)])
     # X_spl_tilde is spanned by (1/2, 1/2)
     assert sl.two_x_spl_tilde == Lattice(2, [(1, 1)])
 
 
 def test_split_lattices_unpack():
-    rd, inv = build(gl(2))
-    x_spl, two_x_spl_tilde, q_spl, q_cmp = split_lattices(rd, inv)
+    inv = build(gl(2))
+    x_spl, two_x_spl_tilde, q_spl, q_cmp = split_lattices(inv)
     assert x_spl == Lattice.standard(2)
 
 
 def test_sandwich_invariant():
     # 2 Xtilde_spl sits inside X_spl sits inside Xtilde_spl
-    fixtures = [gl(3), so(2, 3), pso(2, 4), torus_weil()]
+    fixtures = [build(spec) for spec in (gl(3), so(2, 3), pso(2, 4), torus_weil())]
     fixtures += [e7_preset(f) for f in ("EV", "EVI", "EVII")]
-    for item in fixtures:
-        if isinstance(item[1], Involution):
-            rd, inv = item
-        else:
-            rd, inv = build(item)
-        sl = split_lattices(rd, inv)
+    for inv in fixtures:
+        sl = split_lattices(inv)
         for v in sl.two_x_spl_tilde.basis:
-            assert membership(v, sl.x_spl), rd.name
+            assert membership(v, sl.x_spl), inv.datum.name
         # v lies in X_spl_tilde exactly when 2v lies in 2 X_spl_tilde
         for v in sl.x_spl.basis:
-            assert membership(tuple(2 * x for x in v), sl.two_x_spl_tilde), rd.name
+            assert membership(tuple(2 * x for x in v), sl.two_x_spl_tilde), inv.datum.name
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +107,8 @@ def test_sandwich_invariant():
 
 def test_pi0_gl():
     for n in range(1, 9):
-        rd, inv = build(gl(n))
-        g = pi0(rd, inv)
+        inv = build(gl(n))
+        g = pi0(inv)
         assert g.order == 2
         assert g.generator_names == ("e1",)
         assert g.generators == ((1,) + (0,) * (n - 1),)
@@ -123,28 +119,28 @@ def test_pi0_so_signatures():
         for q in range(p, 9 - p + 1):
             if p + q < 3:
                 continue
-            rd, inv = build(so(p, q))
-            g = pi0(rd, inv)
+            inv = build(so(p, q))
+            g = pi0(inv)
             assert g.order == 2, (p, q)
             assert g.generator_names == ("e1",), (p, q)
 
 
 def test_pi0_so_compact_connected():
     for n in (3, 4, 5):
-        rd, inv = build(so(0, n))
-        assert pi0(rd, inv).order == 1
+        inv = build(so(0, n))
+        assert pi0(inv).order == 1
 
 
 def test_pi0_pso_equal_even():
-    rd, inv = build(pso(4, 4))
-    g = pi0(rd, inv)
+    inv = build(pso(4, 4))
+    g = pi0(inv)
     assert g.order == 4
     assert set(g.generator_names) == {"e1", "w4"}
 
 
 def test_pi0_pso_equal_odd():
-    rd, inv = build(pso(3, 3))
-    g = pi0(rd, inv)
+    inv = build(pso(3, 3))
+    g = pi0(inv)
     assert g.order == 2
     assert g.generator_names == ("w3",)
 
@@ -152,15 +148,15 @@ def test_pi0_pso_equal_odd():
 def test_pi0_pso_unequal():
     # even p gives order 2, odd p gives a connected group
     for p, q, order in [(2, 4, 2), (2, 6, 2), (4, 6, 2), (1, 3, 1), (1, 5, 1), (3, 5, 1)]:
-        rd, inv = build(pso(p, q))
-        assert pi0(rd, inv).order == order, (p, q)
+        inv = build(pso(p, q))
+        assert pi0(inv).order == order, (p, q)
 
 
 def test_pi0_e7_forms():
     expected = {"EV": 2, "EVI": 1, "EVII": 2}
     for form, order in expected.items():
-        rd, inv = e7_preset(form)
-        g = pi0(rd, inv)
+        inv = e7_preset(form)
+        g = pi0(inv)
         assert g.order == order, form
         if order == 2:
             assert g.generator_names == ("w1",), form
@@ -168,8 +164,8 @@ def test_pi0_e7_forms():
 
 def test_pi0_simply_connected_split_is_trivial():
     for t, r in [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]:
-        rd, inv = build(simple(t, r, "sc", "split"))
-        assert pi0(rd, inv).order == 1, (t, r)
+        inv = build(simple(t, r, "sc", "split"))
+        assert pi0(inv).order == 1, (t, r)
 
 
 def test_pi0_compact_forms_are_trivial():
@@ -179,13 +175,13 @@ def test_pi0_compact_forms_are_trivial():
         so(0, 7),
         torus_compact(4),
     ]:
-        rd, inv = build(spec)
-        assert pi0(rd, inv).order == 1
+        inv = build(spec)
+        assert pi0(inv).order == 1
 
 
 def test_pi0_generators_avoid_sub():
-    rd, inv = build(pso(4, 4))
-    g = pi0(rd, inv)
+    inv = build(pso(4, 4))
+    g = pi0(inv)
     for v in g.generators:
         assert membership(v, g.sup)
         assert not membership(v, g.sub)
@@ -196,22 +192,22 @@ def test_pi0_generators_avoid_sub():
 
 
 def test_h1_split_gm():
-    rd, inv = build(torus_split(1))
-    h = h1_pi1(rd, inv)
+    inv = build(torus_split(1))
+    h = h1_pi1(inv)
     assert h.order == 2
     assert oracle_check(h)
 
 
 def test_h1_compact_torus():
-    rd, inv = build(torus_compact(2))
-    h = h1_pi1(rd, inv)
+    inv = build(torus_compact(2))
+    h = h1_pi1(inv)
     assert h.order == 1
     assert oracle_check(h)
 
 
 def test_h1_adjoint_split_e7():
-    rd, inv = e7_preset("EV")
-    h = h1_pi1(rd, inv)
+    inv = e7_preset("EV")
+    h = h1_pi1(inv)
     assert h.order == 2
     assert oracle_check(h)
 
@@ -221,13 +217,13 @@ def test_h1_contains_pi0():
         gl(5), so(2, 3), pso(4, 4), pso(3, 3), torus_split(3), torus_split(13), torus_weil()
     ]
     for spec in fixtures:
-        rd, inv = build(spec)
-        assert pi0(rd, inv).order <= h1_pi1(rd, inv).order
-        assert kernel_embedding_check(rd, inv)
+        inv = build(spec)
+        assert pi0(inv).order <= h1_pi1(inv).order
+        assert kernel_embedding_check(inv)
     for form in ("EV", "EVI", "EVII"):
-        rd, inv = e7_preset(form)
-        assert h1_pi1(rd, inv).order % pi0(rd, inv).order == 0
-        assert kernel_embedding_check(rd, inv)
+        inv = e7_preset(form)
+        assert h1_pi1(inv).order % pi0(inv).order == 0
+        assert kernel_embedding_check(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -235,55 +231,55 @@ def test_h1_contains_pi0():
 
 
 def test_cocycle_split_vectors_always_pass():
-    rd, inv = build(so(2, 3))
-    sl = split_lattices(rd, inv)
+    inv = build(so(2, 3))
+    sl = split_lattices(inv)
     for v in sl.x_spl.basis:
-        assert cocycle_check(rd, inv, v)
+        assert cocycle_check(inv, v)
 
 
 def test_cocycle_gl2():
-    rd, inv = build(gl(2))
-    assert cocycle_check(rd, inv, (1, 0))
+    inv = build(gl(2))
+    assert cocycle_check(inv, (1, 0))
 
 
 def test_cocycle_fails_on_compact_torus():
-    rd, inv = build(torus_compact(1))
-    assert not cocycle_check(rd, inv, (1,))
+    inv = build(torus_compact(1))
+    assert not cocycle_check(inv, (1,))
 
 
 def test_coboundary_basics():
-    rd, inv = build(torus_split(1))
-    assert coboundary_check(rd, inv, (0,))
-    assert not coboundary_check(rd, inv, (1,))
-    rd, inv = build(gl(2))
-    assert coboundary_check(rd, inv, (1, 1))
-    assert not coboundary_check(rd, inv, (1, 0))
+    inv = build(torus_split(1))
+    assert coboundary_check(inv, (0,))
+    assert not coboundary_check(inv, (1,))
+    inv = build(gl(2))
+    assert coboundary_check(inv, (1, 1))
+    assert not coboundary_check(inv, (1, 0))
 
 
 def test_cocycle_requires_cocharacter():
-    rd, inv = build(gl(2))
+    inv = build(gl(2))
     with pytest.raises(ValueError):
-        cocycle_check(rd, inv, (Fraction(1, 2), 0))
+        cocycle_check(inv, (Fraction(1, 2), 0))
     with pytest.raises(ValueError):
-        coboundary_check(rd, inv, (Fraction(1, 2), 0))
+        coboundary_check(inv, (Fraction(1, 2), 0))
 
 
 def test_nontrivial_cocycle_gives_nonzero_h1_class():
     # cocycle but not coboundary: the class survives in H1
-    rd, inv = build(torus_split(1))
+    inv = build(torus_split(1))
     nu = (1,)
-    assert cocycle_check(rd, inv, nu)
-    assert not coboundary_check(rd, inv, nu)
-    h = h1_pi1(rd, inv)
+    assert cocycle_check(inv, nu)
+    assert not coboundary_check(inv, nu)
+    h = h1_pi1(inv)
     assert membership(nu, h.sup)
     assert not membership(nu, h.sub)
 
 
 def test_pi0_generators_are_cocycles():
     for spec in [gl(4), so(1, 4), pso(4, 4)]:
-        rd, inv = build(spec)
-        for v in pi0(rd, inv).generators:
-            assert cocycle_check(rd, inv, v)
+        inv = build(spec)
+        for v in pi0(inv).generators:
+            assert cocycle_check(inv, v)
 
 
 # ---------------------------------------------------------------------------
@@ -292,33 +288,34 @@ def test_pi0_generators_are_cocycles():
 
 def test_torus_pi0_split():
     for n in (1, 2, 3, 4):
-        rd, theta = torus_split(n)
-        g = pi0(RootDatum(rank=n), involution_from_matrix(rd, theta))
+        _, theta = torus_split(n)
+        g = pi0(involution_from_matrix(RootDatum(rank=n), theta))
         assert g.order == 2**n
 
 
 def test_torus_pi0_compact():
-    rd, theta = torus_compact(3)
-    assert pi0(RootDatum(rank=3), involution_from_matrix(rd, theta)).order == 1
+    _, theta = torus_compact(3)
+    assert pi0(involution_from_matrix(RootDatum(rank=3), theta)).order == 1
 
 
 def test_torus_pi0_weil():
-    rd, theta = torus_weil()
-    assert pi0(RootDatum(rank=2), involution_from_matrix(rd, theta)).order == 1
+    _, theta = torus_weil()
+    assert pi0(involution_from_matrix(RootDatum(rank=2), theta)).order == 1
 
 
 def test_torus_pi0_rejects_size_mismatch():
-    rd, theta = torus_split(2)
-    with pytest.raises(ValueError, match="involution is 2 x 2, datum has rank 3"):
-        pi0(RootDatum(rank=3), involution_from_matrix(rd, theta))
+    _, theta = torus_split(2)
+    with pytest.raises(InvolutionError, match="^involution is 2 x 2, datum has rank 3$"):
+        involution_from_matrix(RootDatum(rank=3), theta)
 
 
 @pytest.mark.parametrize("check", [representative, cocycle_check, coboundary_check])
 @pytest.mark.parametrize("size, rank", [(3, 2), (2, 3)])
 def test_vector_checks_reject_an_involution_of_another_size(check, size, rank):
-    inv = Involution(torus_split(size)[1])
-    with pytest.raises(ValueError) as err:
-        check(RootDatum(rank=rank), inv, (0,) * rank)
+    # the size is checked once, when the involution is bound to its datum,
+    # so no check is ever handed an involution of another size
+    with pytest.raises(InvolutionError) as err:
+        check(Involution(torus_split(size)[1], RootDatum(rank=rank)), (0,) * rank)
     assert str(err.value) == f"involution is {size} x {size}, datum has rank {rank}"
 
 
@@ -327,8 +324,8 @@ def test_vector_checks_reject_an_involution_of_another_size(check, size, rank):
 
 
 def test_representative_gl8():
-    rd, inv = build(gl(8))
-    r = representative(rd, inv, (1, 0, 0, 0, 0, 0, 0, 0))
+    inv = build(gl(8))
+    r = representative(inv, (1, 0, 0, 0, 0, 0, 0, 0))
     assert r.nu == (1, 0, 0, 0, 0, 0, 0, 0)
     assert r.evaluations[0] == ("eps1", "-1")
     assert all(val == "1" for _, val in r.evaluations[1:])
@@ -337,32 +334,32 @@ def test_representative_gl8():
 
 def test_representative_so():
     # first and last diagonal entries flip: diag(-1, 1, .., 1, -1)
-    rd, inv = build(so(2, 3))
-    r = representative(rd, inv, (1, 0))
+    inv = build(so(2, 3))
+    r = representative(inv, (1, 0))
     values = [val for _, val in r.evaluations]
     assert values == ["-1", "1", "1", "1", "-1"]
 
 
 def test_representative_pso33():
-    rd, inv = build(pso(3, 3))
-    r = representative(rd, inv, (0, 0, 1))
+    inv = build(pso(3, 3))
+    r = representative(inv, (0, 0, 1))
     assert [val for _, val in r.evaluations] == ["i", "i", "i", "-i", "-i", "-i"]
     assert r.note is not None and "sign" in r.note
 
 
 def test_representative_identity():
-    rd, inv = build(pso(3, 3))
-    r = representative(rd, inv, (0, 0, 0))
+    inv = build(pso(3, 3))
+    r = representative(inv, (0, 0, 0))
     assert all(val == "1" for _, val in r.evaluations)
 
 
 def test_representative_requires_split_vector():
-    rd, inv = build(so(1, 3))
-    representative(rd, inv, (1, 0))
+    inv = build(so(1, 3))
+    representative(inv, (1, 0))
     with pytest.raises(ValueError, match="split"):
-        representative(rd, inv, (0, 1))
+        representative(inv, (0, 1))
     with pytest.raises(ValueError, match="split"):
-        representative(rd, inv, (Fraction(1, 2), 0))
+        representative(inv, (Fraction(1, 2), 0))
 
 
 def test_representative_rejects_non_half_integral_weight():
@@ -372,7 +369,7 @@ def test_representative_rejects_non_half_integral_weight():
     )
     inv = involution_from_matrix(rd, ((-1,),))
     with pytest.raises(ValueError, match="half-integral"):
-        representative(rd, inv, (1,))
+        representative(inv, (1,))
 
 
 def split_fixtures():
@@ -382,31 +379,33 @@ def split_fixtures():
 
     rng = random.Random(5)
     out = []
-    for rd, inv in _all_fixtures():
-        out.append((rd, inv))
+    for inv in _all_fixtures():
+        out.append(inv)
         for _ in range(2):
-            u, uinv = helpers.random_unimodular(rng, rd.rank)
-            out.append(helpers.conjugate_datum(rd, inv, u, uinv))
+            u, uinv = helpers.random_unimodular(rng, inv.datum.rank)
+            out.append(helpers.conjugate_datum(inv, u, uinv))
     return out
 
 
 def test_representative_accepts_exactly_the_split_lattice():
-    for rd, inv in split_fixtures():
-        sl = split_lattices(rd, inv)
+    for inv in split_fixtures():
+        sl = split_lattices(inv)
+        n = inv.datum.rank
         for v in sl.x_spl.basis:
-            assert representative(rd, inv, v).nu == v
-        for i in range(rd.rank):
-            e = tuple(int(i == j) for j in range(rd.rank))
+            assert representative(inv, v).nu == v
+        for i in range(n):
+            e = tuple(int(i == j) for j in range(n))
             if not membership(e, sl.x_spl):
                 with pytest.raises(ValueError, match="split"):
-                    representative(rd, inv, e)
+                    representative(inv, e)
 
 
 def test_cocycle_and_coboundary_match_lattice_definitions():
     rng = random.Random(55)
-    for rd, inv in split_fixtures():
-        sl = split_lattices(rd, inv)
-        h = h1_pi1(rd, inv)
+    for inv in split_fixtures():
+        rd = inv.datum
+        sl = split_lattices(inv)
+        h = h1_pi1(inv)
         basis = rd.cochar.basis
         nus = list(h.sup.basis) + list(h.sub.basis)
         for _ in range(6):
@@ -415,8 +414,8 @@ def test_cocycle_and_coboundary_match_lattice_definitions():
                              for j in range(rd.rank)))
         for nu in nus:
             cocycle = membership(vec_add(nu, mat_vec(inv.theta, nu)), sl.q_cmp)
-            assert cocycle_check(rd, inv, nu) == cocycle
-            assert coboundary_check(rd, inv, nu) == membership(nu, h.sub)
+            assert cocycle_check(inv, nu) == cocycle
+            assert coboundary_check(inv, nu) == membership(nu, h.sub)
 
 
 def test_h1_sup_is_x_where_twice_lies_in_theta_minus_one_x_plus_q_cmp():
@@ -425,43 +424,73 @@ def test_h1_sup_is_x_where_twice_lies_in_theta_minus_one_x_plus_q_cmp():
     # builds it as the cocycles, where v + theta(v) lies in Q
     rng = random.Random(0x4A1F)
     seen = {True: 0, False: 0}
-    for rd, inv in split_fixtures():
-        sl = split_lattices(rd, inv)
+    for inv in split_fixtures():
+        rd = inv.datum
+        sl = split_lattices(inv)
         doubled = lattice_sum(sl.two_x_spl_tilde, sl.q_cmp)
-        sup = h1_pi1(rd, inv).sup
+        sup = h1_pi1(inv).sup
         vs = list(sup.basis)
         vs += [tuple(rng.randint(-3, 3) for _ in range(rd.rank)) for _ in range(12)]
         for v in vs:
             inside = membership(v, sup)
             assert inside == membership(tuple(2 * x for x in v), doubled), (rd.name, v)
-            assert inside == cocycle_check(rd, inv, v), (rd.name, v)
+            assert inside == cocycle_check(inv, v), (rd.name, v)
             seen[inside] += 1
     assert min(seen.values()) >= 50, seen
 
 
-def test_job_builds_split_lattices_at_most_twice(monkeypatch):
-    from pi0real import cli, components
+def count_calls(monkeypatch, name):
+    """A list that grows by one on each call to intlattice's function
+    ``name``, patched into every module of the package that imports it."""
+    from pi0real import cli, components, intlattice, realform, rootdata
 
     calls = []
-    build_split = components.split_lattices
+    fn = getattr(intlattice, name)
 
-    def counted(rd, inv):
-        calls.append(rd.name)
-        return build_split(rd, inv)
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(components, "split_lattices", counted)
-    job = cli.parse_jobspec({"preset": "TORUS_SPLIT", "n": 5, "outputs": {"h1": True}})
+    for module in (pi0real, cli, components, intlattice, realform, rootdata):
+        if getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_job_builds_split_lattices_at_most_twice(monkeypatch):
+    from pi0real import cli
+
+    hnfs = count_calls(monkeypatch, "hnf")
+    kernels = count_calls(monkeypatch, "kernel_lattice")
+    outputs = {"h1": True, "oracle_check": True}
+    job = cli.parse_jobspec({"preset": "TORUS_SPLIT", "n": 5, "outputs": outputs})
     report = cli.run(job)
     assert len(report["representatives"]) == 31
-    assert len(calls) <= 2
+    assert report["oracle"] == "agree"
+    # (theta - 1) X, Q, the pi0 sub-lattice and the coboundaries; X_spl,
+    # Q_spl and the cocycles
+    assert len(hnfs) <= 4
+    assert len(kernels) <= 3
+
+
+def test_coboundary_check_builds_the_coboundaries_once(monkeypatch):
+    inv = build(torus_split(120))
+    # the summands are the involution's and the datum's own lattices
+    inv.two_x_spl_tilde, inv.datum.coroots
+    hnfs = count_calls(monkeypatch, "hnf")
+    rng = random.Random(120)
+    for _ in range(20):
+        nu = tuple(rng.randint(-2, 2) for _ in range(120))
+        assert coboundary_check(inv, nu) == all(x % 2 == 0 for x in nu)
+    assert len(hnfs) <= 1
 
 
 def test_pi0_classes_have_order_two_representatives():
     # exp(pi i nu) squares to exp(2 pi i nu) = identity for integral nu
-    rd, inv = build(pso(4, 4))
-    g = pi0(rd, inv)
+    inv = build(pso(4, 4))
+    g = pi0(inv)
     for v in g.elements():
-        r = representative(rd, inv, v)
+        r = representative(inv, v)
         for _, val in r.evaluations:
             assert val in ("1", "-1", "i", "-i")
 
@@ -473,10 +502,10 @@ def test_pi0_classes_have_order_two_representatives():
 def test_rank_zero_datum():
     rd = RootDatum(rank=0)
     inv = involution_from_matrix(rd, ())
-    assert pi0(rd, inv).order == 1
-    assert pi0(rd, inv).generators == ()
-    assert h1_pi1(rd, inv).order == 1
-    assert kernel_embedding_check(rd, inv)
+    assert pi0(inv).order == 1
+    assert pi0(inv).generators == ()
+    assert h1_pi1(inv).order == 1
+    assert kernel_embedding_check(inv)
 
 
 def test_two_group_guard_rejects_odd_factors():
@@ -505,13 +534,13 @@ def test_two_group_rejects_non_sublattice():
 def test_conjugated_split_torus_names_every_generator():
     import helpers
 
-    rd, inv = build(torus_split(13))
+    inv = build(torus_split(13))
     u, uinv = helpers.random_unimodular(random.Random(13), 13)
-    rd, inv = helpers.conjugate_datum(rd, inv, u, uinv)
-    g = pi0(rd, inv)
+    inv = helpers.conjugate_datum(inv, u, uinv)
+    g = pi0(inv)
     assert g.rank == 13
     assert g.generator_names == tuple(f"e{i}" for i in range(1, 14))
-    assert g.generators == tuple(v for _, v in rd.named_vectors)
+    assert g.generators == tuple(v for _, v in inv.datum.named_vectors)
 
 
 def reference_picks(sub, sup, named):
@@ -586,24 +615,24 @@ def test_pi0_multiplicative_on_products():
     (rd1, th1), (rd2, th2) = gl(2), so(2, 3)
     inv1 = involution_from_matrix(rd1, th1)
     inv2 = involution_from_matrix(rd2, th2)
-    rd = product(rd1, rd2)
     inv = product_involution(inv1, inv2)
-    g = pi0(rd, inv)
-    assert g.order == pi0(rd1, inv1).order * pi0(rd2, inv2).order
-    h = h1_pi1(rd, inv)
-    assert h.order == h1_pi1(rd1, inv1).order * h1_pi1(rd2, inv2).order
+    assert inv.datum == product(rd1, rd2)
+    g = pi0(inv)
+    assert g.order == pi0(inv1).order * pi0(inv2).order
+    h = h1_pi1(inv)
+    assert h.order == h1_pi1(inv1).order * h1_pi1(inv2).order
 
 
 def test_oracle_agreement_on_fixtures():
     fixtures = [gl(8), so(3, 4), pso(4, 4), torus_split(4)]
     for spec in fixtures:
-        rd, inv = build(spec)
-        assert oracle_check(pi0(rd, inv))
-        assert oracle_check(h1_pi1(rd, inv))
+        inv = build(spec)
+        assert oracle_check(pi0(inv))
+        assert oracle_check(h1_pi1(inv))
     for form in ("EV", "EVI", "EVII"):
-        rd, inv = e7_preset(form)
-        assert oracle_check(pi0(rd, inv))
-        assert oracle_check(h1_pi1(rd, inv))
+        inv = e7_preset(form)
+        assert oracle_check(pi0(inv))
+        assert oracle_check(h1_pi1(inv))
 
 
 def test_random_torus_involutions_stay_elementary():
@@ -626,10 +655,9 @@ def test_random_torus_involutions_stay_elementary():
         from helpers import mat_mul
 
         theta = mat_mul(mat_mul(u, tuple(tuple(r) for r in base)), uinv)
-        rd = RootDatum(rank=n)
-        inv = involution_from_matrix(rd, theta)
-        g = pi0(rd, inv)
-        h = h1_pi1(rd, inv)
+        inv = involution_from_matrix(RootDatum(rank=n), theta)
+        g = pi0(inv)
+        h = h1_pi1(inv)
         assert g.order in {2**k for k in range(n + 1)}
         assert h.order % g.order == 0
         assert oracle_check(g)
@@ -671,15 +699,14 @@ def test_integral_input_builds_no_fraction(monkeypatch):
     rng = random.Random(0xF4AC)
     cases = [build(spec) for spec in (pso(4, 4), so(3, 4), gl(4), torus_split(3))]
     # a split torus times a Weil torus, in a random basis
-    rd, inv = build(torus_split(2))
-    rd_w, inv_w = build(torus_weil())
-    rd, inv = product(rd, rd_w), product_involution(inv, inv_w)
+    inv = product_involution(build(torus_split(2)), build(torus_weil()))
     u, uinv = helpers.random_unimodular(rng, 4)
-    cases.append(helpers.conjugate_datum(rd, inv, u, uinv))
+    cases.append(helpers.conjugate_datum(inv, u, uinv))
     groups = []
-    for rd, inv in cases:
-        g, h = pi0(rd, inv), h1_pi1(rd, inv)
-        representative(rd, inv, g.elements()[0])  # caches the weight terms
+    for inv in cases:
+        rd = inv.datum
+        g, h = pi0(inv), h1_pi1(inv)
+        representative(inv, g.elements()[0])  # caches the weight terms
         for _, c, terms in rd.weight_terms:
             assert type(c) is int, rd.name
             assert all(type(j) is int and type(x) is int for j, x in terms), rd.name
@@ -695,11 +722,11 @@ def test_integral_input_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(intlattice, "Fraction", counted)
     for rd, inv, g, h in groups:
         # the job path, on a fresh involution so its lattices are built here
-        fresh = Involution(inv.theta, inv.name)
-        assert pi0(rd, fresh) == g and h1_pi1(rd, fresh) == h
+        fresh = Involution(inv.theta, rd, inv.name)
+        assert pi0(fresh) == g and h1_pi1(fresh) == h
         assert oracle_check(g) and oracle_check(h)
         for v in g.elements():
-            representative(rd, inv, v)
+            representative(inv, v)
             assert components.coords_in_lattice(v, g.sup) is not None
             components.coords_in_lattice(v, h.sub)
         for lat in (g.sub, g.sup, h.sub, h.sup, rd.coroots):
@@ -733,28 +760,28 @@ def test_integral_input_builds_no_fraction(monkeypatch):
     ],
 )
 def test_vector_check_messages(check, nu, error, message):
-    rd, inv = build(gl(2))
+    inv = build(gl(2))
     with pytest.raises(ValueError) as err:
-        check(rd, inv, nu)
+        check(inv, nu)
     assert type(err.value).__name__ == error
     assert str(err.value) == message
 
 
 def test_vector_check_messages_are_bounded():
     # a long non-integral vector is quoted in at most QUOTE_LIMIT characters
-    rd, inv = build(torus_split(300))
+    inv = build(torus_split(300))
     nu = (Fraction(1, 2),) + (0,) * 299
     for check in (representative, cocycle_check, coboundary_check):
         with pytest.raises(ValueError) as err:
-            check(rd, inv, nu)
+            check(inv, nu)
         assert type(err.value) is ValueError
         assert len(str(err.value).encode()) < 250, check.__name__
 
 
 def test_representative_messages_for_theta_and_pairing():
-    rd, inv = build(torus_compact(2))
+    inv = build(torus_compact(2))
     with pytest.raises(ValueError) as err:
-        representative(rd, inv, (1, 0))
+        representative(inv, (1, 0))
     assert type(err.value) is ValueError
     assert str(err.value) == (
         "(Fraction(1, 1), Fraction(0, 1)) is not a split cocharacter "
@@ -763,14 +790,14 @@ def test_representative_messages_for_theta_and_pairing():
     rd = RootDatum(rank=1, display_weights=(("w", (Fraction(1, 4),)),), name="q")
     inv = involution_from_matrix(rd, ((-1,),))
     with pytest.raises(ValueError) as err:
-        representative(rd, inv, (1,))
+        representative(inv, (1,))
     assert type(err.value) is ValueError
     assert str(err.value) == (
         "pairing of weight 'w' with (1,) is not half-integral, "
         "so its value at exp(pi i nu) is not a fourth root of unity"
     )
     # a rational weight with a whole pairing still evaluates
-    assert representative(rd, inv, (2,)).evaluations == (("w", "i"),)
+    assert representative(inv, (2,)).evaluations == (("w", "i"),)
     # random rational weights on a split torus, against pairing in Fractions
     rng = random.Random(0x9A1)
 
@@ -788,7 +815,7 @@ def test_representative_messages_for_theta_and_pairing():
         inv = involution_from_matrix(rd, torus_split(n)[1])
         nu = tuple(rng.randint(-3, 3) for _ in range(n))
         try:
-            got = representative(rd, inv, nu).evaluations
+            got = representative(inv, nu).evaluations
         except ValueError as exc:
             assert type(exc) is ValueError
             got = str(exc)

@@ -24,7 +24,7 @@ from pi0real.realform import (
     involution_from_matrix,
     product_involution,
 )
-from pi0real.rootdata import RootDatum, gl, pso, simple, so, torus_split
+from pi0real.rootdata import RootDatum, gl, product, pso, simple, so, torus_split
 
 
 def torus_datum(n):
@@ -73,9 +73,9 @@ def test_boolean_entries_are_not_integers():
 
 def test_apply_rejects_a_theta_that_does_not_act():
     with pytest.raises(DimensionMismatch, match="^matrix does not act on the ambient space$"):
-        Involution(((1, 0),)).apply((1, 0))
+        Involution(((1, 0),), torus_datum(1)).apply((1, 0))
     with pytest.raises(DimensionMismatch):
-        Involution(((-1, 0), (0, 1))).apply((1, 0, 0))
+        Involution(((-1, 0), (0, 1)), torus_datum(2)).apply((1, 0, 0))
 
 
 def test_rejects_coroot_lattice_violation():
@@ -137,7 +137,7 @@ def test_coroot_set_check_implies_lattice_check():
         frames = [(rd, identity_matrix(3), identity_matrix(3))]
         for _ in range(2):
             u, uinv = helpers.random_unimodular(rng, 3)
-            crd, _ = helpers.conjugate_datum(rd, involution_from_matrix(rd, theta), u, uinv)
+            crd = helpers.conjugate_datum(involution_from_matrix(rd, theta), u, uinv).datum
             frames.append((crd, u, uinv))
         for crd, u, uinv in frames:
             for s in _signed_permutations(3):
@@ -231,7 +231,7 @@ def test_eigenspaces_of_random_unimodular_bases():
 
 
 def test_e7_ev_is_negated_identity():
-    rd, inv = e7_preset("EV")
+    inv = e7_preset("EV")
     assert inv.name == "EV"
     assert inv.theta == tuple(
         tuple(-1 if i == j else 0 for j in range(7)) for i in range(7)
@@ -247,21 +247,24 @@ def test_e7_split_ranks():
     # EV is split of rank 7, EVI has split rank 4, EVII split rank 3
     expected = {"EV": 7, "EVI": 4, "EVII": 3}
     for form, r in expected.items():
-        rd, inv = e7_preset(form)
+        inv = e7_preset(form)
+        rd = inv.datum
         x_spl = kernel_lattice(rd.cochar, mat_add(inv.theta, identity_matrix(7)))
         assert x_spl.rank == r, form
 
 
 def test_e7_eigenspace_ranks_sum():
     for form in ("EV", "EVI", "EVII"):
-        rd, inv = e7_preset(form)
+        inv = e7_preset(form)
+        rd = inv.datum
         plus = kernel_lattice(rd.cochar, mat_sub(inv.theta, identity_matrix(7)))
         minus = kernel_lattice(rd.cochar, mat_add(inv.theta, identity_matrix(7)))
         assert plus.rank + minus.rank == 7, form
 
 
 def test_e7_evii_span_facts():
-    rd, inv = e7_preset("EVII")
+    inv = e7_preset("EVII")
+    rd = inv.datum
     named = dict(rd.named_vectors)
     x_spl = kernel_lattice(rd.cochar, mat_add(inv.theta, identity_matrix(7)))
     q_spl = kernel_lattice(rd.coroots, mat_add(inv.theta, identity_matrix(7)))
@@ -276,7 +279,8 @@ def test_e7_evii_span_facts():
 def test_e7_evi_split_span_is_saturated():
     from pi0real.intlattice import lattice_index
 
-    rd, inv = e7_preset("EVI")
+    inv = e7_preset("EVI")
+    rd = inv.datum
     named = dict(rd.named_vectors)
     span = Lattice(7, [named[nm] for nm in ("w2", "w4", "w5", "w6")])
     x_spl = kernel_lattice(rd.cochar, mat_add(inv.theta, identity_matrix(7)))
@@ -300,7 +304,8 @@ def test_e7_presets_walk_the_coroot_closure_once():
 def test_e7_presets_are_cartan_involutions():
     # theta must permute the 126 coroots in every form
     for form in ("EV", "EVI", "EVII"):
-        rd, inv = e7_preset(form)
+        inv = e7_preset(form)
+        rd = inv.datum
         coroots = set(rd.coroot_generators)
         for c in rd.coroot_generators:
             assert tuple(int(x) for x in mat_vec(inv.theta, c)) in coroots, form
@@ -328,7 +333,8 @@ def _longest_element(n, reflections):
 )
 def test_e7_theta_is_minus_longest_element_of_black_nodes(form, black):
     # on coweight coordinates s_k(v) = v - v_k a_k, since alpha_k(w_i) = [i == k]
-    rd, inv = e7_preset(form)
+    inv = e7_preset(form)
+    rd = inv.datum
     named = dict(rd.named_vectors)
     reflections = []
     for k in black:
@@ -354,6 +360,7 @@ def test_product_involution_blocks():
     b = involution_from_matrix(rd2, ((1,),), name="compact")
     c = product_involution(a, b)
     assert c.theta == ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
+    assert c.datum == product(rd1, rd2)
     assert c.name == "split x compact"
     assert product_involution(a, b, name="custom").name == "custom"
 
@@ -440,7 +447,7 @@ def test_involution_derives_split_lattices_of_x():
         n = trial % 8 + 1
         theta = _random_involution(rng, n)
         assert mat_mul(theta, theta) == identity_matrix(n)
-        inv = Involution(theta)
+        inv = Involution(theta, torus_datum(n))
         one = identity_matrix(n)
         plus_one, minus_one = mat_add(theta, one), mat_sub(theta, one)
         assert inv.plus_one == plus_one and inv.minus_one == minus_one

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import det, mat_mul, mat_vec
+from helpers import datum_problems, det, mat_mul, mat_vec
 from pi0real.intlattice import (
     Lattice,
     identity_matrix,
@@ -48,7 +48,7 @@ def test_gl_shape():
     assert rd.rank == 3
     assert rd.name == "GL(3)"
     assert theta == NEG_I3
-    assert rd.validate() == ()
+    assert datum_problems(rd) == ()
     assert len(rd.coroot_generators) == 6
     assert (1, -1, 0) in rd.coroot_generators
 
@@ -65,7 +65,7 @@ def test_gl_coroots_are_trace_zero():
 def test_gl1_has_no_coroots():
     rd, _ = gl(1)
     assert rd.coroots.is_zero
-    assert rd.validate() == ()
+    assert datum_problems(rd) == ()
 
 
 def test_gl_display_weights_are_units():
@@ -161,7 +161,7 @@ def test_pso_coroot_index_four():
     rd, _ = pso(2, 4)
     assert lattice_index(rd.coroots, rd.cochar) == 4
     assert (1, 1, 0) in rd.coroot_generators  # e1 + e2
-    assert rd.validate() == ()
+    assert datum_problems(rd) == ()
 
 
 def test_pso_display_weights_halved():
@@ -381,7 +381,7 @@ def test_simple_rejects_bad_isogeny():
 def test_simple_coroots_are_symmetric_and_valid():
     for t, r, iso in [("B", 2, "sc"), ("C", 3, "adj"), ("F", 4, "adj")]:
         rd, _ = simple(t, r, iso, "split")
-        assert rd.validate() == (), (t, r, iso)
+        assert datum_problems(rd) == (), (t, r, iso)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,7 @@ def test_e7_basic_counts():
     assert rd.rank == 7
     assert len(rd.coroot_generators) == 126
     assert lattice_index(rd.coroots, rd.cochar) == 2
-    assert rd.validate() == ()
+    assert datum_problems(rd) == ()
 
 
 def test_e7_coweight_membership():
@@ -458,7 +458,7 @@ def test_product_concatenates():
     rd = product(a, b)
     assert rd.rank == 3
     assert rd.name == "GL(2) x SO(1,2)"
-    assert rd.validate() == ()
+    assert datum_problems(rd) == ()
     assert (1, -1, 0) in rd.coroot_generators
     assert (0, 0, 2) in rd.coroot_generators
 
@@ -480,10 +480,10 @@ def test_product_merges_names_first_wins():
 
 def test_validate_flags_bad_data():
     asym = RootDatum(rank=1, coroot_generators=((1,),))
-    assert any("not symmetric" in d for d in asym.validate())
+    assert any("not symmetric" in d for d in datum_problems(asym))
 
     # the coroot lattice is derived lazily, so a malformed generator is
-    # reported by validate instead of raising when the datum is built
+    # reported by datum_problems instead of raising when the datum is built
     half = (Fraction(1, 2), Fraction(-1, 2))
     bad = RootDatum(
         rank=2,
@@ -491,7 +491,7 @@ def test_validate_flags_bad_data():
         display_weights=(("short", (1,)),),
         named_vectors=(("h", half), ("s", (1,))),
     )
-    assert bad.validate() == (
+    assert datum_problems(bad) == (
         "coroot (1,) has wrong length",
         "coroot (-1,) has wrong length",
         f"coroot {half} not in cocharacter lattice",
@@ -500,8 +500,8 @@ def test_validate_flags_bad_data():
         "named vector 'h' is not in the cocharacter lattice",
         "named vector 's' has wrong length",
     )
-    assert RootDatum(rank=-1).validate() == ("rank is negative",)
-    assert RootDatum(rank=1, coroot_generators=((0,),)).validate() == (
+    assert datum_problems(RootDatum(rank=-1)) == ("rank is negative",)
+    assert datum_problems(RootDatum(rank=1, coroot_generators=((0,),))) == (
         "coroot (0,) is zero",
     )
 
@@ -509,12 +509,12 @@ def test_validate_flags_bad_data():
 def test_validate_quotes_a_bounded_prefix_of_long_coroots():
     long = (1,) * 1000
     bad = RootDatum(rank=1, coroot_generators=(long, (1,), (-1,)))
-    assert bad.validate() == (
+    assert datum_problems(bad) == (
         f"coroot {str(long)[:80]}... has wrong length",
     )
     half = (Fraction(1, 2),) * 300
     bad = RootDatum(rank=300, coroot_generators=(half,))
-    assert bad.validate() == (
+    assert datum_problems(bad) == (
         f"coroot {str(half)[:80]}... not in cocharacter lattice",
         f"coroot set is not symmetric: missing {str(tuple(-x for x in half))[:80]}...",
     )
@@ -585,16 +585,13 @@ def test_coroots_without_a_basis_take_one_coroot_per_pair():
 
 
 def test_build_preset_families():
-    rd, inv = build_preset("GL", n=8)
-    assert rd.rank == 8 and inv is not None
-    rd, inv = build_preset("TORUS_WEIL")
-    assert inv.theta == ((0, -1), (-1, 0))
-    rd, inv = build_preset("E7", form="EVII")
-    assert inv.name == "EVII"
+    assert build_preset("GL", n=8).datum.rank == 8
+    assert build_preset("TORUS_WEIL").theta == ((0, -1), (-1, 0))
+    assert build_preset("E7", form="EVII").name == "EVII"
     # SIMPLE without a real form is split
-    rd, inv = build_preset("SIMPLE", type="B", rank=3, isogeny="sc")
+    inv = build_preset("SIMPLE", type="B", rank=3, isogeny="sc")
     assert inv.theta == NEG_I3
-    assert build_preset("SIMPLE", type="B", rank=3) == (rd, inv)
+    assert build_preset("SIMPLE", type="B", rank=3) == inv
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -668,8 +665,9 @@ def test_build_preset_involutions_are_validated():
     ]
     assert {family for family, _ in specs} == set(PRESETS)
     for spec in specs:
-        rd, inv = build_preset(spec[0], **spec[1])
-        assert rd.validate() == (), spec
+        inv = build_preset(spec[0], **spec[1])
+        rd = inv.datum
+        assert datum_problems(rd) == (), spec
         assert isinstance(inv, Involution), spec
         img = [tuple(int(x) for x in mat_vec(inv.theta, c)) for c in rd.coroot_generators]
         assert set(img) == set(rd.coroot_generators), spec
