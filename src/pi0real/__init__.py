@@ -21,6 +21,7 @@ from .components import (
     oracle_check,
     pi0,
     representative,
+    representatives,
     split_lattices,
 )
 from .intlattice import (
@@ -97,6 +98,7 @@ __all__ = [
     "product_involution",
     "quotient_structure",
     "representative",
+    "representatives",
     "snf",
     "split_lattices",
     "__version__",

@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .components import (
@@ -27,6 +28,7 @@ from .components import (
     oracle_check,
     pi0,
     representative,
+    representatives,
 )
 from .intlattice import COSET_BOUND, BoundExceeded
 from .realform import (
@@ -77,20 +79,23 @@ def _fraction(x, where: str) -> Fraction:
 
 
 def _vector(row, length: int, where: str) -> tuple:
+    """row as a tuple: an all-int row as it is, any other one all Fractions."""
     if not isinstance(row, list) or len(row) != length:
         raise ValueError(
             f"{where}: expected a list of {length} entries, got {_brief(repr(row))}"
         )
+    if all(type(x) is int for x in row):
+        return tuple(row)
     return tuple(_fraction(x, where) for x in row)
 
 
 def _int_vector(row, length: int, where: str) -> tuple[int, ...]:
-    if isinstance(row, list) and len(row) == length and all(type(x) is int for x in row):
-        return tuple(row)
     vec = _vector(row, length, where)
-    if any(x.denominator != 1 for x in vec):
-        raise ValueError(f"{where}: entries must be integers, got {_brief(repr(row))}")
-    return tuple(int(x) for x in vec)
+    if vec and type(vec[0]) is Fraction:
+        if any(x.denominator != 1 for x in vec):
+            raise ValueError(f"{where}: entries must be integers, got {_brief(repr(row))}")
+        return tuple(int(x) for x in vec)
+    return vec
 
 
 def _matrix(rows, n: int, where: str) -> tuple[tuple[int, ...], ...]:
@@ -178,7 +183,9 @@ def _inline_job(doc: dict) -> Involution:
         if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
             raise ValueError(f"display weight {i}: expected [label, vector]")
         w = _vector(pair[1], rank, f"display weight {i}")
-        weights.append((pair[0], tuple(int(x) if x.denominator == 1 else x for x in w)))
+        if w and type(w[0]) is Fraction:
+            w = tuple(int(x) if x.denominator == 1 else x for x in w)
+        weights.append((pair[0], w))
 
     named = []
     for i, pair in enumerate(doc.get("named_vectors", [])):
@@ -263,26 +270,19 @@ def _oracle_verdict(groups: list[Elementary2Group]) -> str:
     return "agree"
 
 
-def _component_list(group: Elementary2Group) -> list[tuple[int, ...]]:
-    if group.order > MAX_LISTED_COMPONENTS:
-        return list(group.generators)
-    return list(group.elements()[1:])
-
-
 def run(job: JobSpec) -> dict:
     """Execute a job and return the report as a plain dict with fixed key order."""
     group = pi0(job.involution)
     reps = []
     if job.outputs.representatives:
-        for nu in _component_list(group):
-            r = representative(job.involution, nu)
-            reps.append(
-                {
-                    "nu": list(r.nu),
-                    "evaluations": [[label, value] for label, value in r.evaluations],
-                    "note": r.note,
-                }
-            )
+        if group.order > MAX_LISTED_COMPONENTS:
+            listed = [representative(job.involution, nu) for nu in group.generators]
+        else:
+            listed = representatives(job.involution, group)
+        reps = [
+            {"nu": list(r.nu), "evaluations": list(map(list, r.evaluations)), "note": r.note}
+            for r in listed
+        ]
     h1_order = None
     checked: list[Elementary2Group] = []
     if job.outputs.h1 or job.outputs.oracle:
@@ -306,9 +306,31 @@ def run(job: JobSpec) -> dict:
 # rendering
 
 
+def _json_text(x, pad: str = "") -> str:
+    """x as json.dumps(x, indent=2) writes it, nested at indentation pad: one
+    pass over nonempty lists and str-keyed dicts, str, int and None, and
+    json.dumps for any other value, such as a bool."""
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    if type(x) is int:
+        return repr(x)
+    if x is None:
+        return "null"
+    if not x or not isinstance(x, (list, tuple, dict)):
+        return json.dumps(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        ends = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in x.items()]
+    else:
+        ends = "[]"
+        items = [_json_text(v, inner) for v in x]
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+
+
 def render_json(report: dict) -> str:
-    clean = {k: v for k, v in report.items() if not k.startswith("_")}
-    return json.dumps(clean, indent=2)
+    """The report without its "_" keys, as json.dumps(..., indent=2) writes it."""
+    return _json_text({k: v for k, v in report.items() if not k.startswith("_")})
 
 
 def _vec_str(v) -> str:

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import add
 from typing import NamedTuple, Optional
 
 from .intlattice import (
@@ -113,12 +114,17 @@ class Elementary2Group:
         and so on; within one size the subsets come in the order of their
         bitmasks, bit i for generator i.
         """
-        # sums[m] is the sum of the generators in the bitmask m
-        sums = [(0,) * self.sub.ambient_dim]
-        for g in self.generators:
-            sums += [tuple(a + b for a, b in zip(s, g)) for s in sums]
-        masks = sorted(range(len(sums)), key=lambda m: (bin(m).count("1"), m))
-        return tuple(sums[m] for m in masks)
+        return _subset_sums(self.generators, self.sub.ambient_dim)
+
+
+def _subset_sums(vectors, dim: int) -> tuple[tuple[int, ...], ...]:
+    """The sums of all subsets of vectors, in Elementary2Group.elements() order."""
+    # sums[m] is the sum of the vectors in the bitmask m
+    sums = [(0,) * dim]
+    for g in vectors:
+        sums += [tuple(map(add, s, g)) for s in sums]
+    masks = sorted(range(len(sums)), key=lambda m: (bin(m).count("1"), m))
+    return tuple(sums[m] for m in masks)
 
 
 def _int_tuple(v) -> Optional[tuple[int, ...]]:
@@ -322,6 +328,23 @@ def representative(inv: Involution, nu) -> Representative:
                 )
         evals.append((label, _FOURTH_ROOT[h % 4]))
     return Representative(nu=nu_int, evaluations=tuple(evals), note=rd.lift_note)
+
+
+def representatives(inv: Involution, group: Elementary2Group) -> list[Representative]:
+    """representative(inv, v) for each v in group.elements()[1:], by linearity.
+
+    Only the generators go through representative(), which checks them and
+    raises its errors.  Every other element's nu, and the exponents h of its
+    values i^h, are subset sums of the generators' ones, h taken mod 4.
+    """
+    rd = inv.datum
+    n = rd.rank
+    labels = [label for label, _, _ in rd.weight_terms]
+    rows = [r.nu + tuple(_FOURTH_ROOT.index(val) for _, val in r.evaluations)
+            for r in (representative(inv, v) for v in group.generators)]
+    return [Representative(s[:n], tuple(zip(labels, [_FOURTH_ROOT[h % 4] for h in s[n:]])),
+                           rd.lift_note)
+            for s in _subset_sums(rows, n + len(labels))[1:]]
 
 
 def oracle_check(group: Elementary2Group, bound: int = COSET_BOUND) -> bool:

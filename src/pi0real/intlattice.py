@@ -314,10 +314,11 @@ def _coords(w: list[int], lat: Lattice):
     """
     coeffs = []
     for j, p, pairs in lat._rows:
-        q, rem = divmod(w[j], p)
-        if rem:
-            return None
-        if q:
+        q = w[j]
+        if q:  # a zero pivot digit is coordinate 0
+            q, rem = divmod(q, p)
+            if rem:
+                return None
             for k, x in pairs:
                 w[k] -= q * x
         coeffs.append(q)

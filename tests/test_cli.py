@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -360,6 +362,36 @@ def test_inline_display_weights_and_names():
     assert report["representatives"][0]["evaluations"] == [["chi", "-1"]]
 
 
+def test_integer_display_weights_build_no_fraction(monkeypatch):
+    calls = []
+    fraction = cli._fraction
+
+    def counted(x, where):
+        calls.append(x)
+        return fraction(x, where)
+
+    monkeypatch.setattr(cli, "_fraction", counted)
+    doc = {
+        "rank": 2,
+        "coroots": [[1, -1]],
+        "theta": [[-1, 0], [0, -1]],
+        "display_weights": [["a", [1, -2]], ["b", [0, 10**30]]],
+        "named_vectors": [["z", [1, 0]]],
+    }
+    rd = cli.parse_jobspec(doc).involution.datum
+    assert calls == []
+    assert rd.display_weights == (("a", (1, -2)), ("b", (0, 10**30)))
+    assert all(type(x) is int for _, w in rd.display_weights for x in w)
+    # a row with any non-int entry is read in Fractions, then whole entries
+    # become ints again
+    doc["display_weights"] = [["c", ["1", "1/2"]], ["d", [2, "4/2"]]]
+    rd = cli.parse_jobspec(doc).involution.datum
+    assert rd.display_weights == (("c", (1, Fraction(1, 2))), ("d", (2, 2)))
+    assert [type(x) for _, w in rd.display_weights for x in w] == [int, Fraction, int, int]
+    doc["named_vectors"] = [["z", ["2/2", 0]]]
+    assert cli.parse_jobspec(doc).involution.datum.named_vectors == (("z", (1, 0)),)
+
+
 def test_output_defaults():
     job = cli.parse_jobspec({"preset": "GL", "n": 2})
     assert job.outputs == cli.OutputFlags(
@@ -407,6 +439,59 @@ def test_json_round_trip_is_byte_identical():
     rendered = cli.render_json(run_job(doc))
     again = json.dumps(json.loads(rendered), indent=2)
     assert again == rendered
+
+
+_LABEL_CHARS = ("a", "Z", " ", "/", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+                "\u00e9", "\u03c0", "\u221e", "\U0001f600")
+
+
+def _report_like(rng):
+    """A random value shaped like a report, with JSON's edge cases in it."""
+
+    def integer():
+        return rng.choice((
+            0, -1, rng.randint(-10**6, 10**6),
+            10**99 + rng.randrange(10**99), -(10**99 + rng.randrange(10**99)),
+        ))
+
+    def label():
+        return "".join(rng.choice(_LABEL_CHARS) for _ in range(rng.randint(0, 8)))
+
+    def vector():
+        return [integer() for _ in range(rng.randint(0, 4))]
+
+    return {
+        "order": integer(),
+        "rank": integer(),
+        "generators": [vector() for _ in range(rng.randint(0, 3))],
+        "representatives": [
+            {
+                "nu": vector(),
+                "evaluations": [
+                    [label(), rng.choice(("1", "i", "-1", "-i"))]
+                    for _ in range(rng.randint(0, 3))
+                ],
+                "note": rng.choice((None, label())),
+            }
+            for _ in range(rng.randint(0, 3))
+        ],
+        "h1_order": rng.choice((None, integer())),
+        "oracle": rng.choice((None, "agree", "skipped", True, False)),
+        label(): rng.choice(({}, [], [[]], [{}], {label(): vector()}, [None, True])),
+        "_names": (label(),),
+    }
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(0x150)
+    for _ in range(400):
+        report = _report_like(rng)
+        clean = {k: v for k, v in report.items() if not k.startswith("_")}
+        assert cli.render_json(report) == json.dumps(clean, indent=2)
+        assert cli._json_text(clean) == json.dumps(clean, indent=2)
+    # a bool and a float are written by json.dumps, at any depth
+    for value in (True, [False, 0.5], {"x": [True, None]}, {}, []):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 def test_json_hides_private_keys():

@@ -20,6 +20,7 @@ from pi0real.components import (
     oracle_check,
     pi0,
     representative,
+    representatives,
     split_lattices,
 )
 from pi0real.intlattice import (
@@ -822,6 +823,90 @@ def test_representative_messages_for_theta_and_pairing():
             errors += 1
         assert got == _fraction_pairing(rd, nu), (weights, nu)
     assert 50 <= errors <= 250, errors
+
+
+def _random_basis_cases(rng):
+    """GL, PSO (half-integral weights, a lift note) and products of split,
+    compact and Weil tori, each as it is and in a random basis."""
+    cases = [build(gl(n)) for n in (1, 3, 6)]
+    cases += [build(pso(p, q)) for p, q in ((3, 3), (4, 4), (6, 6), (2, 6), (5, 3))]
+    cases += [product_involution(build(pso(3, 3)), build(torus_split(2))),
+              product_involution(build(pso(4, 4)), build(torus_weil()))]
+    for _ in range(10):
+        inv = build(torus_split(rng.randint(1, 5)))
+        for factor in rng.sample((torus_compact(rng.randint(1, 2)), torus_weil()), 2):
+            if rng.random() < 0.5:
+                inv = product_involution(inv, build(factor))
+        cases.append(inv)
+    out = []
+    for inv in cases:
+        u, uinv = helpers.random_unimodular(rng, inv.datum.rank)
+        out += [inv, helpers.conjugate_datum(inv, u, uinv)]
+    return out
+
+
+def test_representatives_match_the_per_element_route():
+    rng = random.Random(0x24E)
+    orders = set()
+    halves = notes = 0
+    for inv in _random_basis_cases(rng):
+        g = pi0(inv)
+        orders.add(g.order)
+        got = representatives(inv, g)
+        assert got == [representative(inv, v) for v in g.elements()[1:]], inv.datum.name
+        halves += any(c == 2 for _, c, _ in inv.datum.weight_terms) and g.order >= 4
+        notes += inv.datum.lift_note is not None and g.order >= 4
+    assert {1, 2, 4, 8} <= orders
+    assert max(orders) >= 32
+    assert halves >= 4 and notes >= 4
+
+
+def test_representatives_raise_the_per_element_error():
+    # the generators pair half-integrally with "ok" but not with "bad"
+    rd = RootDatum(
+        rank=3,
+        display_weights=(("ok", (Fraction(1, 2), 0, 0)), ("bad", (0, 0, Fraction(1, 4)))),
+        name="t",
+    )
+    inv = involution_from_matrix(rd, torus_split(3)[1])
+    message = (
+        "pairing of weight 'bad' with (0, 0, 1) is not half-integral, "
+        "so its value at exp(pi i nu) is not a fourth root of unity"
+    )
+    with pytest.raises(ValueError) as err:
+        representatives(inv, pi0(inv))
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+    # the same datum as a job
+    from pi0real import cli
+
+    doc = {
+        "rank": 3,
+        "coroots": [],
+        "theta": [list(row) for row in inv.theta],
+        "display_weights": [["ok", ["1/2", 0, 0]], ["bad", [0, 0, "1/4"]]],
+    }
+    with pytest.raises(ValueError) as err:
+        cli.run(cli.parse_jobspec(doc))
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_report_lists_generators_only_above_the_cap():
+    from pi0real import cli
+
+    rng = random.Random(0x81)
+    inv = product_involution(build(torus_split(8)), build(torus_weil()))
+    u, uinv = helpers.random_unimodular(rng, 10)
+    inv = helpers.conjugate_datum(inv, u, uinv)
+    g = pi0(inv)
+    assert g.order == 256 > cli.MAX_LISTED_COMPONENTS
+    report = cli.run(cli.JobSpec(inv, cli.OutputFlags(), "json"))
+    listed = [representative(inv, v) for v in g.generators]
+    assert report["representatives"] == [
+        {"nu": list(r.nu), "evaluations": [list(e) for e in r.evaluations], "note": r.note}
+        for r in listed
+    ]
 
 
 def _fraction_pairing(rd, nu):

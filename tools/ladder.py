@@ -5,11 +5,13 @@ Usage, from the root of the repository:
     python3 tools/ladder.py
 
 Each input is a job document with the default outputs (pi0 and
-representatives) plus the outputs its label names.  ``cli.parse_jobspec``
-and ``cli.run`` are timed in-process, each the best of 3 runs on a fresh
-parse, and printed as a table in milliseconds.  The inputs are the rows of the ROADMAP
-baseline table that finish within seconds; ``GL(96)`` is left out.  Stdlib
-only; nothing is written.
+representatives) plus the outputs its label names.  ``cli.parse_jobspec``,
+``cli.run``, ``cli.render_text`` and ``cli.render_json`` are timed
+in-process, each the best of 3 runs on a fresh parse, and printed as a
+table in milliseconds.  The inputs are the rows of the ROADMAP baseline
+table that finish within seconds (``GL(96)`` is left out), plus
+``TORUS_SPLIT n=7``, whose report lists all 127 components.  Stdlib only;
+nothing is written.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ def inline_gl(n: int) -> dict:
 
 
 LADDER = (
+    ("TORUS_SPLIT n=7", {"preset": "TORUS_SPLIT", "n": 7}),
     ("TORUS_SPLIT n=40 --h1", {"preset": "TORUS_SPLIT", "n": 40, "outputs": H1}),
     ("TORUS_SPLIT n=60", {"preset": "TORUS_SPLIT", "n": 60}),
     ("TORUS_SPLIT n=120 --h1", {"preset": "TORUS_SPLIT", "n": 120, "outputs": H1}),
@@ -54,22 +57,30 @@ LADDER = (
 )
 
 
-def timings(cli, doc) -> tuple[float, float]:
-    """Best parse and best run time in ms over REPEATS fresh parses of doc.
+COLUMNS = ("parse ms", "run ms", "text ms", "json ms")
+
+
+def timings(cli, doc) -> list[float]:
+    """Best parse, run, text and JSON rendering times in ms over REPEATS
+    fresh parses of doc.
 
     Each run gets its own freshly parsed job, because a root datum caches
     its lattices on first use and a second run of one job would skip that.
     """
     clock = time.perf_counter
-    parse = run = float("inf")
+    best = [float("inf")] * len(COLUMNS)
     for _ in range(REPEATS):
         t0 = clock()
         job = cli.parse_jobspec(doc)
         t1 = clock()
-        cli.run(job)
+        report = cli.run(job)
         t2 = clock()
-        parse, run = min(parse, t1 - t0), min(run, t2 - t1)
-    return parse * 1e3, run * 1e3
+        cli.render_text(report, job)
+        t3 = clock()
+        cli.render_json(report)
+        t4 = clock()
+        best = [min(b, t) for b, t in zip(best, (t1 - t0, t2 - t1, t3 - t2, t4 - t3))]
+    return [b * 1e3 for b in best]
 
 
 def main() -> int:
@@ -77,10 +88,9 @@ def main() -> int:
     from pi0real import cli
 
     width = max(len(label) for label, _ in LADDER)
-    print(f"{'input':<{width}}  {'parse ms':>9}  {'run ms':>9}")
+    print(f"{'input':<{width}}" + "".join(f"  {c:>9}" for c in COLUMNS))
     for label, doc in LADDER:
-        parse_ms, run_ms = timings(cli, doc)
-        print(f"{label:<{width}}  {parse_ms:>9.1f}  {run_ms:>9.1f}")
+        print(f"{label:<{width}}" + "".join(f"  {t:>9.2f}" for t in timings(cli, doc)))
     return 0
 
 
