@@ -31,10 +31,10 @@ Every function here takes one Involution, which carries the datum it was
 validated against.  It derives X_spl, (theta - 1) X and the coboundaries
 (theta - 1) X + Q once, and every computation here shares them.  A job
 builds only Q_spl (in pi0) and the cocycles (in h1_pi1) itself, each by
-one kernel_lattice call.  Coordinates, residues and representatives are
-computed in integers, from the Hermite rows of the lattices and theta's
-action by its nonzero columns; a Fraction appears only for rational input
-or a rational display weight.
+one kernel_lattice call on the involution's map theta + 1, which the
+split and cocycle tests apply too.  Everything is computed in integers,
+from the lattices' Hermite rows and theta's action by its nonzero columns;
+a Fraction appears only for rational input or a rational display weight.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def _cocharacter(inv: Involution, nu, split: bool = False) -> tuple[int, ...]:
     nu_int = _int_tuple(nu)
     if len(nu) != inv.datum.rank:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    if split and (nu_int is None or inv.apply(nu_int) != tuple(-a for a in nu_int)):
+    if split and (nu_int is None or any(inv.plus_one(nu_int))):
         kind = "a split cocharacter (need an integral vector with theta(nu) = -nu)"
     elif nu_int is None:
         kind = "in the cocharacter lattice"
@@ -261,8 +261,7 @@ def cocycle_check(inv: Involution, nu) -> bool:
     cocharacter.
     """
     nu_int = _cocharacter(inv, nu)
-    return membership(tuple(a + b for a, b in zip(nu_int, inv.apply(nu_int))),
-                      inv.datum.coroots)
+    return membership(inv.plus_one(nu_int), inv.datum.coroots)
 
 
 def coboundary_check(inv: Involution, nu) -> bool:

@@ -10,12 +10,12 @@ one routine, matrix_action, by its nonzero columns.  Vectors given to
 coords_in_lattice, membership and reduce_mod may have Fraction entries, and
 a non-integral vector lies in no lattice.  A rational vector enters the
 integer arithmetic through one routine, integer_row, which returns the lcm
-c of its denominators and the integer vector c * v.  One integer row Hermite reduction (_hermite) does
-every elimination: Hermite forms, the preimage kernel (kernel_lattice, which
-gives kernels, intersections and preimages of a lattice), the Smith
-form (by alternating row and column passes), and the rational rank,
-inverse and solve (rat_solve), where a triangular back-substitution is
-the only step that divides.
+c of its denominators and the integer vector c * v.  One integer row
+Hermite reduction (_hermite) does every elimination: Hermite forms, the
+preimage kernel of a linear map (kernel_lattice, which gives kernels,
+intersections and preimages), the Smith form (by alternating row and
+column passes), and the rational rank, inverse and solve (rat_solve),
+where a triangular back-substitution is the only step that divides.
 
 A quotient sup/sub is presented by one integer matrix R, the coordinates
 of sub's Hermite rows in sup's basis (relation_matrix).  The Smith route
@@ -406,20 +406,21 @@ def matrix_action(a, n: int):
 
 
 def kernel_lattice(lat: Lattice, a, target: Lattice | None = None) -> Lattice:
-    """{v in lat : a(v) in target} for an integer matrix a acting on columns,
-    or a = 1 for the identity; without a target, the kernel of a on lat.
+    """{v in lat : a(v) in target} for a linear map a, such as one from
+    matrix_action; without a target, the kernel of a on lat.
 
-    One Hermite reduction of [[B*a^T, B], [T, 0]], B = lat.basis and
-    T = target.basis, keeps each row in the form [x*B*a^T + y*T | x*B], so
-    the rows with a zero left part give the x*B with x*B*a^T in target
+    One Hermite reduction of [[a(B), B], [T, 0]], B = lat.basis and
+    T = target.basis, keeps each row in the form [x*a(B) + y*T | x*B], so
+    the rows with a zero left part give the x*B with a(x*B) in target
     (Cohen, GTM 138, section 2.4).  The stacked rows are independent, so
     none becomes zero; the kernel rows come last, and their right parts are
     already in Hermite form, so they are not reduced again.
     """
     n = lat.ambient_dim
-    identity = type(a) is int and a == 1
-    images = lat.basis if identity else map(matrix_action(a, n), lat.basis)
-    rows = [list(c + r) for c, r in zip(images, lat.basis)]
+    images = [a(r) for r in lat.basis]
+    if any(len(c) != n for c in images):
+        raise DimensionMismatch("map does not act on the ambient space")
+    rows = [[*c, *r] for c, r in zip(images, lat.basis)]
     if target is not None:
         _same_ambient(lat, target)
         rows += [list(t) + [0] * n for t in target.basis]
@@ -430,7 +431,7 @@ def kernel_lattice(lat: Lattice, a, target: Lattice | None = None) -> Lattice:
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     """Intersection, from kernel_lattice's rows [[A, A], [B, 0]] for bases A, B."""
-    return kernel_lattice(a, 1, b)
+    return kernel_lattice(a, lambda v: v, b)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ involution that permutes the coroot set; since the coroot lattice is the
 span of that set, it then preserves the coroot lattice as well.
 
 An :class:`Involution` carries the datum it was validated against, and
-derives once, on first use, what pi0 and H1 read: its action, theta + 1,
-theta - 1, X_spl = ker(theta + 1), (theta - 1) X = 2 X_spl_tilde and the
-coboundaries (theta - 1) X + Q.  Every lattice is integral: the projected
-cocharacters X_spl_tilde = (theta - 1) X / 2 enter only doubled.
+derives once, on first use, what pi0 and H1 read: its action, the only
+reader of theta's entries; theta + 1 and theta - 1 as maps built on it;
+X_spl = ker(theta + 1), (theta - 1) X = 2 X_spl_tilde and the coboundaries
+(theta - 1) X + Q.  Every lattice is integral: X_spl_tilde enters only doubled.
 """
 
 from __future__ import annotations
@@ -81,14 +81,16 @@ class Involution:
         return matrix_action(self.theta, self.datum.rank)
 
     @cached_property
-    def plus_one(self) -> IntMatrix:
-        """theta + 1."""
-        return _shift_diagonal(self.theta, 1)
+    def plus_one(self):
+        """v -> theta(v) + v, by apply."""
+        apply = self.apply  # the map holds apply, not self: no reference cycle
+        return lambda v: tuple(x + y for x, y in zip(apply(v), v))
 
     @cached_property
-    def minus_one(self) -> IntMatrix:
-        """theta - 1."""
-        return _shift_diagonal(self.theta, -1)
+    def minus_one(self):
+        """v -> theta(v) - v, by apply."""
+        apply = self.apply
+        return lambda v: tuple(x - y for x, y in zip(apply(v), v))
 
     @cached_property
     def x_spl(self) -> Lattice:
@@ -97,22 +99,16 @@ class Involution:
 
     @cached_property
     def two_x_spl_tilde(self) -> Lattice:
-        """2 X_spl_tilde = (theta - 1) X, spanned by the columns of theta - 1.
+        """2 X_spl_tilde = (theta - 1) X, spanned by theta - 1 of X's standard basis.
 
         (theta - 1) X is (1 - theta) X: a lattice is closed under negation.
         """
-        return Lattice(self.datum.rank, transpose(self.minus_one))
+        return Lattice(self.datum.rank, tuple(map(self.minus_one, self.datum.cochar.basis)))
 
     @cached_property
     def coboundaries(self) -> Lattice:
         """(theta - 1) X + Q, the sub-lattice of H1."""
         return lattice_sum(self.two_x_spl_tilde, self.datum.coroots)
-
-
-def _shift_diagonal(m: IntMatrix, c: int) -> IntMatrix:
-    return tuple(
-        tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(m)
-    )
 
 
 def _squares_to_one(columns) -> bool:

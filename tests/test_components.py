@@ -680,7 +680,7 @@ def test_job_builds_each_split_lattice_once(monkeypatch):
 
     counting(components, "kernel_lattice")
     counting(realform, "kernel_lattice")
-    counting(realform, "transpose")
+    counting(realform, "Lattice")
     job = cli.parse_jobspec({"preset": "PSO", "p": 4, "q": 4, "outputs": {"h1": True}})
     report = cli.run(job)
     assert report["h1_order"] is not None
@@ -689,9 +689,36 @@ def test_job_builds_each_split_lattice_once(monkeypatch):
     assert sorted(calls) == [
         "pi0real.components.kernel_lattice",
         "pi0real.components.kernel_lattice",
+        "pi0real.realform.Lattice",
         "pi0real.realform.kernel_lattice",
-        "pi0real.realform.transpose",
     ]
+
+
+def test_job_builds_theta_action_once(monkeypatch):
+    from pi0real import cli, intlattice, realform
+
+    calls = []
+    build = intlattice.matrix_action
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(intlattice, "matrix_action", counted)
+    monkeypatch.setattr(realform, "matrix_action", counted)
+    h1 = {"h1": True}
+    jobs = [
+        {"preset": "TORUS_SPLIT", "n": 5, "outputs": {"h1": True, "oracle_check": True}},
+        {"preset": "GL", "n": 6, "outputs": h1},
+        {"preset": "PSO", "p": 4, "q": 4, "outputs": h1},
+        {"rank": 2, "coroots": [[1, -1]], "theta": [[0, 1], [1, 0]], "outputs": h1},
+    ]
+    for doc in jobs:
+        calls.clear()
+        report = cli.run(cli.parse_jobspec(doc))
+        assert report["h1_order"] is not None
+        # the involution's apply; theta + 1 and theta - 1 are built on it
+        assert len(calls) == 1, doc
 
 
 def test_integral_input_builds_no_fraction(monkeypatch):

@@ -308,13 +308,13 @@ SWAP_NEG = ((0, -1), (-1, 0))
 
 def test_kernel_frozen_example():
     theta_plus_one = ((1, -1), (-1, 1))
-    ker = kernel_lattice(Lattice.standard(2), theta_plus_one)
+    ker = kernel_lattice(Lattice.standard(2), matrix_action(theta_plus_one, 2))
     assert ker == Lattice(2, ((1, 1),))
 
 
 def test_kernel_of_zero_map_is_everything():
     lat = Lattice(2, ((2, 0), (0, 2)))
-    assert kernel_lattice(lat, ((0, 0), (0, 0))) == lat
+    assert kernel_lattice(lat, matrix_action(((0, 0), (0, 0)), 2)) == lat
 
 
 def test_image_frozen_example():
@@ -327,8 +327,12 @@ def test_matrix_of_wrong_size_raises_dimension_mismatch():
     lat = Lattice.standard(2)
     for a in ((), ((1, 0),), ((1, 0), (0, 1), (0, 0)), ((1, 0), (0,)), ((1,), (0,))):
         with pytest.raises(DimensionMismatch):
+            kernel_lattice(lat, matrix_action(a, 2))
+    # a map whose images are too short or too long does not act on Z^2
+    for a in (lambda v: v[:1], lambda v: v + (0,)):
+        with pytest.raises(DimensionMismatch, match="^map does not act on the ambient space$"):
             kernel_lattice(lat, a)
-    assert kernel_lattice(Lattice.standard(0), ()) == Lattice.standard(0)
+    assert kernel_lattice(Lattice.standard(0), matrix_action((), 0)) == Lattice.standard(0)
 
 
 def test_matrix_action_matches_dense_product():
@@ -379,7 +383,7 @@ def test_kernel_rows_are_already_canonical():
         target = None
         if rng.random() < 0.5:
             target = Lattice(n, random_int_matrix(rng, rng.randint(0, n + 1), n))
-        ker = kernel_lattice(lat, a, target)
+        ker = kernel_lattice(lat, matrix_action(a, n), target)
         assert ker.basis == Lattice(n, ker.basis).basis, (lat, a, target)
         assert ker.basis == hnf(ker.basis, n)
 
@@ -398,8 +402,8 @@ def test_kernel_image_ranks_add_up():
         signs = [rng.choice([1, -1]) for _ in range(n)]
         d = tuple(tuple(signs[i] * int(i == j) for j in range(n)) for i in range(n))
         theta = mat_mul(mat_mul(u, d), uinv)
-        plus = kernel_lattice(Lattice.standard(n), mat_sub_id(theta, 1))
-        minus = kernel_lattice(Lattice.standard(n), mat_sub_id(theta, -1))
+        plus = kernel_lattice(Lattice.standard(n), matrix_action(mat_sub_id(theta, 1), n))
+        minus = kernel_lattice(Lattice.standard(n), matrix_action(mat_sub_id(theta, -1), n))
         assert plus.rank + minus.rank == n
 
 
@@ -511,13 +515,14 @@ def test_stacked_kernels_match_transform_route_random():
         lat = _random_lattice(rng, n, scale, kind)
         a = _random_square(rng, n, singular)
         assert (det(a) == 0) == singular
-        assert kernel_lattice(lat, a) == _transform_kernel_lattice(lat, a), (lat, a)
+        act = matrix_action(a, n)
+        assert kernel_lattice(lat, act) == _transform_kernel_lattice(lat, a), (lat, a)
         other = _random_lattice(rng, n, rng.randint(1, 4), rng.choice(kinds))
         assert lattice_intersect(lat, other) == _transform_intersect(lat, other), (lat, other)
-        assert kernel_lattice(lat, a, other) == _transform_preimage(lat, a, other), (lat, a, other)
-        assert kernel_lattice(lat, a, Lattice.zero(n)) == kernel_lattice(lat, a)
+        assert kernel_lattice(lat, act, other) == _transform_preimage(lat, a, other), (lat, a, other)
+        assert kernel_lattice(lat, act, Lattice.zero(n)) == kernel_lattice(lat, act)
         with pytest.raises(DimensionMismatch):
-            kernel_lattice(lat, a, Lattice.zero(n + 1))
+            kernel_lattice(lat, act, Lattice.zero(n + 1))
         seen.add((n, scale, lat.is_zero, lat.rank == n, singular))
     # every dimension, scale, lattice shape and matrix kind came up
     assert {s[0] for s in seen} == set(range(1, 7))

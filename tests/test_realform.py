@@ -14,6 +14,7 @@ from pi0real.intlattice import (
     LatticeError,
     kernel_lattice,
     identity_matrix,
+    matrix_action,
     membership,
 )
 from pi0real.realform import (
@@ -62,13 +63,23 @@ def test_boolean_entries_are_not_integers():
     with pytest.raises(LatticeError, match="^non-integer matrix entry True$"):
         Lattice(1, [[True]])
     with pytest.raises(LatticeError, match="^non-integer matrix entry True$"):
-        kernel_lattice(Lattice.standard(1), [[True]])
-    # only the int 1 names the identity map
+        matrix_action([[True]], 1)
+    # kernel_lattice takes a map; no number names the identity
     for a in (True, 1.0):
-        with pytest.raises(LatticeError, match=f"^not a matrix: {type(a).__name__}$"):
+        with pytest.raises(TypeError):
             kernel_lattice(Lattice(2, [[2, 0], [0, 2]]), a, Lattice.standard(2))
     with pytest.raises(InvolutionError, match="^bad involution matrix: non-integer matrix entry True$"):
         involution_from_matrix(torus_datum(1), [[True]])
+
+
+def test_derived_lattices_read_theta_through_apply():
+    # built directly, with no validation: each derived lattice must still
+    # reject theta's own entry, not an entry of theta + 1 or theta - 1
+    for entry in (True, 0.0):
+        inv = Involution(((entry,),), RootDatum(rank=1))
+        for attr in ("x_spl", "two_x_spl_tilde", "coboundaries"):
+            with pytest.raises(LatticeError, match=f"^non-integer matrix entry {entry}$"):
+                getattr(inv, attr)
 
 
 def test_apply_rejects_a_theta_that_does_not_act():
@@ -249,7 +260,7 @@ def test_e7_split_ranks():
     for form, r in expected.items():
         inv = e7_preset(form)
         rd = inv.datum
-        x_spl = kernel_lattice(rd.cochar, mat_add(inv.theta, identity_matrix(7)))
+        x_spl = kernel_lattice(rd.cochar, matrix_action(mat_add(inv.theta, identity_matrix(7)), 7))
         assert x_spl.rank == r, form
 
 
@@ -257,8 +268,8 @@ def test_e7_eigenspace_ranks_sum():
     for form in ("EV", "EVI", "EVII"):
         inv = e7_preset(form)
         rd = inv.datum
-        plus = kernel_lattice(rd.cochar, mat_sub(inv.theta, identity_matrix(7)))
-        minus = kernel_lattice(rd.cochar, mat_add(inv.theta, identity_matrix(7)))
+        plus = kernel_lattice(rd.cochar, matrix_action(mat_sub(inv.theta, identity_matrix(7)), 7))
+        minus = kernel_lattice(rd.cochar, matrix_action(mat_add(inv.theta, identity_matrix(7)), 7))
         assert plus.rank + minus.rank == 7, form
 
 
@@ -266,8 +277,9 @@ def test_e7_evii_span_facts():
     inv = e7_preset("EVII")
     rd = inv.datum
     named = dict(rd.named_vectors)
-    x_spl = kernel_lattice(rd.cochar, mat_add(inv.theta, identity_matrix(7)))
-    q_spl = kernel_lattice(rd.coroots, mat_add(inv.theta, identity_matrix(7)))
+    plus_one = matrix_action(mat_add(inv.theta, identity_matrix(7)), 7)
+    x_spl = kernel_lattice(rd.cochar, plus_one)
+    q_spl = kernel_lattice(rd.coroots, plus_one)
     for nm in ("w1", "w2", "w6"):
         assert mat_vec(inv.theta, named[nm]) == tuple(-x for x in named[nm]), nm
     for nm in ("a3", "a4", "a5", "a7"):
@@ -283,7 +295,7 @@ def test_e7_evi_split_span_is_saturated():
     rd = inv.datum
     named = dict(rd.named_vectors)
     span = Lattice(7, [named[nm] for nm in ("w2", "w4", "w5", "w6")])
-    x_spl = kernel_lattice(rd.cochar, mat_add(inv.theta, identity_matrix(7)))
+    x_spl = kernel_lattice(rd.cochar, matrix_action(mat_add(inv.theta, identity_matrix(7)), 7))
     assert x_spl.rank == 4
     for nm in ("w2", "w4", "w5", "w6"):
         assert membership(named[nm], x_spl), nm
@@ -450,11 +462,13 @@ def test_involution_derives_split_lattices_of_x():
         inv = Involution(theta, torus_datum(n))
         one = identity_matrix(n)
         plus_one, minus_one = mat_add(theta, one), mat_sub(theta, one)
-        assert inv.plus_one == plus_one and inv.minus_one == minus_one
-        assert inv.x_spl == kernel_lattice(Lattice.standard(n), plus_one)
+        assert inv.x_spl == kernel_lattice(Lattice.standard(n), matrix_action(plus_one, n))
         assert inv.two_x_spl_tilde == image_lattice(Lattice.standard(n), minus_one)
-        for v in helpers.random_int_matrix(rng, 3, n):
+        # theta + 1 and theta - 1 on the standard basis and on random vectors
+        for v in one + helpers.random_int_matrix(rng, 3, n):
             assert inv.apply(v) == mat_vec(theta, v)
+            assert inv.plus_one(v) == mat_vec(plus_one, v)
+            assert inv.minus_one(v) == mat_vec(minus_one, v)
         asymmetric += theta != tuple(zip(*theta))
     # rows and columns of theta - 1 span different lattices only when
     # theta is not symmetric
