@@ -46,7 +46,6 @@ from .realform import (
     Involution,
     InvolutionError,
     build_preset,
-    e7_preset,
     involution_from_eigenspaces,
     involution_from_matrix,
     product_involution,
@@ -81,7 +80,6 @@ __all__ = [
     "coboundary_check",
     "cocycle_check",
     "e7_adjoint",
-    "e7_preset",
     "h1_pi1",
     "hnf",
     "involution_from_eigenspaces",

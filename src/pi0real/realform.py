@@ -2,11 +2,11 @@
 
 A real form enters the computation only through the integer matrix by which
 the Cartan involution acts on cocharacters.  This module validates such
-matrices against a root datum and builds them from eigenspace data or from
-the Satake diagrams of the real forms of adjoint E7.  It also holds the
-presets, the named groups of ``PRESETS``: :func:`build_preset` checks a
-preset's fields, calls its rootdata builder and validates the matrix it
-returns, so every preset comes back as one involution.  A valid matrix is an
+matrices against a root datum and builds them from a matrix or from
+eigenspace data.  It also holds the presets, the named groups of
+``PRESETS``: :func:`build_preset` checks a preset's fields, calls its
+rootdata builder and validates the matrix it returns, so every preset comes
+back as one involution.  It builds no preset itself.  A valid matrix is an
 involution that permutes the coroot set; since the coroot lattice is the
 span of that set, it then preserves the coroot lattice as well.
 
@@ -40,7 +40,7 @@ from .rootdata import (
     PresetError,
     RootDatum,
     _brief,
-    e7_adjoint,
+    e7,
     gl,
     product,
     pso,
@@ -201,31 +201,6 @@ def product_involution(a: Involution, b: Involution, name: str = "") -> Involuti
 
 
 # ---------------------------------------------------------------------------
-# the real forms of adjoint E7
-
-# black nodes K of each form's Satake diagram, in e7_adjoint's numbering.
-# On a split torus theta = -w_K (tau is trivial on E7).  w_K fixes the
-# coweights w_i with i not in K, and for these K (empty, three orthogonal
-# A1's, D4) it is -1 on the span of the coroots a_k with k in K.
-_E7_BLACK_NODES = {"EV": (), "EVI": (1, 3, 7), "EVII": (3, 4, 5, 7)}
-
-
-def e7_preset(form: str) -> Involution:
-    """Adjoint E7 with the involution of one of its real forms EV, EVI, EVII."""
-    key = form.upper().strip()
-    if key not in _E7_BLACK_NODES:
-        raise InvolutionError(
-            f"unknown E7 real form {_brief(repr(form))}; choose EV, EVI, or EVII"
-        )
-    rd = e7_adjoint()
-    named = dict(rd.named_vectors)
-    black = _E7_BLACK_NODES[key]
-    split = [named[f"w{i}"] for i in range(1, 8) if i not in black]
-    compact = [named[f"a{k}"] for k in black]
-    return involution_from_eigenspaces(rd, split, compact, name=key)
-
-
-# ---------------------------------------------------------------------------
 # presets: each named group's builder and the job fields it reads
 
 # each family's builder and the fields it passes, in argument order
@@ -236,7 +211,7 @@ PRESETS = {
     "TORUS_SPLIT": (torus_split, ("n",)),
     "TORUS_COMPACT": (torus_compact, ("n",)),
     "TORUS_WEIL": (torus_weil, ()),
-    "E7": (e7_preset, ("form",)),
+    "E7": (e7, ("form",)),
     "SIMPLE": (simple, ("type", "rank", "isogeny", "real")),
 }
 # every field's type, in the order the families above first read them;
@@ -274,7 +249,5 @@ def build_preset(family: str, **fields) -> Involution:
     for key in params:
         if key not in given:
             raise PresetError(f"preset {family!r} needs parameter {key!r}")
-    built = builder(*(given[k] for k in params))
-    if isinstance(built, Involution):  # E7 validates its own
-        return built
-    return involution_from_matrix(*built, name=built[0].name)
+    rd, theta, *label = builder(*(given[k] for k in params))
+    return involution_from_matrix(rd, theta, name=label[0] if label else rd.name)

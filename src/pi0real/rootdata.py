@@ -12,7 +12,8 @@ Builders are provided for the standard families: GL(n), SO(p,q), PSO(p,q),
 split/compact/Weil-restriction tori, and simply connected or adjoint simple
 groups of each Cartan type, each with the integer matrix of its involution.
 Adjoint E7 is also built in the node order that names its exceptional real
-forms.  This module builds data only and imports nothing above intlattice:
+forms, with theta = -w_K for each form EV, EVI, EVII with black nodes K.
+This module builds data only and imports nothing above intlattice:
 the preset table that names these builders, validates their fields and
 turns each matrix into an involution is ``realform.PRESETS``.
 """
@@ -493,3 +494,30 @@ def e7_adjoint() -> RootDatum:
         tuple(bourbaki[i - 1][j - 1] for j in _E7_NODES) for i in _E7_NODES
     )
     return _simple_datum(cartan, "adj", "E7 (adjoint)")
+
+
+# black nodes K of each form's Satake diagram, in e7_adjoint's numbering
+_E7_BLACK_NODES = {"EV": (), "EVI": (1, 3, 7), "EVII": (3, 4, 5, 7)}
+
+
+def e7(form: str) -> tuple[RootDatum, IntMatrix, str]:
+    """Adjoint E7, the involution of its real form EV, EVI or EVII, and the form.
+
+    On a split torus theta = -w_K, K the form's black nodes (tau is trivial on
+    E7).  On coweight coordinates s_k(v) = v - v_k a_k, as alpha_k(w_i) = [i = k]:
+    from the indicator vector of K, s_k is applied while some k in K has
+    v_k > 0, l(w_K) steps that turn the unit vectors into the columns of w_K.
+    """
+    key = form.upper().strip()
+    if key not in _E7_BLACK_NODES:
+        raise PresetError(f"unknown E7 real form {_brief(repr(form))}; choose EV, EVI, or EVII")
+    rd = e7_adjoint()
+    black = [k - 1 for k in _E7_BLACK_NODES[key]]
+    v = [int(i in black) for i in range(7)]
+    columns = [list(_unit(7, j)) for j in range(7)]
+    while positive := [k for k in black if v[k] > 0]:
+        k = positive[0]
+        for u in (v, *columns):
+            c = u[k]
+            u[:] = [x - c * y for x, y in zip(u, rd.coroot_basis[k])]
+    return rd, tuple(tuple(-col[i] for col in columns) for i in range(7)), key

@@ -24,7 +24,7 @@ from pi0real.intlattice import (
     vec_frac,
 )
 from pi0real.realform import (
-    e7_preset,
+    build_preset,
     involution_from_matrix,
     product_involution,
 )
@@ -172,7 +172,7 @@ def test_criterion_3_pso_component_table():
 def test_criterion_4_e7_real_forms():
     failures = []
     for form, expected in (("EV", 2), ("EVI", 1), ("EVII", 2)):
-        inv = e7_preset(form)
+        inv = build_preset("E7", form=form)
         g = pi0(inv)
         if g.order != expected:
             failures.append(f"E7 {form}: order {g.order} != {expected}")
@@ -180,7 +180,7 @@ def test_criterion_4_e7_real_forms():
         if expected == 2 and not _same_coset(g, g.generators[0], dict(inv.datum.named_vectors)["w1"]):
             failures.append(f"E7 {form}: generator is not the w1 coset")
 
-    inv = e7_preset("EVII")
+    inv = build_preset("E7", form="EVII")
     named = {name: vec_frac(v) for name, v in inv.datum.named_vectors}
 
     def split_part(v):
@@ -276,7 +276,7 @@ def _all_fixtures():
         for p in range(0, total // 2 + 1):
             out.append(_form(pso(p, total - p)))
     for form in ("EV", "EVI", "EVII"):
-        out.append(e7_preset(form))
+        out.append(build_preset("E7", form=form))
     for ct, rk in (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)):
         for real in ("split", "compact"):
             out.append(_form(simple(ct, rk, "sc", real)))
@@ -382,7 +382,7 @@ def test_criterion_8_h1_fixtures():
         ("split GL(1)", _form(torus_split(1)), 2),
         ("compact torus rank 1", _form(torus_compact(1)), 1),
         ("compact torus rank 3", _form(torus_compact(3)), 1),
-        ("adjoint split E7 (EV)", e7_preset("EV"), 2),
+        ("adjoint split E7 (EV)", build_preset("E7", form="EV"), 2),
         ("adjoint split E7 (Bourbaki)", _form(simple("E", 7, "adj", "split")), 2),
     ]
     for label, inv, expected in cases:

@@ -31,7 +31,7 @@ from pi0real.intlattice import (
     quotient_structure,
     reduce_mod,
 )
-from pi0real.realform import Involution, InvolutionError, involution_from_matrix, e7_preset
+from pi0real.realform import Involution, InvolutionError, build_preset, involution_from_matrix
 from pi0real.rootdata import (
     RootDatum,
     gl,
@@ -92,7 +92,7 @@ def test_split_lattices_unpack():
 def test_sandwich_invariant():
     # 2 Xtilde_spl sits inside X_spl sits inside Xtilde_spl
     fixtures = [build(spec) for spec in (gl(3), so(2, 3), pso(2, 4), torus_weil())]
-    fixtures += [e7_preset(f) for f in ("EV", "EVI", "EVII")]
+    fixtures += [build_preset("E7", form=f) for f in ("EV", "EVI", "EVII")]
     for inv in fixtures:
         sl = split_lattices(inv)
         for v in sl.two_x_spl_tilde.basis:
@@ -156,7 +156,7 @@ def test_pi0_pso_unequal():
 def test_pi0_e7_forms():
     expected = {"EV": 2, "EVI": 1, "EVII": 2}
     for form, order in expected.items():
-        inv = e7_preset(form)
+        inv = build_preset("E7", form=form)
         g = pi0(inv)
         assert g.order == order, form
         if order == 2:
@@ -207,7 +207,7 @@ def test_h1_compact_torus():
 
 
 def test_h1_adjoint_split_e7():
-    inv = e7_preset("EV")
+    inv = build_preset("E7", form="EV")
     h = h1_pi1(inv)
     assert h.order == 2
     assert oracle_check(h)
@@ -222,7 +222,7 @@ def test_h1_contains_pi0():
         assert pi0(inv).order <= h1_pi1(inv).order
         assert kernel_embedding_check(inv)
     for form in ("EV", "EVI", "EVII"):
-        inv = e7_preset(form)
+        inv = build_preset("E7", form=form)
         assert h1_pi1(inv).order % pi0(inv).order == 0
         assert kernel_embedding_check(inv)
 
@@ -631,7 +631,7 @@ def test_oracle_agreement_on_fixtures():
         assert oracle_check(pi0(inv))
         assert oracle_check(h1_pi1(inv))
     for form in ("EV", "EVI", "EVII"):
-        inv = e7_preset(form)
+        inv = build_preset("E7", form=form)
         assert oracle_check(pi0(inv))
         assert oracle_check(h1_pi1(inv))
 

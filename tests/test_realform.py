@@ -20,12 +20,14 @@ from pi0real.intlattice import (
 from pi0real.realform import (
     Involution,
     InvolutionError,
-    e7_preset,
+    build_preset,
     involution_from_eigenspaces,
     involution_from_matrix,
     product_involution,
 )
-from pi0real.rootdata import RootDatum, gl, product, pso, simple, so, torus_split
+from pi0real.rootdata import (
+    PresetError, RootDatum, e7_adjoint, gl, product, pso, simple, so, torus_split,
+)
 
 
 def torus_datum(n):
@@ -242,7 +244,7 @@ def test_eigenspaces_of_random_unimodular_bases():
 
 
 def test_e7_ev_is_negated_identity():
-    inv = e7_preset("EV")
+    inv = build_preset("E7", form="EV")
     assert inv.name == "EV"
     assert inv.theta == tuple(
         tuple(-1 if i == j else 0 for j in range(7)) for i in range(7)
@@ -250,15 +252,15 @@ def test_e7_ev_is_negated_identity():
 
 
 def test_e7_rejects_unknown_form():
-    with pytest.raises(InvolutionError, match="EV"):
-        e7_preset("EIX")
+    with pytest.raises(PresetError, match="EV"):
+        build_preset("E7", form="EIX")
 
 
 def test_e7_split_ranks():
     # EV is split of rank 7, EVI has split rank 4, EVII split rank 3
     expected = {"EV": 7, "EVI": 4, "EVII": 3}
     for form, r in expected.items():
-        inv = e7_preset(form)
+        inv = build_preset("E7", form=form)
         rd = inv.datum
         x_spl = kernel_lattice(rd.cochar, matrix_action(mat_add(inv.theta, identity_matrix(7)), 7))
         assert x_spl.rank == r, form
@@ -266,7 +268,7 @@ def test_e7_split_ranks():
 
 def test_e7_eigenspace_ranks_sum():
     for form in ("EV", "EVI", "EVII"):
-        inv = e7_preset(form)
+        inv = build_preset("E7", form=form)
         rd = inv.datum
         plus = kernel_lattice(rd.cochar, matrix_action(mat_sub(inv.theta, identity_matrix(7)), 7))
         minus = kernel_lattice(rd.cochar, matrix_action(mat_add(inv.theta, identity_matrix(7)), 7))
@@ -274,7 +276,7 @@ def test_e7_eigenspace_ranks_sum():
 
 
 def test_e7_evii_span_facts():
-    inv = e7_preset("EVII")
+    inv = build_preset("E7", form="EVII")
     rd = inv.datum
     named = dict(rd.named_vectors)
     plus_one = matrix_action(mat_add(inv.theta, identity_matrix(7)), 7)
@@ -291,7 +293,7 @@ def test_e7_evii_span_facts():
 def test_e7_evi_split_span_is_saturated():
     from pi0real.intlattice import lattice_index
 
-    inv = e7_preset("EVI")
+    inv = build_preset("E7", form="EVI")
     rd = inv.datum
     named = dict(rd.named_vectors)
     span = Lattice(7, [named[nm] for nm in ("w2", "w4", "w5", "w6")])
@@ -307,7 +309,7 @@ def test_e7_presets_walk_the_coroot_closure_once():
     from pi0real import rootdata
 
     rootdata._coroot_closure.cache_clear()
-    first, second = e7_preset("EVII"), e7_preset("EVII")
+    first, second = build_preset("E7", form="EVII"), build_preset("E7", form="EVII")
     info = rootdata._coroot_closure.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert first == second
@@ -316,7 +318,7 @@ def test_e7_presets_walk_the_coroot_closure_once():
 def test_e7_presets_are_cartan_involutions():
     # theta must permute the 126 coroots in every form
     for form in ("EV", "EVI", "EVII"):
-        inv = e7_preset(form)
+        inv = build_preset("E7", form=form)
         rd = inv.datum
         coroots = set(rd.coroot_generators)
         for c in rd.coroot_generators:
@@ -345,7 +347,7 @@ def _longest_element(n, reflections):
 )
 def test_e7_theta_is_minus_longest_element_of_black_nodes(form, black):
     # on coweight coordinates s_k(v) = v - v_k a_k, since alpha_k(w_i) = [i == k]
-    inv = e7_preset(form)
+    inv = build_preset("E7", form=form)
     rd = inv.datum
     named = dict(rd.named_vectors)
     reflections = []
@@ -359,6 +361,22 @@ def test_e7_theta_is_minus_longest_element_of_black_nodes(form, black):
         )
     w_k = _longest_element(7, reflections)
     assert inv.theta == tuple(tuple(-x for x in row) for row in w_k)
+
+
+@pytest.mark.parametrize(
+    "form, black", [("EV", ()), ("EVI", (1, 3, 7)), ("EVII", (3, 4, 5, 7))]
+)
+def test_e7_theta_from_eigenspaces_matches_preset(form, black):
+    # w_K fixes the coweights w_i with i not in K, and for these K (empty,
+    # three orthogonal A1's, D4) it is -1 on the span of the a_k with k in K;
+    # this solves a non-diagonal rank-7 eigenspace system
+    rd = e7_adjoint()
+    named = dict(rd.named_vectors)
+    split = [named[f"w{i}"] for i in range(1, 8) if i not in black]
+    compact = [named[f"a{k}"] for k in black]
+    inv = involution_from_eigenspaces(rd, split, compact, name=form)
+    preset = build_preset("E7", form=form)
+    assert (inv.theta, inv.name, inv.datum) == (preset.theta, preset.name, preset.datum)
 
 
 # ---------------------------------------------------------------------------

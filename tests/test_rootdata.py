@@ -650,8 +650,16 @@ def test_build_preset_checks_fields(family, fields, message):
     assert str(err.value) == message
 
 
-def test_build_preset_involutions_are_validated():
-    # every preset involution passes the realform checks by construction
+def test_build_preset_involutions_are_validated(monkeypatch):
+    # every preset involution passes the realform checks by construction,
+    # and no preset solves for theta from eigenspaces
+    from pi0real import realform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a preset solved for theta in rationals")
+
+    monkeypatch.setattr(realform, "involution_from_eigenspaces", refuse)
+    monkeypatch.setattr(realform, "rat_solve", refuse)
     specs = [
         ("GL", {"n": 4}),
         ("SO", {"p": 2, "q": 4}),
@@ -659,7 +667,9 @@ def test_build_preset_involutions_are_validated():
         ("TORUS_SPLIT", {"n": 2}),
         ("TORUS_COMPACT", {"n": 2}),
         ("TORUS_WEIL", {}),
+        ("E7", {"form": "EV"}),
         ("E7", {"form": "EVI"}),
+        ("E7", {"form": "EVII"}),
         ("SIMPLE", {"type": "D", "rank": 4, "isogeny": "adj", "real": "split"}),
         ("SIMPLE", {"type": "G", "rank": 2}),
     ]
