@@ -254,15 +254,25 @@ def _oracle_bound() -> int:
 
 
 def _oracle_verdict(groups: list[Elementary2Group]) -> str:
+    """The oracle's verdict: "skipped", before any walk, when a group's
+    order is past the bound; otherwise each distinct quotient is walked
+    once, and every group's rank is compared with the factors its
+    quotient's walk found."""
     bound = _oracle_bound()
+    if any(g.order > bound for g in groups):
+        return "skipped"
+    walked = []  # (sub, sup, rank) of each quotient walked, its rank confirmed
     for g in groups:
-        if g.order > bound:
-            return "skipped"
-        try:
-            agrees = oracle_check(g, bound=bound)
-        except BoundExceeded:
-            # the walk found more cosets than the claimed order <= bound
-            agrees = False
+        rank = next((r for sub, sup, r in walked if sub == g.sub and sup == g.sup), None)
+        if rank is not None:
+            agrees = g.rank == rank
+        else:
+            try:
+                agrees = oracle_check(g, bound=bound)
+            except BoundExceeded:
+                # the walk found more cosets than the claimed order <= bound
+                agrees = False
+            walked.append((g.sub, g.sup, g.rank))
         if not agrees:
             raise ComputationError(
                 "brute-force oracle disagrees with the mod-2 rank computation"

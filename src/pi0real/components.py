@@ -50,13 +50,13 @@ from .intlattice import (
     DimensionMismatch,
     Lattice,
     basis_residues,
-    brute_force_quotient,
     coords_in_lattice,
     integer_row,
     kernel_lattice,
     lattice_sum,
     membership,
     relation_matrix,
+    walk_quotient,
 )
 from .realform import Involution
 from .rootdata import _brief
@@ -349,10 +349,11 @@ def representatives(inv: Involution, group: Elementary2Group) -> list[Representa
 def oracle_check(group: Elementary2Group, bound: int = COSET_BOUND) -> bool:
     """Recompute the group structure by brute-force coset enumeration.
 
-    Walks the quotient sup/sub directly, sharing only the containment
+    Walks the cosets of sup/sub, then the subgroups 2G, 4G, ... that give
+    its invariant factors (walk_quotient), sharing only the containment
     check with the mod-2 rank computation that built the group, and
-    compares invariant factors.  Raises BoundExceeded when the quotient
-    has more than ``bound`` cosets.
+    compares the factors with (2,) * rank; no generators are picked.
+    Raises BoundExceeded when the quotient has more than ``bound`` cosets.
     """
-    slow = brute_force_quotient(group.sub, group.sup, bound=bound)
-    return slow.invariant_factors == (2,) * group.rank
+    factors, _ = walk_quotient(group.sub, group.sup, bound)
+    return factors == (2,) * group.rank

@@ -20,12 +20,16 @@ where a triangular back-substitution is the only step that divides.
 A quotient sup/sub is presented by one integer matrix R, the coordinates
 of sub's Hermite rows in sup's basis (relation_matrix).  The Smith route
 (quotient_structure) and lattice_index read R; the coset enumeration
-(brute_force_quotient) uses it only as its containment check, so each
-route can serve as an oracle for the other.  The enumeration is an integer
-walk: each coset is an integer residue, and the walk closes the trivial
-coset under one Hermite row of the super-lattice at a time (_close), sharing
-one integer reduction loop with reduce_mod.  Each lattice caches its Hermite
-rows sparsely (Lattice._rows), so a reduction touches only nonzero entries.
+(walk_quotient, and brute_force_quotient on top of it) uses it only as its
+containment check, so each route can serve as an oracle for the other.  The
+enumeration is an integer walk: each coset is an integer residue, and the
+walk closes the trivial coset under one Hermite row of the super-lattice at
+a time (_close), sharing one integer reduction loop with reduce_mod.  The
+invariant factors come from the orders of the subgroups p**k * G, each
+walked the same way from the rows scaled by p**k; for an elementary 2-group
+2G is trivial, so that costs one reduction per row.  Each lattice caches
+its Hermite rows sparsely (Lattice._rows), so a reduction touches only
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -537,56 +541,14 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _exact_log(p: int, m: int) -> int:
+def _exact_log(p: int, a: int, b: int) -> int:
+    """s with p**s == a / b."""
     s = 0
-    while p**s < m:
+    while p**s * b < a:
         s += 1
-    if p**s != m:
-        raise AssertionError("coset count is not a prime power")
+    if p**s * b != a:
+        raise AssertionError("subgroup index is not a prime power")
     return s
-
-
-def _invariant_factors_from_orders(cosets, rows, n: int) -> tuple[int, ...]:
-    """Invariant factors of a finite coset group from element orders.
-
-    The cosets are integer residues reduced by the sub-lattice's Hermite
-    rows (see _hermite_rows), so a coset lies in the sub-lattice exactly
-    when its residue is all zeros.  For each prime p dividing the group
-    order, every coset is repeatedly multiplied by p (doubling, for
-    p = 2) and reduced; counting the zero residues after k steps measures
-    the number of elements killed by p**k, which reconstructs the
-    p-primary invariant structure.
-    """
-    per_prime: dict[int, list[int]] = {}
-    for p, valuation in _factorize(n).items():
-        target = p**valuation
-        ys = list(cosets)
-        counts = [sum(1 for y in ys if not any(y))]
-        while counts[-1] < target:
-            ys = [_reduce_ints([p * x for x in y], rows) for y in ys]
-            counts.append(sum(1 for y in ys if not any(y)))
-            if len(counts) > 200:
-                raise AssertionError("runaway order computation")
-        logs = [_exact_log(p, m) for m in counts]
-        top = len(counts) - 1
-        counts_ge = [logs[k] - logs[k - 1] for k in range(1, top + 1)]
-        exponents: list[int] = []
-        for k in range(1, top + 1):
-            nxt = counts_ge[k] if k < top else 0
-            exponents.extend([k] * (counts_ge[k - 1] - nxt))
-        per_prime[p] = sorted(exponents, reverse=True)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    chain = []
-    for j in range(width):
-        f = 1
-        for p, exps in per_prime.items():
-            if j < len(exps):
-                f *= p ** exps[j]
-        chain.append(f)
-    chain.reverse()
-    if prod(chain) != n:
-        raise AssertionError("invariant factor product does not match coset count")
-    return tuple(chain)
 
 
 # the default bound of brute_force_quotient, and so of the oracle: past this
@@ -621,17 +583,57 @@ def _close(span: set, step, rows, bound: int) -> None:
             raise BoundExceeded(f"more than {bound} cosets")
 
 
-def brute_force_quotient(
-    sub: Lattice, sup: Lattice, bound: int = COSET_BOUND
-) -> QuotientStructure:
-    """Quotient structure by explicit coset enumeration.
+def _multiple_span(sup: Lattice, rows, m: int, bound: int) -> set:
+    """m * G for G = sup/sub, as canonical residues modulo sub's Hermite rows:
+    the trivial coset closed under sup's Hermite rows scaled by m."""
+    span = {(0,) * sup.ambient_dim}
+    for _, _, step in sup._rows:
+        _close(span, [(k, m * x) for k, x in step], rows, bound)
+    return span
+
+
+def _invariant_factors_from_multiples(sup: Lattice, rows, n: int) -> tuple[int, ...]:
+    """Invariant factors of the finite group G = sup/sub with n cosets.
+
+    They come from the orders of the subgroups p**k * G, each walked like G
+    itself (_multiple_span).  For each prime p dividing n, the number of
+    cyclic p-factors of order at least p**k is log_p |p**(k-1) G| / |p**k G|,
+    and the walks stop once p**k * G has lost all of G's p-part.  For an
+    elementary 2-group, 2G is trivial, so its walk costs one reduction per
+    Hermite row of sup.
+    """
+    per_prime: dict[int, list[int]] = {}
+    for p, valuation in _factorize(n).items():
+        rest = n // p**valuation
+        sizes = [n]
+        while sizes[-1] > rest and len(sizes) <= valuation:
+            sizes.append(len(_multiple_span(sup, rows, p ** len(sizes), n)))
+        # ge[k - 1]: the number of cyclic p-factors of order >= p**k
+        ge = [_exact_log(p, a, b) for a, b in zip(sizes, sizes[1:])] + [0]
+        per_prime[p] = [k for k in range(len(ge) - 1, 0, -1)
+                        for _ in range(ge[k - 1] - ge[k])]
+    width = max((len(v) for v in per_prime.values()), default=0)
+    chain = []
+    for j in range(width):
+        f = 1
+        for p, exps in per_prime.items():
+            if j < len(exps):
+                f *= p ** exps[j]
+        chain.append(f)
+    chain.reverse()
+    if prod(chain) != n:
+        raise AssertionError("invariant factor product does not match coset count")
+    return tuple(chain)
+
+
+def walk_quotient(sub: Lattice, sup: Lattice, bound: int) -> tuple[tuple[int, ...], set]:
+    """The invariant factors of sup/sub and its cosets, by explicit coset
+    enumeration.
 
     Every coset is an integer tuple, its canonical residue modulo sub.  The
     walk closes the trivial coset under sup's Hermite rows, one row at a
-    time (_close), which reaches every coset.  Element orders are then
-    measured directly, giving invariant factors by a route fully
-    independent of Smith normal form.  Generators are returned as
-    residues, like those of quotient_structure.
+    time (_close), which reaches every coset; the invariant factors then
+    come from the orders of the subgroups p**k * G, walked the same way.
 
     Raises InfiniteIndex when ranks show the quotient is infinite, and
     BoundExceeded when more than `bound` cosets appear.
@@ -642,17 +644,29 @@ def brute_force_quotient(
     rows = _hermite_rows(sub)
     # The rank test makes sup/sub finite, so each row g has finite order
     # modulo sub and the closure under g ends.
-    zero = (0,) * sup.ambient_dim
-    found = {zero}
-    for _, _, step in sup._rows:
-        _close(found, step, rows, bound)
-    n = len(found)
-    if n == 1:
-        return QuotientStructure((), 0, ())
-    factors = _invariant_factors_from_orders(found, rows, n)
+    found = _multiple_span(sup, rows, 1, bound)
+    return _invariant_factors_from_multiples(sup, rows, len(found)), found
 
+
+def brute_force_quotient(
+    sub: Lattice, sup: Lattice, bound: int = COSET_BOUND
+) -> QuotientStructure:
+    """Quotient structure by explicit coset enumeration.
+
+    The cosets and invariant factors come from walk_quotient, whose walks
+    read nothing of Smith normal form, so they are a route fully
+    independent of it.  Generators are then picked from the sorted cosets,
+    each one not yet in the span of those before it, and are returned as
+    residues, like those of quotient_structure.
+
+    Raises InfiniteIndex when ranks show the quotient is infinite, and
+    BoundExceeded when more than `bound` cosets appear.
+    """
+    factors, found = walk_quotient(sub, sup, bound)
+    rows = _hermite_rows(sub)
+    n = len(found)
     chosen: list[tuple[int, ...]] = []
-    span = {zero}
+    span = {(0,) * sup.ambient_dim}
     for x in sorted(found):
         if x in span:
             continue

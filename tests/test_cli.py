@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import dataclasses
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pi0real import cli, intlattice
+from pi0real import cli, components, intlattice
 from pi0real.components import ComputationError, Elementary2Group
 
 
@@ -781,6 +782,67 @@ def test_main_oracle_at_default_bound(monkeypatch, capsys, n, verdict):
     monkeypatch.delenv(cli.ORACLE_BOUND_ENV, raising=False)
     assert cli.main(["preset", "TORUS_SPLIT", "--n", str(n), "--h1", "--oracle"]) == 0
     assert f"oracle: {verdict}" in capsys.readouterr().out.splitlines()
+
+
+def _walks(monkeypatch):
+    """The quotients the oracle walks, recorded by a spy on its coset walk."""
+    walks = []
+    walk = components.walk_quotient
+
+    def spy(sub, sup, bound):
+        walks.append((sub, sup))
+        return walk(sub, sup, bound)
+
+    monkeypatch.setattr(components, "walk_quotient", spy)
+    return walks
+
+
+def test_main_oracle_skipped_before_any_walk(monkeypatch, capsys, tmp_path):
+    # TORUS_SPLIT n = 12 times a compact PGL(2): |pi0| = 4096 is within the
+    # default bound, but |H1| = 8192 is past it, so neither group is walked
+    monkeypatch.delenv(cli.ORACLE_BOUND_ENV, raising=False)
+    walks = _walks(monkeypatch)
+    n = 13
+    e = [0] * (n - 1) + [2]
+    doc = {"rank": n, "coroots": [e, [-x for x in e]],
+           "theta": [[(1 if i == n - 1 else -1) * (i == j) for j in range(n)] for i in range(n)]}
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["compute", str(spec), "--h1", "--oracle"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "h1 order 8192" in out and "oracle: skipped" in out
+    assert walks == []
+
+
+@pytest.mark.parametrize("args, n_walks", [
+    (["GL", "--n", "3"], 1),
+    (["E7", "--form", "EV"], 1),
+    (["PSO", "--p", "4", "--q", "6"], 2),
+    (["E7", "--form", "EVII"], 2),
+])
+def test_main_oracle_walks_each_distinct_quotient_once(monkeypatch, capsys, args, n_walks):
+    walks = _walks(monkeypatch)
+    assert cli.main(["preset", *args, "--h1", "--oracle"]) == 0
+    assert "oracle: agree" in capsys.readouterr().out.splitlines()
+    assert len(walks) == len(set(walks)) == n_walks
+
+
+@pytest.mark.parametrize("args", [["GL", "--n", "3"], ["PSO", "--p", "4", "--q", "6"]])
+def test_main_oracle_disagreement_on_h1_alone_exit_two(monkeypatch, capsys, args):
+    # H1 claims one more generator than its quotient has: with pi0's
+    # quotient (GL(3)) the walk is shared, and with its own (PSO(4,6)) it
+    # is walked itself
+    walks = _walks(monkeypatch)
+    h1 = cli.h1_pi1
+
+    def lying_h1(inv):
+        h = h1(inv)
+        return dataclasses.replace(h, rank=h.rank + 1, order=2 * h.order)
+
+    monkeypatch.setattr(cli, "h1_pi1", lying_h1)
+    assert cli.main(["preset", *args, "--h1", "--oracle"]) == 2
+    assert "oracle disagrees" in capsys.readouterr().err
+    assert len(walks) == (1 if args[0] == "GL" else 2)
 
 
 def test_main_preset_simple_defaults_to_split(capsys):

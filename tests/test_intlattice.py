@@ -48,6 +48,7 @@ from pi0real.intlattice import (
     relation_matrix,
     snf,
     transpose,
+    walk_quotient,
 )
 
 HALF = Fraction(1, 2)
@@ -803,7 +804,27 @@ def _fraction_walk(sub, sup, bound):
     n = len(found)
     if n == 1:
         return QuotientStructure((), 0, ())
+    factors = _element_order_factors(found, sub)
 
+    chosen, span = [], {zero}
+    for x in sorted(found):
+        if x in span:
+            continue
+        chosen.append(x)
+        while True:
+            grown = span | {add(s, x) for s in span}
+            if grown == span:
+                break
+            span = grown
+        if len(span) == n:
+            break
+    return QuotientStructure(factors, 0, tuple(chosen))
+
+
+def _element_order_factors(found, sub):
+    """Invariant factors of the coset group `found` modulo sub, from how
+    many of its cosets each prime power p**k kills, tested by membership."""
+    n = len(found)
     # p-exponents of the cyclic factors, from how many cosets p**k kills
     exponents = {}
     for p in range(2, n + 1):
@@ -824,21 +845,7 @@ def _fraction_walk(sub, sup, bound):
     chain = []
     for j in range(width):
         chain.append(math.prod(p ** e[j] for p, e in exponents.items() if j < len(e)))
-    factors = tuple(reversed(chain))
-
-    chosen, span = [], {zero}
-    for x in sorted(found):
-        if x in span:
-            continue
-        chosen.append(x)
-        while True:
-            grown = span | {add(s, x) for s in span}
-            if grown == span:
-                break
-            span = grown
-        if len(span) == n:
-            break
-    return QuotientStructure(factors, 0, tuple(chosen))
+    return tuple(reversed(chain))
 
 
 def _outcome(fn, *args):
@@ -875,6 +882,40 @@ def test_integer_walk_matches_fraction_walk():
         seen["ok" if isinstance(want, QuotientStructure) else want[0]] += 1
         cases += 1
     assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("diagonal", [(16, 4, 2), (27, 3), (12, 2), (4096, 1)])
+def test_factors_from_multiples_match_element_orders(diagonal):
+    """Invariant factors from the orders of the subgroups p**k * G, on
+    groups with several p-levels and mixed primes, each in a random basis:
+    sub = D * U * B and sup = B, U unimodular and B of small determinant."""
+    rng = random.Random(sum(diagonal))
+    n = len(diagonal)
+    while True:
+        b = random_int_matrix(rng, n, n, -2, 2)
+        if 0 < abs(det(b)) <= 3:
+            break
+    u, _ = random_unimodular(rng, n, steps=6 * n)
+    sup = Lattice(n, b)
+    sub = Lattice(n, mat_mul([[d * (i == j) for j, _ in enumerate(diagonal)]
+                              for i, d in enumerate(diagonal)], mat_mul(u, b)))
+    want = quotient_structure(sub, sup)
+    order = want.order
+    assert order == math.prod(diagonal)
+    # bound = |G| is enough, and |G| - 1 is not
+    factors, cosets = walk_quotient(sub, sup, order)
+    assert factors == want.invariant_factors
+    assert len(cosets) == order and all(reduce_mod(c, sub) == c for c in cosets)
+    got = brute_force_quotient(sub, sup, bound=order)
+    assert got.invariant_factors == factors
+    with pytest.raises(BoundExceeded, match=f"^more than {order - 1} cosets$"):
+        walk_quotient(sub, sup, order - 1)
+    if order <= 256:
+        assert got == _fraction_walk(sub, sup, order)
+    else:
+        # the Fraction walk's generator pick is quadratic in |G|, so only its
+        # element-order count runs here, on the integer walk's cosets
+        assert _element_order_factors(cosets, sub) == factors
 
 
 def test_index_multiplicative_in_chains():
