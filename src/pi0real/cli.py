@@ -71,6 +71,9 @@ def _fraction(x, where: str) -> Fraction:
             f"{where}: expected an integer or a fraction string like '1/2', "
             f"got {_brief(repr(x))}"
         )
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        # Fraction would expand "1e10000000" into a ten-million-digit integer
+        raise ValueError(f"{where}: exponent notation is refused, got {_brief(repr(x))}")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:

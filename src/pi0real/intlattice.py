@@ -20,16 +20,19 @@ where a triangular back-substitution is the only step that divides.
 A quotient sup/sub is presented by one integer matrix R, the coordinates
 of sub's Hermite rows in sup's basis (relation_matrix).  The Smith route
 (quotient_structure) and lattice_index read R; the coset enumeration
-(walk_quotient, and brute_force_quotient on top of it) uses it only as its
-containment check, so each route can serve as an oracle for the other.  The
-enumeration is an integer walk: each coset is an integer residue, and the
-walk closes the trivial coset under one Hermite row of the super-lattice at
-a time (_close), sharing one integer reduction loop with reduce_mod.  The
-invariant factors come from the orders of the subgroups p**k * G, each
-walked the same way from the rows scaled by p**k; for an elementary 2-group
-2G is trivial, so that costs one reduction per row.  Each lattice caches
-its Hermite rows sparsely (Lattice._rows), so a reduction touches only
-nonzero entries.
+(walk_quotient, and brute_force_quotient on top of it) asks lattice_index
+only whether the quotient is finite and never reads the index, so each
+route can serve as an oracle for the other.  The enumeration is an integer
+walk: each coset is an integer residue, and the walk closes the trivial
+coset under one Hermite row of the super-lattice at a time (_close),
+sharing one integer reduction loop with reduce_mod.  The invariant factors
+come from the orders of the subgroups p**k * G, each walked the same way
+from the rows scaled by p**k: with c_k = log_p |p**(k-1) G| / |p**k G| the
+number of cyclic p-factors of order at least p**k, the j-th largest factor
+has p-exponent #{k : c_k > j}.  For an elementary 2-group 2G is trivial,
+so that costs one reduction per row.  Each lattice caches its Hermite
+rows sparsely (Lattice._rows), so a reduction touches only nonzero
+entries.
 """
 
 from __future__ import annotations
@@ -336,18 +339,8 @@ def membership(v, lat: Lattice) -> bool:
     return coords_in_lattice(v, lat) is not None
 
 
-def _hermite_rows(lat: Lattice, mult: int = 1):
-    """lat's Hermite rows scaled by mult, in the sparse form of Lattice._rows."""
-    if mult == 1:
-        return lat._rows
-    return [
-        (j, p * mult, tuple((k, x * mult) for k, x in pairs))
-        for j, p, pairs in lat._rows
-    ]
-
-
 def _reduce_ints(w: list[int], rows) -> tuple[int, ...]:
-    """Reduce the integer vector w by Hermite rows from _hermite_rows.
+    """Reduce the integer vector w by Hermite rows in the form of Lattice._rows.
 
     Each pivot digit is brought into [0, pivot), in pivot order, which
     picks the same representative for every member of a coset.  w is a
@@ -371,7 +364,10 @@ def reduce_mod(v, sub: Lattice) -> Vector:
         raise DimensionMismatch("vector length does not match ambient dimension")
     # v = w / c, reduced as w modulo c * sub
     c, w = integer_row(v)
-    return tuple(Fraction(x, c) for x in _reduce_ints(w, _hermite_rows(sub, c)))
+    rows = sub._rows
+    if c != 1:
+        rows = [(j, p * c, tuple((k, x * c) for k, x in pairs)) for j, p, pairs in rows]
+    return tuple(Fraction(x, c) for x in _reduce_ints(w, rows))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
@@ -485,8 +481,7 @@ def relation_matrix(sub: Lattice, sup: Lattice) -> IntMatrix:
 
 def basis_residues(sub: Lattice, sup: Lattice) -> IntMatrix:
     """The canonical residues modulo sub of sup's basis vectors."""
-    rows = _hermite_rows(sub)
-    return tuple(_reduce_ints(list(b), rows) for b in sup.basis)
+    return tuple(_reduce_ints(list(b), sub._rows) for b in sup.basis)
 
 
 def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
@@ -501,7 +496,6 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
     rp = sup.rank
     d, _, v = snf(relation, rp)
     _, vinv_b = _hermite_pair([list(r) for r in v], [list(r) for r in sup.basis], rp)
-    rows = _hermite_rows(sub)
     factors = []
     gens = []
     free_gens = []
@@ -509,7 +503,7 @@ def quotient_structure(sub: Lattice, sup: Lattice) -> QuotientStructure:
         di = d[i] if i < len(d) else 0
         if di == 1:
             continue
-        g = _reduce_ints(vinv_b[i], rows)
+        g = _reduce_ints(vinv_b[i], sub._rows)
         if di == 0:
             free_gens.append(g)
         else:
@@ -596,34 +590,26 @@ def _invariant_factors_from_multiples(sup: Lattice, rows, n: int) -> tuple[int, 
     """Invariant factors of the finite group G = sup/sub with n cosets.
 
     They come from the orders of the subgroups p**k * G, each walked like G
-    itself (_multiple_span).  For each prime p dividing n, the number of
+    itself (_multiple_span).  For each prime p dividing n, the count c_k of
     cyclic p-factors of order at least p**k is log_p |p**(k-1) G| / |p**k G|,
-    and the walks stop once p**k * G has lost all of G's p-part.  For an
+    and the walks stop once p**k * G has lost all of G's p-part.  The j-th
+    largest factor (from j = 0) then has p-exponent #{k : c_k > j}.  For an
     elementary 2-group, 2G is trivial, so its walk costs one reduction per
     Hermite row of sup.
     """
-    per_prime: dict[int, list[int]] = {}
+    counts: dict[int, list[int]] = {}  # p -> [c_1, c_2, ...]
     for p, valuation in _factorize(n).items():
         rest = n // p**valuation
         sizes = [n]
         while sizes[-1] > rest and len(sizes) <= valuation:
             sizes.append(len(_multiple_span(sup, rows, p ** len(sizes), n)))
-        # ge[k - 1]: the number of cyclic p-factors of order >= p**k
-        ge = [_exact_log(p, a, b) for a, b in zip(sizes, sizes[1:])] + [0]
-        per_prime[p] = [k for k in range(len(ge) - 1, 0, -1)
-                        for _ in range(ge[k - 1] - ge[k])]
-    width = max((len(v) for v in per_prime.values()), default=0)
-    chain = []
-    for j in range(width):
-        f = 1
-        for p, exps in per_prime.items():
-            if j < len(exps):
-                f *= p ** exps[j]
-        chain.append(f)
-    chain.reverse()
+        counts[p] = [_exact_log(p, a, b) for a, b in zip(sizes, sizes[1:])]
+    width = max((c[0] for c in counts.values()), default=0)
+    chain = tuple(prod(p ** sum(c > j for c in cs) for p, cs in counts.items())
+                  for j in range(width - 1, -1, -1))
     if prod(chain) != n:
         raise AssertionError("invariant factor product does not match coset count")
-    return tuple(chain)
+    return chain
 
 
 def walk_quotient(sub: Lattice, sup: Lattice, bound: int) -> tuple[tuple[int, ...], set]:
@@ -638,10 +624,9 @@ def walk_quotient(sub: Lattice, sup: Lattice, bound: int) -> tuple[tuple[int, ..
     Raises InfiniteIndex when ranks show the quotient is infinite, and
     BoundExceeded when more than `bound` cosets appear.
     """
-    relation_matrix(sub, sup)
-    if sub.rank < sup.rank:
+    if lattice_index(sub, sup) is None:
         raise InfiniteIndex("sub-lattice has lower rank; quotient is infinite")
-    rows = _hermite_rows(sub)
+    rows = sub._rows
     # The rank test makes sup/sub finite, so each row g has finite order
     # modulo sub and the closure under g ends.
     found = _multiple_span(sup, rows, 1, bound)
@@ -663,7 +648,6 @@ def brute_force_quotient(
     BoundExceeded when more than `bound` cosets appear.
     """
     factors, found = walk_quotient(sub, sup, bound)
-    rows = _hermite_rows(sub)
     n = len(found)
     chosen: list[tuple[int, ...]] = []
     span = {(0,) * sup.ambient_dim}
@@ -671,7 +655,7 @@ def brute_force_quotient(
         if x in span:
             continue
         chosen.append(x)
-        _close(span, [(k, a) for k, a in enumerate(x) if a], rows, n)
+        _close(span, [(k, a) for k, a in enumerate(x) if a], sub._rows, n)
         if len(span) == n:
             break
     return QuotientStructure(factors, 0, tuple(chosen))

@@ -223,6 +223,9 @@ def test_error_line_quotes_a_bounded_prefix(doc, where, tmp_path, capsys):
         ({"rank": 2, "coroots": [[0, -1], [-1, 0]], "theta": [[-1, 0], [1, 1]]},
          "involution does not normalize the coroot set: "
          "theta((-1, 0)) = (1, -1) is not a coroot"),
+        # Fraction would expand the entry into a ten-million-digit integer
+        ({"rank": 1, "coroots": [], "theta": [[-1]], "display_weights": [["h", ["1e10000000"]]]},
+         "display weight 0: exponent notation is refused, got '1e10000000'"),
     ],
 )
 def test_error_line_quotes_a_short_value_in_full(doc, message, tmp_path, capsys):
@@ -764,6 +767,7 @@ def test_main_oracle_disagreement_exit_two(monkeypatch, capsys):
         ([1.0, 2], "expected an integer or a fraction string like '1/2', got 1.0"),
         ([1, "1/2"], "entries must be integers, got [1, '1/2']"),
         ([1], "expected a list of 2 entries, got [1]"),
+        ([1, "1e10000000"], "exponent notation is refused, got '1e10000000'"),
     ],
 )
 def test_int_vector_entries(row, expect):

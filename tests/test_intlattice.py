@@ -884,7 +884,7 @@ def test_integer_walk_matches_fraction_walk():
     assert min(seen.values()) >= 5, seen
 
 
-@pytest.mark.parametrize("diagonal", [(16, 4, 2), (27, 3), (12, 2), (4096, 1)])
+@pytest.mark.parametrize("diagonal", [(16, 4, 2), (27, 3), (12, 2), (4096, 1), (30, 6, 2)])
 def test_factors_from_multiples_match_element_orders(diagonal):
     """Invariant factors from the orders of the subgroups p**k * G, on
     groups with several p-levels and mixed primes, each in a random basis:
