@@ -264,19 +264,16 @@ def _oracle_verdict(groups: list[Elementary2Group]) -> str:
     bound = _oracle_bound()
     if any(g.order > bound for g in groups):
         return "skipped"
-    walked = []  # (sub, sup, rank) of each quotient walked, its rank confirmed
+    walked = {}  # (sub, sup) of each quotient walked -> the rank its walk confirmed
     for g in groups:
-        rank = next((r for sub, sup, r in walked if sub == g.sub and sup == g.sup), None)
-        if rank is not None:
-            agrees = g.rank == rank
-        else:
+        key = (g.sub, g.sup)
+        if key not in walked:
             try:
-                agrees = oracle_check(g, bound=bound)
+                walked[key] = g.rank if oracle_check(g, bound=bound) else None
             except BoundExceeded:
                 # the walk found more cosets than the claimed order <= bound
-                agrees = False
-            walked.append((g.sub, g.sup, g.rank))
-        if not agrees:
+                walked[key] = None
+        if walked[key] != g.rank:
             raise ComputationError(
                 "brute-force oracle disagrees with the mod-2 rank computation"
             )

@@ -8,17 +8,19 @@ theta.  Write
   2 X_spl_tilde  = (theta - 1) X                   doubled projections
   Q_spl          = Q  intersect ker(theta + 1)
   Q_cmp          = Q  intersect ker(theta - 1)
+  B              = (theta - 1) X + Q               coboundaries
 
 where X_spl_tilde = (1 - theta)/2 . X are the projected cocharacters.  Then
 the group of connected components of the real points is
 
-  pi0 = X_spl / ((theta - 1) X + Q_spl),
+  pi0 = X_spl / ((theta - 1) X + Q_spl) = X_spl / (B intersect X_spl),
 
-every class containing an order-at-most-2 torus element exp(pi i nu) with
-nu in X_spl, and the first Galois cohomology of the fundamental group is
-cocycles modulo coboundaries,
+the second form because theta^2 = 1 puts (theta - 1) X in X_spl, so that
+(theta - 1) x + q in X_spl puts q in Q_spl.  Every class contains an
+order-at-most-2 torus element exp(pi i nu) with nu in X_spl, and the first
+Galois cohomology of the fundamental group is cocycles modulo coboundaries,
 
-  H1 = {v in X : v + theta(v) in Q} / ((theta - 1) X + Q),
+  H1 = {v in X : v + theta(v) in Q} / B,
 
 the paper's (X intersect (X_spl_tilde + Q_cmp/2)) / (2 X_spl_tilde + Q):
 in 2v = (v - theta(v)) + (v + theta(v)), theta negates the first term and
@@ -28,13 +30,13 @@ v + theta(v) is in Q.  Both quotients are finite elementary abelian
 raises ComputationError.
 
 Every function here takes one Involution, which carries the datum it was
-validated against.  It derives X_spl, (theta - 1) X and the coboundaries
-(theta - 1) X + Q once, and every computation here shares them.  A job
-builds only Q_spl (in pi0) and the cocycles (in h1_pi1) itself, each by
-one kernel_lattice call on the involution's map theta + 1, which the
-split and cocycle tests apply too.  Everything is computed in integers,
-from the lattices' Hermite rows and theta's action by its nonzero columns;
-a Fraction appears only for rational input or a rational display weight.
+validated against.  It derives X_spl and B once, and every computation
+here shares them.  A job builds only B intersect X_spl (in pi0) and the
+cocycles (in h1_pi1) itself, each by one kernel_lattice call on the
+involution's map theta + 1, which the split and cocycle tests apply too.
+Everything is computed in integers, from the lattices' Hermite rows and
+theta's action by its nonzero columns; a Fraction appears only for
+rational input or a rational display weight.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .intlattice import (
     coords_in_lattice,
     integer_row,
     kernel_lattice,
-    lattice_sum,
     membership,
     relation_matrix,
     walk_quotient,
@@ -80,13 +81,13 @@ class SplitLattices(NamedTuple):
 
 
 def split_lattices(inv: Involution) -> SplitLattices:
-    """All four split lattices; the two in X are the involution's own."""
-    q = inv.datum.coroots
+    """All four split lattices; X_spl is the involution's own."""
+    rd = inv.datum
     return SplitLattices(
         x_spl=inv.x_spl,
-        two_x_spl_tilde=inv.two_x_spl_tilde,
-        q_spl=kernel_lattice(q, inv.plus_one),
-        q_cmp=kernel_lattice(q, inv.minus_one),
+        two_x_spl_tilde=Lattice(rd.rank, tuple(map(inv.minus_one, rd.cochar.basis))),
+        q_spl=kernel_lattice(rd.coroots, inv.plus_one),
+        q_cmp=kernel_lattice(rd.coroots, inv.minus_one),
     )
 
 
@@ -215,11 +216,11 @@ def _two_group(sub: Lattice, sup: Lattice, named, what: str) -> Elementary2Group
 
 
 def pi0(inv: Involution) -> Elementary2Group:
-    """The component group of the real points, as X_spl/((theta - 1) X + Q_spl)."""
-    rd = inv.datum
-    q_spl = kernel_lattice(rd.coroots, inv.plus_one)
-    sub = lattice_sum(inv.two_x_spl_tilde, q_spl)
-    return _two_group(sub, inv.x_spl, rd.named_vectors, "component group")
+    """The component group of the real points, X_spl / (B intersect X_spl) for the
+    coboundaries B: the paper's X_spl / ((theta - 1) X + Q_spl) only because
+    theta^2 = 1, which involution_from_matrix checks (see the module docstring)."""
+    sub = kernel_lattice(inv.coboundaries, inv.plus_one)
+    return _two_group(sub, inv.x_spl, inv.datum.named_vectors, "component group")
 
 
 def h1_pi1(inv: Involution) -> Elementary2Group:
@@ -276,9 +277,9 @@ def coboundary_check(inv: Involution, nu) -> bool:
 def kernel_embedding_check(inv: Involution) -> bool:
     """Check that the natural map from pi0 into H1 is injective.
 
-    Both groups are quotients by (theta - 1) X + (part of Q); a split
-    cocharacter equals its own projection, so pi0 classes map to H1
-    classes by doing nothing to the vector.  Injectivity means the pi0
+    pi0 = X_spl / (B intersect X_spl) and H1 = Z / B for the coboundaries
+    B; a split cocharacter equals its own projection, so pi0 classes map to
+    H1 classes by doing nothing to the vector.  Injectivity means the pi0
     generators lie in H1's super-lattice and, written in its basis, stay
     independent over F2 modulo H1's relations.
     """

@@ -13,8 +13,8 @@ span of that set, it then preserves the coroot lattice as well.
 An :class:`Involution` carries the datum it was validated against, and
 derives once, on first use, what pi0 and H1 read: its action, the only
 reader of theta's entries; theta + 1 and theta - 1 as maps built on it;
-X_spl = ker(theta + 1), (theta - 1) X = 2 X_spl_tilde and the coboundaries
-(theta - 1) X + Q.  Every lattice is integral: X_spl_tilde enters only doubled.
+X_spl = ker(theta + 1) and the coboundaries B = (theta - 1) X + Q, from
+which pi0 = X_spl / (B intersect X_spl) and H1 = Z / B for the cocycles Z.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .intlattice import (
     LatticeError,
     block_diag,
     kernel_lattice,
-    lattice_sum,
     matrix_action,
     rat_rank,
     rat_solve,
@@ -98,17 +97,10 @@ class Involution:
         return kernel_lattice(self.datum.cochar, self.plus_one)
 
     @cached_property
-    def two_x_spl_tilde(self) -> Lattice:
-        """2 X_spl_tilde = (theta - 1) X, spanned by theta - 1 of X's standard basis.
-
-        (theta - 1) X is (1 - theta) X: a lattice is closed under negation.
-        """
-        return Lattice(self.datum.rank, tuple(map(self.minus_one, self.datum.cochar.basis)))
-
-    @cached_property
     def coboundaries(self) -> Lattice:
-        """(theta - 1) X + Q, the sub-lattice of H1."""
-        return lattice_sum(self.two_x_spl_tilde, self.datum.coroots)
+        """B = (theta - 1) X + Q: theta - 1 of X's standard basis and Q's basis, reduced once."""
+        rd = self.datum
+        return Lattice(rd.rank, (*map(self.minus_one, rd.cochar.basis), *rd.coroots.basis))
 
 
 def _squares_to_one(columns) -> bool:

@@ -440,6 +440,14 @@ def test_h1_sup_is_x_where_twice_lies_in_theta_minus_one_x_plus_q_cmp():
     assert min(seen.values()) >= 50, seen
 
 
+def test_pi0_sub_is_theta_minus_one_x_plus_q_spl():
+    # pi0 takes theta + 1's kernel on the coboundaries (theta - 1) X + Q;
+    # with theta^2 = 1 that is the paper's (theta - 1) X + Q_spl
+    for inv in split_fixtures():
+        sl = split_lattices(inv)
+        assert pi0(inv).sub == lattice_sum(sl.two_x_spl_tilde, sl.q_spl), inv.datum.name
+
+
 def count_calls(monkeypatch, name):
     """A list that grows by one on each call to intlattice's function
     ``name``, patched into every module of the package that imports it."""
@@ -468,16 +476,16 @@ def test_job_builds_split_lattices_at_most_twice(monkeypatch):
     report = cli.run(job)
     assert len(report["representatives"]) == 31
     assert report["oracle"] == "agree"
-    # (theta - 1) X, Q, the pi0 sub-lattice and the coboundaries; X_spl,
-    # Q_spl and the cocycles
-    assert len(hnfs) <= 4
+    # five lattices: Q and the coboundaries B by Hermite reduction; X_spl,
+    # pi0's sub-lattice B intersect X_spl and the cocycles by kernel_lattice
+    assert len(hnfs) <= 2
     assert len(kernels) <= 3
 
 
 def test_coboundary_check_builds_the_coboundaries_once(monkeypatch):
     inv = build(torus_split(120))
-    # the summands are the involution's and the datum's own lattices
-    inv.two_x_spl_tilde, inv.datum.coroots
+    # Q is the datum's own lattice; the coboundaries are the one reduction
+    inv.datum.coroots
     hnfs = count_calls(monkeypatch, "hnf")
     rng = random.Random(120)
     for _ in range(20):
@@ -684,8 +692,8 @@ def test_job_builds_each_split_lattice_once(monkeypatch):
     job = cli.parse_jobspec({"preset": "PSO", "p": 4, "q": 4, "outputs": {"h1": True}})
     report = cli.run(job)
     assert report["h1_order"] is not None
-    # X_spl and X_spl_tilde once each, on the involution; Q_spl in pi0 and
-    # the cocycles in h1_pi1
+    # X_spl and the coboundaries B once each, on the involution; B intersect
+    # X_spl in pi0 and the cocycles in h1_pi1
     assert sorted(calls) == [
         "pi0real.components.kernel_lattice",
         "pi0real.components.kernel_lattice",

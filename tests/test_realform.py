@@ -79,7 +79,7 @@ def test_derived_lattices_read_theta_through_apply():
     # reject theta's own entry, not an entry of theta + 1 or theta - 1
     for entry in (True, 0.0):
         inv = Involution(((entry,),), RootDatum(rank=1))
-        for attr in ("x_spl", "two_x_spl_tilde", "coboundaries"):
+        for attr in ("x_spl", "coboundaries"):
             with pytest.raises(LatticeError, match=f"^non-integer matrix entry {entry}$"):
                 getattr(inv, attr)
 
@@ -481,7 +481,8 @@ def test_involution_derives_split_lattices_of_x():
         one = identity_matrix(n)
         plus_one, minus_one = mat_add(theta, one), mat_sub(theta, one)
         assert inv.x_spl == kernel_lattice(Lattice.standard(n), matrix_action(plus_one, n))
-        assert inv.two_x_spl_tilde == image_lattice(Lattice.standard(n), minus_one)
+        # the torus datum has no coroots, so the coboundaries are (theta - 1) X
+        assert inv.coboundaries == image_lattice(Lattice.standard(n), minus_one)
         # theta + 1 and theta - 1 on the standard basis and on random vectors
         for v in one + helpers.random_int_matrix(rng, 3, n):
             assert inv.apply(v) == mat_vec(theta, v)
