@@ -296,7 +296,7 @@ def run(job: JobSpec) -> dict:
     h1_order = None
     checked: list[Elementary2Group] = []
     if job.outputs.h1 or job.outputs.oracle:
-        h = h1_pi1(job.involution)
+        h = h1_pi1(job.involution, group)
         if job.outputs.h1:
             h1_order = h.order
         checked = [group, h]
@@ -319,7 +319,8 @@ def run(job: JobSpec) -> dict:
 def _json_text(x, pad: str = "") -> str:
     """x as json.dumps(x, indent=2) writes it, nested at indentation pad: one
     pass over nonempty lists and str-keyed dicts, str, int and None, and
-    json.dumps for any other value, such as a bool."""
+    json.dumps for any other value, such as a bool.  A list writes its int
+    and str items in place."""
     if type(x) is str:
         return encode_basestring_ascii(x)
     if type(x) is int:
@@ -334,7 +335,15 @@ def _json_text(x, pad: str = "") -> str:
         items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in x.items()]
     else:
         ends = "[]"
-        items = [_json_text(v, inner) for v in x]
+        items = []
+        for v in x:
+            t = type(v)
+            if t is int:
+                items.append(repr(v))
+            elif t is str:
+                items.append(encode_basestring_ascii(v))
+            else:
+                items.append(_json_text(v, inner))
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
 
 

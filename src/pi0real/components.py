@@ -30,10 +30,14 @@ v + theta(v) is in Q.  Both quotients are finite elementary abelian
 raises ComputationError.
 
 Every function here takes one Involution, which carries the datum it was
-validated against.  It derives X_spl and B once, and every computation
-here shares them.  A job builds only B intersect X_spl (in pi0) and the
-cocycles (in h1_pi1) itself, each by one kernel_lattice call on the
-involution's map theta + 1, which the split and cocycle tests apply too.
+validated against.  It derives B, X_spl and the cocycles once, the last
+two from one elimination of theta + 1, and every computation here shares
+them.  A job builds only B intersect X_spl itself, in pi0, by one
+kernel_lattice call on the involution's map theta + 1, which the split and
+cocycle tests apply too; that call eliminates nothing when theta + 1 kills
+B.  It does for every torus (Q = 0) and every theta = -1, and there the
+two quotients are one, X_spl / B, so h1_pi1 returns the component group
+it is given.
 Everything is computed in integers, from the lattices' Hermite rows and
 theta's action by its nonzero columns; a Fraction appears only for
 rational input or a rational display weight.
@@ -223,16 +227,21 @@ def pi0(inv: Involution) -> Elementary2Group:
     return _two_group(sub, inv.x_spl, inv.datum.named_vectors, "component group")
 
 
-def h1_pi1(inv: Involution) -> Elementary2Group:
+def h1_pi1(inv: Involution, component_group: Optional[Elementary2Group] = None
+           ) -> Elementary2Group:
     """Galois cohomology of the fundamental group of the complex group.
 
     Computed as cocycles modulo coboundaries, {v in X : v + theta(v) in Q}
     / ((theta - 1) X + Q), with classes represented by integral cocharacters;
-    the cocycles are the preimage of Q under theta + 1 (kernel_lattice).
+    the cocycles are the preimage of Q under theta + 1 (Involution.cocycles).
+    When ``component_group``, pi0(inv), presents the same quotient, it is
+    returned as it is: both are picked from the datum's named vectors by
+    the same rule.
     """
-    rd = inv.datum
-    sup = kernel_lattice(rd.cochar, inv.plus_one, rd.coroots)
-    return _two_group(inv.coboundaries, sup, rd.named_vectors, "cohomology group")
+    sub, sup = inv.coboundaries, inv.cocycles
+    if component_group is not None and (component_group.sub, component_group.sup) == (sub, sup):
+        return component_group
+    return _two_group(sub, sup, inv.datum.named_vectors, "cohomology group")
 
 
 def _cocharacter(inv: Involution, nu, split: bool = False) -> tuple[int, ...]:
@@ -284,7 +293,7 @@ def kernel_embedding_check(inv: Involution) -> bool:
     independent over F2 modulo H1's relations.
     """
     p = pi0(inv)
-    h = h1_pi1(inv)
+    h = h1_pi1(inv, p)
     echelon = _echelon(relation_matrix(h.sub, h.sup))
     for v in p.generators:
         coords = coords_in_lattice(v, h.sup)

@@ -12,9 +12,10 @@ a non-integral vector lies in no lattice.  A rational vector enters the
 integer arithmetic through one routine, integer_row, which returns the lcm
 c of its denominators and the integer vector c * v.  One integer row
 Hermite reduction (_hermite) does every elimination: Hermite forms, the
-preimage kernel of a linear map (kernel_lattice, which gives kernels,
-intersections and preimages), the Smith form (by alternating row and
-column passes), and the rational rank, inverse and solve (rat_solve),
+preimage kernel of a linear map (KernelStack, which keeps one map's
+reduced rows for several targets, and kernel_lattice on it, which gives
+kernels, intersections and preimages), the Smith form (by alternating row
+and column passes), and the rational rank, inverse and solve (rat_solve),
 where a triangular back-substitution is the only step that divides.
 
 A quotient sup/sub is presented by one integer matrix R, the coordinates
@@ -407,26 +408,60 @@ def matrix_action(a, n: int):
 
 def kernel_lattice(lat: Lattice, a, target: Lattice | None = None) -> Lattice:
     """{v in lat : a(v) in target} for a linear map a, such as one from
-    matrix_action; without a target, the kernel of a on lat.
+    matrix_action; without a target, the kernel of a on lat.  One
+    KernelStack's kernel or preimage."""
+    stack = KernelStack(lat, a)
+    return stack.kernel if target is None else stack.preimage(target)
 
-    One Hermite reduction of [[a(B), B], [T, 0]], B = lat.basis and
-    T = target.basis, keeps each row in the form [x*a(B) + y*T | x*B], so
+
+class KernelStack:
+    """The elimination of a on lat, kept for several targets.
+
+    The rows [a(B) | B], B = lat.basis, are Hermite-reduced once, when the
+    stack is built; ``preimage(target)`` continues a copy of them with
+    target's Hermite rows [t | 0], T = target.basis.  Their span is that of
+    [[a(B), B], [T, 0]], whose rows keep the form [x*a(B) + y*T | x*B], so
     the rows with a zero left part give the x*B with a(x*B) in target
-    (Cohen, GTM 138, section 2.4).  The stacked rows are independent, so
-    none becomes zero; the kernel rows come last, and their right parts are
-    already in Hermite form, so they are not reduced again.
+    (Cohen, GTM 138, section 2.4); without T they give the kernel.  The
+    stacked rows are independent, so none becomes zero; the kernel rows
+    come last, and their right parts are already in Hermite form, so they
+    are not reduced again.  When a kills every row of B, nothing is
+    eliminated, and the kernel and every preimage are lat itself.
     """
-    n = lat.ambient_dim
-    images = [a(r) for r in lat.basis]
-    if any(len(c) != n for c in images):
-        raise DimensionMismatch("map does not act on the ambient space")
-    rows = [[*c, *r] for c, r in zip(images, lat.basis)]
-    if target is not None:
-        _same_ambient(lat, target)
-        rows += [list(t) + [0] * n for t in target.basis]
-    _hermite(rows)
-    kernel = tuple(tuple(r[n:]) for r in rows if not any(r[:n]))
-    return Lattice._from_hermite(n, kernel)
+
+    def __init__(self, lat: Lattice, a):
+        n = lat.ambient_dim
+        images = [a(r) for r in lat.basis]
+        if any(len(c) != n for c in images):
+            raise DimensionMismatch("map does not act on the ambient space")
+        self.lat = lat
+        self._rows = None  # None when a kills lat
+        if any(map(any, images)):
+            self._rows = [[*c, *r] for c, r in zip(images, lat.basis)]
+            _hermite(self._rows)
+
+    def _kernel_rows(self, rows: list[list[int]]) -> Lattice:
+        n = self.lat.ambient_dim
+        return Lattice._from_hermite(n, tuple(tuple(r[n:]) for r in rows if not any(r[:n])))
+
+    @cached_property
+    def kernel(self) -> Lattice:
+        """The kernel of a on lat."""
+        if self._rows is None:
+            return self.lat
+        return self._kernel_rows(self._rows)
+
+    def preimage(self, target: Lattice) -> Lattice:
+        """{v in lat : a(v) in target}, from a copy of the reduced rows."""
+        _same_ambient(self.lat, target)
+        if self._rows is None:
+            return self.lat
+        if target.is_zero:
+            return self.kernel
+        n = self.lat.ambient_dim
+        rows = [list(r) for r in self._rows] + [list(t) + [0] * n for t in target.basis]
+        _hermite(rows)
+        return self._kernel_rows(rows)
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:

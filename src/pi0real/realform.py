@@ -13,8 +13,11 @@ span of that set, it then preserves the coroot lattice as well.
 An :class:`Involution` carries the datum it was validated against, and
 derives once, on first use, what pi0 and H1 read: its action, the only
 reader of theta's entries; theta + 1 and theta - 1 as maps built on it;
-X_spl = ker(theta + 1) and the coboundaries B = (theta - 1) X + Q, from
-which pi0 = X_spl / (B intersect X_spl) and H1 = Z / B for the cocycles Z.
+the coboundaries B = (theta - 1) X + Q; and one Hermite reduction of the
+rows [(theta + 1) e_i | e_i], whose zero-left rows give X_spl =
+ker(theta + 1) and whose copy, continued with Q's rows, gives the cocycles
+Z = {v in X : v + theta(v) in Q}.  Then pi0 = X_spl / (B intersect X_spl)
+and H1 = Z / B.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from typing import Sequence
 
 from .intlattice import (
     IntMatrix,
+    KernelStack,
     Lattice,
     LatticeError,
     block_diag,
-    kernel_lattice,
     matrix_action,
     rat_rank,
     rat_solve,
@@ -92,9 +95,20 @@ class Involution:
         return lambda v: tuple(x - y for x, y in zip(apply(v), v))
 
     @cached_property
+    def _plus_one_stack(self) -> KernelStack:
+        """The rows [(theta + 1) e_i | e_i] for X's standard basis, reduced once."""
+        return KernelStack(self.datum.cochar, self.plus_one)
+
+    @cached_property
     def x_spl(self) -> Lattice:
         """The split cocharacters X_spl = ker(theta + 1) in X = Z^n."""
-        return kernel_lattice(self.datum.cochar, self.plus_one)
+        return self._plus_one_stack.kernel
+
+    @cached_property
+    def cocycles(self) -> Lattice:
+        """Z = {v in X : v + theta(v) in Q}, the preimage of Q under theta + 1:
+        a copy of X_spl's reduced rows continued with Q's Hermite rows."""
+        return self._plus_one_stack.preimage(self.datum.coroots)
 
     @cached_property
     def coboundaries(self) -> Lattice:

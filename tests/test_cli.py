@@ -498,6 +498,54 @@ def test_json_writer_matches_json_dumps():
         assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
+def _inline_torus_doc(rng):
+    """An inline job for a split torus times a Weil torus, in a random basis."""
+    import helpers
+    from pi0real.realform import build_preset, product_involution
+
+    inv = product_involution(build_preset("TORUS_SPLIT", n=4), build_preset("TORUS_WEIL"))
+    u, uinv = helpers.random_unimodular(rng, inv.datum.rank)
+    inv = helpers.conjugate_datum(inv, u, uinv)
+    rd = inv.datum
+    return {
+        "rank": rd.rank,
+        "coroots": [],
+        "theta": [list(r) for r in inv.theta],
+        "display_weights": [[lbl, [str(x) for x in w]] for lbl, w in rd.display_weights],
+        "named_vectors": [[nm, list(v)] for nm, v in rd.named_vectors],
+        "outputs": {"h1": True, "pi0": True, "representatives": True},
+    }
+
+
+def _many_representatives(rng):
+    """A report of 64 representatives whose evaluations share non-ASCII
+    labels, with entries of 100 digits."""
+    labels = ["\u03b5" + str(i) for i in range(3)] + ["\u00e9\U0001f600", "a\"b"]
+    reps = []
+    for _ in range(64):
+        nu = [rng.choice((0, 1, -1, 10**99 + rng.randrange(10**99), -(10**99)))
+              for _ in range(6)]
+        evals = [[lbl, rng.choice(("1", "i", "-1", "-i"))] for lbl in labels]
+        reps.append({"nu": nu, "evaluations": evals, "note": rng.choice((None, "\u00b1 sign"))})
+    return {"order": 2**6, "rank": 6, "generators": [[10**99, -(10**99)], [1, 0]],
+            "representatives": reps, "h1_order": 2**6, "oracle": None, "_names": ()}
+
+
+def test_json_writer_matches_json_dumps_on_real_reports():
+    rng = random.Random(0x7E57)
+    reports = [
+        run_job({"preset": "TORUS_SPLIT", "n": 7}),
+        run_job({"preset": "PSO", "p": 4, "q": 4}),
+        run_job(_inline_torus_doc(rng)),
+        _many_representatives(rng),
+    ]
+    assert len(reports[0]["representatives"]) == 127
+    assert reports[1]["representatives"][0]["note"]
+    for report in reports:
+        clean = {k: v for k, v in report.items() if not k.startswith("_")}
+        assert cli.render_json(report) == json.dumps(clean, indent=2)
+
+
 def test_json_hides_private_keys():
     rendered = cli.render_json(run_job({"preset": "GL", "n": 2}))
     assert "_names" not in rendered
@@ -839,8 +887,8 @@ def test_main_oracle_disagreement_on_h1_alone_exit_two(monkeypatch, capsys, args
     walks = _walks(monkeypatch)
     h1 = cli.h1_pi1
 
-    def lying_h1(inv):
-        h = h1(inv)
+    def lying_h1(inv, component_group=None):
+        h = h1(inv, component_group)
         return dataclasses.replace(h, rank=h.rank + 1, order=2 * h.order)
 
     monkeypatch.setattr(cli, "h1_pi1", lying_h1)

@@ -673,33 +673,70 @@ def test_random_torus_involutions_stay_elementary():
 
 
 def test_job_builds_each_split_lattice_once(monkeypatch):
-    from pi0real import cli, components, realform
+    from pi0real import cli, components, intlattice, realform
 
     calls = []
 
-    def counting(module, name):
-        build = getattr(module, name)
+    def counting(owner, name, label):
+        build = getattr(owner, name)
 
         def counted(*args):
-            calls.append(f"{module.__name__}.{name}")
+            calls.append(label)
             return build(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    counting(components, "kernel_lattice")
-    counting(realform, "kernel_lattice")
-    counting(realform, "Lattice")
-    job = cli.parse_jobspec({"preset": "PSO", "p": 4, "q": 4, "outputs": {"h1": True}})
+    counting(components, "kernel_lattice", "kernel_lattice")
+    counting(realform, "Lattice", "Lattice")
+    counting(realform, "KernelStack", "KernelStack")
+    counting(intlattice.KernelStack, "preimage", "KernelStack.preimage")
+    # theta = -1 on PSO(4,4), where no elimination runs, and not on PSO(4,6)
+    for p, q in ((4, 4), (4, 6)):
+        calls.clear()
+        job = cli.parse_jobspec({"preset": "PSO", "p": p, "q": q, "outputs": {"h1": True}})
+        report = cli.run(job)
+        assert report["h1_order"] is not None
+        # the coboundaries B once, on the involution; theta + 1 eliminated
+        # once on X, whose kernel is X_spl and whose continuation with Q's
+        # rows gives the cocycles; B intersect X_spl in pi0
+        assert sorted(calls) == [
+            "KernelStack", "KernelStack.preimage", "Lattice", "kernel_lattice",
+        ], (p, q)
+
+
+@pytest.mark.parametrize("doc, runs", [
+    ({"preset": "TORUS_SPLIT", "n": 5}, 1),
+    ({"preset": "GL", "n": 4}, 1),
+    ({"preset": "SO", "p": 3, "q": 4}, 1),
+    ({"preset": "SO", "p": 2, "q": 5}, 2),
+    ({"preset": "E7", "form": "EVI"}, 2),
+])
+def test_job_analyses_each_distinct_quotient_once(monkeypatch, doc, runs):
+    from pi0real import cli, components
+    from pi0real.intlattice import kernel_lattice
+
+    picks = []
+    two_group = components._two_group
+
+    def counted(*args):
+        picks.append(args)
+        return two_group(*args)
+
+    monkeypatch.setattr(components, "_two_group", counted)
+    job = cli.parse_jobspec(dict(doc, outputs={"h1": True}))
     report = cli.run(job)
-    assert report["h1_order"] is not None
-    # X_spl and the coboundaries B once each, on the involution; B intersect
-    # X_spl in pi0 and the cocycles in h1_pi1
-    assert sorted(calls) == [
-        "pi0real.components.kernel_lattice",
-        "pi0real.components.kernel_lattice",
-        "pi0real.realform.Lattice",
-        "pi0real.realform.kernel_lattice",
-    ]
+    assert len(picks) == runs
+    # H1 as the job found it, against its own pick over the cocycles built
+    # by one kernel_lattice call on a fresh involution
+    inv = job.involution
+    h = components.h1_pi1(inv, components.pi0(inv))
+    fresh = cli.parse_jobspec(doc).involution
+    rd = fresh.datum
+    cocycles = kernel_lattice(rd.cochar, fresh.plus_one, rd.coroots)
+    old = two_group(fresh.coboundaries, cocycles, rd.named_vectors, "cohomology group")
+    assert report["h1_order"] == h.order == old.order
+    assert (h.generators, h.generator_names) == (old.generators, old.generator_names)
+    assert kernel_embedding_check(inv)
 
 
 def test_job_builds_theta_action_once(monkeypatch):

@@ -25,10 +25,12 @@ from pi0real.intlattice import (
     BoundExceeded,
     DimensionMismatch,
     InfiniteIndex,
+    KernelStack,
     Lattice,
     LatticeError,
     NotASublattice,
     QuotientStructure,
+    _hermite,
     basis_residues,
     brute_force_quotient,
     coords_in_lattice,
@@ -336,6 +338,44 @@ def test_matrix_of_wrong_size_raises_dimension_mismatch():
     assert kernel_lattice(Lattice.standard(0), matrix_action((), 0)) == Lattice.standard(0)
 
 
+def test_zero_map_returns_its_lattice_after_the_dimension_checks():
+    rng = random.Random(0x2E80)
+    kinds = ("zero", "full", "random")
+    for n in range(1, 6):
+        zero_map = matrix_action(((0,) * n,) * n, n)
+        for kind in kinds:
+            lat = _random_lattice(rng, n, rng.randint(1, 3), kind)
+            targets = [None] + [_random_lattice(rng, n, rng.randint(1, 3), k) for k in kinds]
+            stack = KernelStack(lat, zero_map)
+            assert stack.kernel is lat
+            for target in targets:
+                assert kernel_lattice(lat, zero_map, target) is lat
+                if target is not None:
+                    assert stack.preimage(target) is lat
+            # a target elsewhere, or a map whose images have the wrong length
+            far = Lattice.zero(n + 1)
+            with pytest.raises(DimensionMismatch, match=f"^ambient dimensions differ: {n} vs {n + 1}$"):
+                kernel_lattice(lat, zero_map, far)
+            with pytest.raises(DimensionMismatch, match=f"^ambient dimensions differ: {n} vs {n + 1}$"):
+                stack.preimage(far)
+            if not lat.is_zero:
+                for short in (lambda v: (0,) * (n - 1), lambda v: (0,) * (n + 1)):
+                    with pytest.raises(DimensionMismatch, match="^map does not act on the ambient space$"):
+                        kernel_lattice(lat, short, targets[-1])
+                    with pytest.raises(DimensionMismatch, match="^map does not act on the ambient space$"):
+                        KernelStack(lat, short)
+
+
+def test_continued_elimination_matches_one_pass_on_every_fixture():
+    from test_components import split_fixtures
+
+    for inv in split_fixtures():
+        rd = inv.datum
+        assert inv.x_spl == _one_pass_preimage(rd.cochar, inv.plus_one), rd.name
+        assert inv.cocycles == _one_pass_preimage(rd.cochar, inv.plus_one, rd.coroots), rd.name
+        assert inv.cocycles == kernel_lattice(rd.cochar, inv.plus_one, rd.coroots), rd.name
+
+
 def test_matrix_action_matches_dense_product():
     rng = random.Random(0xAC71)
     for n in range(9):
@@ -467,6 +507,18 @@ def _transform_preimage(lat, a, target):
     return Lattice(lat.ambient_dim, gens)
 
 
+def _one_pass_preimage(lat, a, target=None):
+    """{v in lat : a(v) in target} from one Hermite reduction of
+    [[a(B), B], [T, 0]], with no continued stack and no zero-map shortcut:
+    the single pass that KernelStack splits in two, kept as a reference."""
+    n = lat.ambient_dim
+    rows = [[*a(r), *r] for r in lat.basis]
+    if target is not None:
+        rows += [[*t, *[0] * n] for t in target.basis]
+    _hermite(rows)
+    return Lattice(n, [r[n:] for r in rows if not any(r[:n])])
+
+
 def _transform_intersect(a, b):
     n = a.ambient_dim
     if a.is_zero or b.is_zero:
@@ -521,6 +573,9 @@ def test_stacked_kernels_match_transform_route_random():
         other = _random_lattice(rng, n, rng.randint(1, 4), rng.choice(kinds))
         assert lattice_intersect(lat, other) == _transform_intersect(lat, other), (lat, other)
         assert kernel_lattice(lat, act, other) == _transform_preimage(lat, a, other), (lat, a, other)
+        stack = KernelStack(lat, act)
+        assert stack.kernel == _one_pass_preimage(lat, act), (lat, a)
+        assert stack.preimage(other) == _one_pass_preimage(lat, act, other), (lat, a, other)
         assert kernel_lattice(lat, act, Lattice.zero(n)) == kernel_lattice(lat, act)
         with pytest.raises(DimensionMismatch):
             kernel_lattice(lat, act, Lattice.zero(n + 1))

@@ -10,8 +10,9 @@ representatives) plus the outputs its label names.  ``cli.parse_jobspec``,
 in-process, each the best of 3 runs on a fresh parse, and printed as a
 table in milliseconds.  The inputs are the rows of the ROADMAP baseline
 table that finish within seconds (``GL(96)`` is left out), plus
-``TORUS_SPLIT n=7``, whose report lists all 127 components.  Stdlib only;
-nothing is written.
+``TORUS_SPLIT n=7``, whose report lists all 127 components, once without
+and once with H1, which shares the component group's quotient there.
+Stdlib only; nothing is written.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def inline_gl(n: int) -> dict:
 
 LADDER = (
     ("TORUS_SPLIT n=7", {"preset": "TORUS_SPLIT", "n": 7}),
+    ("TORUS_SPLIT n=7 --h1", {"preset": "TORUS_SPLIT", "n": 7, "outputs": H1}),
     ("TORUS_SPLIT n=40 --h1", {"preset": "TORUS_SPLIT", "n": 40, "outputs": H1}),
     ("TORUS_SPLIT n=60", {"preset": "TORUS_SPLIT", "n": 60}),
     ("TORUS_SPLIT n=120 --h1", {"preset": "TORUS_SPLIT", "n": 120, "outputs": H1}),
