@@ -14,9 +14,8 @@ c of its denominators and the integer vector c * v.  One integer row
 Hermite reduction (_hermite) does every elimination: Hermite forms, the
 preimage kernel of a linear map (KernelStack, which keeps one map's
 reduced rows for several targets, and kernel_lattice on it, which gives
-kernels, intersections and preimages), the Smith form (by alternating row
-and column passes), and the rational rank, inverse and solve (rat_solve),
-where a triangular back-substitution is the only step that divides.
+kernels, intersections and preimages), and the Smith form (by alternating
+row and column passes).
 
 A quotient sup/sub is presented by one integer matrix R, the coordinates
 of sub's Hermite rows in sup's basis (relation_matrix).  The Smith route
@@ -695,40 +694,3 @@ def brute_force_quotient(
             break
     return QuotientStructure(factors, 0, tuple(chosen))
 
-
-# ---------------------------------------------------------------------------
-# rational linear algebra (used for eigenspace input and basis changes)
-
-
-def rat_solve(a, b):
-    """a^-1 * b for a square rational matrix a, or None when a is singular.
-
-    Each row [a_i | b_i] is cleared of denominators by integer_row, which
-    leaves a^-1 * b unchanged.  One Hermite reduction makes a upper
-    triangular; back-substitution, the only step that divides, then
-    solves in Fractions.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DimensionMismatch("matrix is not square")
-    rows = [integer_row(tuple(ra) + tuple(rb))[1] for ra, rb in zip(a, b)]
-    _hermite(rows)
-    if any(rows[i][i] == 0 for i in range(n)):
-        return None
-    x: list[list[Fraction]] = [[]] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        x[i] = [
-            Fraction(y - sum(row[k] * x[k][j] for k in range(i + 1, n)), row[i])
-            for j, y in enumerate(row[n:])
-        ]
-    return tuple(tuple(r) for r in x)
-
-
-def rat_rank(rows) -> int:
-    """Rank of a rational matrix given as an iterable of rows."""
-    ints = [integer_row(row)[1] for row in rows]
-    ncols = len(ints[0]) if ints else 0
-    if any(len(row) != ncols for row in ints):
-        raise DimensionMismatch(f"matrix row has wrong length, expected {ncols}")
-    return _hermite(ints)

@@ -3,12 +3,14 @@
 A real form enters the computation only through the integer matrix by which
 the Cartan involution acts on cocharacters.  This module validates such
 matrices against a root datum and builds them from a matrix or from
-eigenspace data.  It also holds the presets, the named groups of
-``PRESETS``: :func:`build_preset` checks a preset's fields, calls its
-rootdata builder and validates the matrix it returns, so every preset comes
-back as one involution.  It builds no preset itself.  A valid matrix is an
-involution that permutes the coroot set; since the coroot lattice is the
-span of that set, it then preserves the coroot lattice as well.
+eigenspace data, solving for the matrix in integers: one Hermite reduction
+and a back-substitution whose divisions must be exact.  It also holds the
+presets, the named groups of ``PRESETS``: :func:`build_preset` checks a
+preset's fields, calls its rootdata builder and validates the matrix it
+returns, so every preset comes back as one involution.  It builds no
+preset itself.  A valid matrix is an involution that permutes the coroot
+set; since the coroot lattice is the span of that set, it then preserves
+the coroot lattice as well.
 
 An :class:`Involution` carries the datum it was validated against, and
 derives once, on first use, what pi0 and H1 read: its action, the only
@@ -32,9 +34,9 @@ from .intlattice import (
     Lattice,
     LatticeError,
     block_diag,
+    hnf,
+    integer_row,
     matrix_action,
-    rat_rank,
-    rat_solve,
     transpose,
     vec_frac,
 )
@@ -170,31 +172,46 @@ def involution_from_eigenspaces(
     together they must form a basis of the ambient space.  The resulting
     matrix has to be integral on the cocharacter lattice, which is a real
     condition on the spans and is checked here.
+
+    The matrix is solved in integers.  Clearing each eigenvector of
+    denominators (integer_row) leaves its eigenspace unchanged; one Hermite
+    reduction of the rows [v | -v] (split) and [v | v] (compact) then gives
+    H * theta^T = W with H upper triangular, and back-substitution by
+    divmod finds theta^T, which is integral exactly when every division is
+    exact.
     """
     n = rd.rank
-    split = [vec_frac(v) for v in split_span]
-    compact = [vec_frac(v) for v in compact_span]
-    for v in split + compact:
+    split = [integer_row(v)[1] for v in split_span]
+    compact = [integer_row(v)[1] for v in compact_span]
+    for v in (*split_span, *compact_span):
         if len(v) != n:
             raise InvolutionError(
-                f"eigenvector {_brief(str(v))} has wrong length, expected {n}"
+                f"eigenvector {_brief(str(vec_frac(v)))} has wrong length, expected {n}"
             )
-    if rat_rank(split) != len(split) or rat_rank(compact) != len(compact):
+    if len(hnf(split, n)) != len(split) or len(hnf(compact, n)) != len(compact):
         raise InvolutionError("eigenspace spans contain dependent vectors")
     if len(split) + len(compact) != n:
         raise InvolutionError("eigenspace spans are not complementary")
     # the eigenvectors v_k are the rows of V, so V * theta^T = S * V for the
-    # signs S
-    theta_t = rat_solve(split + compact, [[-x for x in v] for v in split] + compact)
-    if theta_t is None:
+    # signs S; with each span independent, [V | S * V] has rank n, and V is
+    # singular exactly when a pivot of its Hermite form lies right of the
+    # diagonal
+    rows = hnf([v + [-x for x in v] for v in split] + [v + v for v in compact], 2 * n)
+    if any(row[i] == 0 for i, row in enumerate(rows)):
         raise InvolutionError("eigenspace spans are not complementary")
-    if any(x.denominator != 1 for row in theta_t for x in row):
-        raise InvolutionError(
-            "involution with these eigenspaces is not integral "
-            "on the cocharacter lattice"
-        )
-    theta = transpose(tuple(tuple(int(x) for x in row) for row in theta_t))
-    return involution_from_matrix(rd, theta, name=name)
+    theta_t: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        above = [(k, row[k]) for k in range(i + 1, n) if row[k]]
+        solved = [divmod(row[n + j] - sum(x * theta_t[k][j] for k, x in above), row[i])
+                  for j in range(n)]
+        if any(r for _, r in solved):
+            raise InvolutionError(
+                "involution with these eigenspaces is not integral "
+                "on the cocharacter lattice"
+            )
+        theta_t[i] = [q for q, _ in solved]
+    return involution_from_matrix(rd, transpose(theta_t), name=name)
 
 
 def product_involution(a: Involution, b: Involution, name: str = "") -> Involution:

@@ -139,7 +139,11 @@ class RootDatum:
 
 
 def product(a: RootDatum, b: RootDatum) -> RootDatum:
-    """Direct product of two root data, concatenating coordinates."""
+    """Direct product of two root data, concatenating coordinates.
+
+    Q's basis is the factors' Hermite bases of Q, shifted into place, so
+    the product's coroots are not reduced again.
+    """
     if a.rank == 0:
         return b
     if b.rank == 0:
@@ -172,6 +176,7 @@ def product(a: RootDatum, b: RootDatum) -> RootDatum:
         named_vectors=tuple(named),
         name=name,
         lift_note=a.lift_note or b.lift_note,
+        coroot_basis=tuple(map(left, a.coroots.basis)) + tuple(map(right, b.coroots.basis)),
     )
 
 

@@ -1,7 +1,7 @@
 """Shared test utilities: seeded random matrices and basis changes, dense
 vector and matrix arithmetic on ints or Fractions, dense references for
-determinants, lattice images and scaled lattices, and a validity check
-for root data."""
+determinants, rational ranks and solves, lattice images and scaled
+lattices, and a validity check for root data."""
 
 from __future__ import annotations
 
@@ -119,6 +119,34 @@ def random_unimodular(rng, n, steps=None):
 
 def frac_vec(v):
     return tuple(Fraction(x) for x in v)
+
+
+def gauss_jordan(rows):
+    """The reduced row echelon form of a rational matrix, in Fractions,
+    with its rank: a dense reference for the integer eliminations."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i, row in enumerate(m):
+            if i != rank and row[col]:
+                m[i] = [x - row[col] * y for x, y in zip(row, m[rank])]
+        rank += 1
+    return m, rank
+
+
+def frac_solve(a, b):
+    """a^-1 * b for a square rational matrix a, or None when a is singular,
+    by Gauss-Jordan on [a | b]."""
+    n = len(a)
+    m, _ = gauss_jordan([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if any(m[i][i] != 1 for i in range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def conjugate_datum(inv, u, uinv):

@@ -13,7 +13,9 @@ import pytest
 
 from helpers import (
     det,
+    frac_solve,
     frac_vec,
+    gauss_jordan,
     image_lattice,
     mat_mul,
     mat_vec,
@@ -44,8 +46,6 @@ from pi0real.intlattice import (
     matrix_action,
     membership,
     quotient_structure,
-    rat_rank,
-    rat_solve,
     reduce_mod,
     relation_matrix,
     snf,
@@ -993,9 +993,18 @@ def test_index_multiplicative_in_chains():
 # rational helpers
 
 
+def _rational_rank(rows, ncols):
+    """The rank of rational rows in integers, as the eigenspace checks
+    read it: clear each row of denominators, then count Hermite rows."""
+    return len(hnf([integer_row(row)[1] for row in rows], ncols))
+
+
 def test_rat_inverse_roundtrip():
+    """The Fraction inverse that the rational test references use inverts
+    exactly the matrices whose integer-cleared rows have full Hermite
+    rank, and its inverse round-trips."""
     m = ((1, 2), (3, 5))
-    inv = rat_solve(m, identity_matrix(2))
+    inv = frac_solve(m, identity_matrix(2))
     assert mat_mul(m, inv) == ((1, 0), (0, 1))
     rng = random.Random(0x1AF)
     inverted = singular = 0
@@ -1010,10 +1019,12 @@ def test_rat_inverse_roundtrip():
             m[i] = [c * y for y in m[j]]
         scales = [math.lcm(*(Fraction(x).denominator for x in row)) for row in m]
         if det(tuple(tuple(int(x * s) for x in row) for row, s in zip(m, scales))):
-            assert mat_mul(m, rat_solve(m, identity_matrix(n))) == identity_matrix(n)
+            assert mat_mul(m, frac_solve(m, identity_matrix(n))) == identity_matrix(n)
+            assert _rational_rank(m, n) == n
             inverted += 1
         else:
-            assert rat_solve(m, identity_matrix(n)) is None
+            assert frac_solve(m, identity_matrix(n)) is None
+            assert _rational_rank(m, n) < n
             singular += 1
     assert inverted >= 100 and singular >= 50, (inverted, singular)
 
@@ -1054,12 +1065,26 @@ def test_integer_row_clears_denominators(monkeypatch):
 
 
 def test_rat_inverse_singular():
-    assert rat_solve(((1, 2), (2, 4)), identity_matrix(2)) is None
+    m = ((1, 2), (2, 4))
+    assert frac_solve(m, identity_matrix(2)) is None
+    assert _rational_rank(m, 2) == 1
+    m = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), 1))
+    assert frac_solve(m, identity_matrix(2)) is None
+    assert _rational_rank(m, 2) == 1
 
 
 def test_rat_rank_and_kernel():
     rows = ((1, 1, 0), (0, 1, 1))
-    assert rat_rank(rows) == 2
+    assert _rational_rank(rows, 3) == 2 == gauss_jordan(rows)[1]
+    rows = ((Fraction(1, 2), Fraction(1, 2), 0), (0, Fraction(2, 3), Fraction(2, 3)),
+            (1, Fraction(7, 3), Fraction(4, 3)))
+    assert _rational_rank(rows, 3) == 2 == gauss_jordan(rows)[1]
+    rng = random.Random(0x2A7)
+    for _ in range(100):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        assert _rational_rank(rows, ncols) == gauss_jordan(rows)[1], rows
 
 
 def _fraction_coords(v, lat):

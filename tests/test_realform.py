@@ -239,6 +239,108 @@ def test_eigenspaces_of_random_unimodular_bases():
             assert inv.theta == mat_mul(mat_mul(p, diag), pinv)
 
 
+DEPENDENT = "eigenspace spans contain dependent vectors"
+NOT_COMPLEMENTARY = "eigenspace spans are not complementary"
+NOT_INTEGRAL = "involution with these eigenspaces is not integral on the cocharacter lattice"
+
+
+def _eigenspace_reference(n, split, compact):
+    """theta for the spans, or the text that refuses them, by Fraction
+    Gauss-Jordan: the rank of each span, then theta^T = V^-1 * S * V for
+    the eigenvectors V and their signs S."""
+    if any(helpers.gauss_jordan(span)[1] != len(span) for span in (split, compact)):
+        return DEPENDENT
+    if len(split) + len(compact) != n:
+        return NOT_COMPLEMENTARY
+    v = [helpers.frac_vec(x) for x in split + compact]
+    sv = tuple(tuple(-x for x in row) for row in v[:len(split)]) + tuple(v[len(split):])
+    theta_t = helpers.frac_solve(v, sv)
+    if theta_t is None:
+        return NOT_COMPLEMENTARY
+    assert mat_mul(v, theta_t) == sv
+    if any(x.denominator != 1 for row in theta_t for x in row):
+        return NOT_INTEGRAL
+    return tuple(tuple(int(x) for x in col) for col in zip(*theta_t))
+
+
+def _rational_spans(rng, p):
+    """The columns of p as eigenvectors with random signs, each rescaled by
+    a random nonzero rational and moved by random rational multiples of the
+    earlier vectors of its span, which leaves both eigenspaces unchanged."""
+    n = len(p)
+    split, compact = [], []
+    for j in range(n):
+        span = rng.choice((split, compact))
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        col = [c * p[i][j] for i in range(n)]
+        for w in span:
+            c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            col = [x + c * y for x, y in zip(col, w)]
+        span.append(tuple(col))
+    return split, compact
+
+
+def test_eigenspaces_match_fraction_reference():
+    """The integer solve agrees with Fraction Gauss-Jordan, theta or refusal
+    text, on three kinds of spans at ranks 1-7: the columns of a unimodular
+    matrix (an integral theta), of an integer matrix of determinant other
+    than 0 and +-1 (theta is often not integral), and of a unimodular one
+    made singular, dependent or of the wrong size."""
+    rng = random.Random(0xE16F)
+    seen = {DEPENDENT: 0, NOT_COMPLEMENTARY: 0, NOT_INTEGRAL: 0, "theta": 0}
+    for n in range(1, 8):
+        for _ in range(30):
+            kind = rng.choice(("unimodular", "non-unimodular", "broken"))
+            if kind == "non-unimodular":
+                p = helpers.random_int_matrix(rng, n, n, -3, 3)
+                while abs(helpers.det(p)) < 2:
+                    p = helpers.random_int_matrix(rng, n, n, -3, 3)
+            else:
+                p = helpers.random_unimodular(rng, n)[0]
+            split, compact = _rational_spans(rng, p)
+            want = "theta"
+            if kind == "broken":
+                spans = [s for s in (split, compact) if s]
+                span = rng.choice(spans)
+                k = rng.randrange(len(span))
+                other = compact if span is split else split
+                how = rng.randrange(3)
+                if how == 0:
+                    # zero, or a rational multiple of an earlier vector of the span
+                    c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                    span[k] = tuple(c * x for x in span[k - 1]) if k else (0,) * n
+                    want = DEPENDENT
+                elif how == 1 and other:
+                    # a vector of the other span plus a combination of the
+                    # rest of this one: each span stays independent, V is singular
+                    col = rng.choice(other)
+                    for w in span[:k] + span[k + 1:]:
+                        c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                        col = tuple(x + c * y for x, y in zip(col, w))
+                    span[k] = col
+                    want = NOT_COMPLEMENTARY
+                elif other:
+                    # one vector too many: a vector of the other span joins
+                    span.append(rng.choice(other))
+                    want = NOT_COMPLEMENTARY
+                else:
+                    del span[k]
+                    want = NOT_COMPLEMENTARY
+            expected = _eigenspace_reference(n, split, compact)
+            if kind == "non-unimodular" and expected == NOT_INTEGRAL:
+                want = NOT_INTEGRAL
+            if want == "theta":
+                inv = involution_from_eigenspaces(torus_datum(n), split, compact)
+                assert inv.theta == expected, (n, kind, split, compact)
+            else:
+                assert expected == want, (n, kind, split, compact)
+                with pytest.raises(InvolutionError) as err:
+                    involution_from_eigenspaces(torus_datum(n), split, compact)
+                assert str(err.value) == expected
+            seen[want] += 1
+    assert min(seen.values()) >= 15, seen
+
+
 # ---------------------------------------------------------------------------
 # E7 presets
 

@@ -6,13 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import datum_problems, det, mat_mul, mat_vec
+from helpers import datum_problems, det, frac_solve, mat_mul, mat_vec
 from pi0real.intlattice import (
     Lattice,
     identity_matrix,
     lattice_index,
     membership,
-    rat_solve,
     transpose,
     vec_frac,
 )
@@ -203,7 +202,7 @@ def _rational_pso_frame(ell):
     pmat = tuple(vec_frac(unit(ell, i)) for i in range(ell - 1)) + (
         tuple(Fraction(1, 2) for _ in range(ell)),
     )
-    inv_pt = rat_solve(transpose(pmat), identity_matrix(ell))
+    inv_pt = frac_solve(transpose(pmat), identity_matrix(ell))
 
     def conv_vec(v):
         return _intify(_apply(inv_pt, v))
@@ -423,7 +422,7 @@ def _e7_gram():
     nodes = (7, 6, 5, 4, 3, 1, 2)
     bourbaki = cartan_matrix("E", 7)
     cartan = tuple(tuple(bourbaki[i - 1][j - 1] for j in nodes) for i in nodes)
-    return rat_solve(cartan, identity_matrix(7))
+    return frac_solve(cartan, identity_matrix(7))
 
 
 def test_e7_gram_is_symmetric_positive_diagonal():
@@ -468,6 +467,21 @@ def test_product_with_rank_zero_is_identity():
     zero = RootDatum(rank=0)
     assert product(a, zero) == a
     assert product(zero, a) == a
+
+
+def test_product_coroots_span_all_its_coroots():
+    # the product takes Q's basis from its factors; that basis must span
+    # the same lattice as every coroot of the product, for preset factors
+    # (which pass a basis), conjugated ones and an inline one (which do not)
+    from test_components import split_fixtures
+
+    data = [inv.datum for inv in split_fixtures()]
+    inline = RootDatum(rank=2, coroot_generators=((2, 1), (-2, -1), (0, 3), (0, -3)))
+    assert inline.coroot_basis is None
+    pairs = list(zip(data, data[1:])) + [(inline, data[5]), (data[5], inline)]
+    for a, b in pairs:
+        rd = product(a, b)
+        assert rd.coroots == Lattice(rd.rank, rd.coroot_generators), (a.name, b.name)
 
 
 def test_product_merges_names_first_wins():
@@ -656,10 +670,9 @@ def test_build_preset_involutions_are_validated(monkeypatch):
     from pi0real import realform
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a preset solved for theta in rationals")
+        raise AssertionError("a preset solved for theta from eigenspaces")
 
     monkeypatch.setattr(realform, "involution_from_eigenspaces", refuse)
-    monkeypatch.setattr(realform, "rat_solve", refuse)
     specs = [
         ("GL", {"n": 4}),
         ("SO", {"p": 2, "q": 4}),

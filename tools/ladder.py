@@ -11,12 +11,17 @@ in-process, each the best of 3 runs on a fresh parse, and printed as a
 table in milliseconds.  The inputs are the rows of the ROADMAP baseline
 table that finish within seconds (``GL(96)`` is left out), plus
 ``TORUS_SPLIT n=7``, whose report lists all 127 components, once without
-and once with H1, which shares the component group's quotient there.
+and once with H1, which shares the component group's quotient there.  Two
+inputs no job document reaches by a preset: ``GL(48) x SO(20,21)``, whose
+parse column builds the two presets and their ``product_involution``, and
+a seeded rank-48 torus given by the eigenspaces of a random unimodular
+basis, some vectors scaled by 1/3, whose parse column solves for theta.
 Stdlib only; nothing is written.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 from pathlib import Path
@@ -40,6 +45,34 @@ def inline_gl(n: int) -> dict:
     return {"rank": n, "coroots": coroots, "theta": theta, "name": f"inline GL({n})"}
 
 
+def inline_eigenspaces(n: int, seed: int = 31) -> dict:
+    """A rank-n torus given by its eigenspaces: the columns of a random
+    unimodular matrix (3n row additions on the identity), each split or
+    compact at random, and every third one scaled by 1/3."""
+    rng = random.Random(seed)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    spans = {"split_span": [], "compact_span": []}
+    for j in range(n):
+        col = [p[i][j] for i in range(n)]
+        if j % 3 == 0:
+            col = [f"{x}/3" for x in col]
+        spans[rng.choice(tuple(spans))].append(col)
+    return {"rank": n, "coroots": [], **spans, "name": f"inline torus({n}) by eigenspaces"}
+
+
+def product_job(cli, a: dict, b: dict):
+    """The job of preset document a, with the product of a's and b's
+    involutions as its involution."""
+    from pi0real.realform import product_involution
+
+    ja, jb = cli.parse_jobspec(a), cli.parse_jobspec(b)
+    return cli.JobSpec(product_involution(ja.involution, jb.involution), ja.outputs, ja.fmt)
+
+
 LADDER = (
     ("TORUS_SPLIT n=7", {"preset": "TORUS_SPLIT", "n": 7}),
     ("TORUS_SPLIT n=7 --h1", {"preset": "TORUS_SPLIT", "n": 7, "outputs": H1}),
@@ -52,6 +85,9 @@ LADDER = (
     ("GL(64)", {"preset": "GL", "n": 64}),
     ("inline GL(48), theta = -1", inline_gl(48)),
     ("SO(20,21)", {"preset": "SO", "p": 20, "q": 21}),
+    ("GL(48) x SO(20,21)", lambda cli: product_job(
+        cli, {"preset": "GL", "n": 48}, {"preset": "SO", "p": 20, "q": 21})),
+    ("inline torus(48), eigenspaces", inline_eigenspaces(48)),
     ("PSO(8,8) --h1", {"preset": "PSO", "p": 8, "q": 8, "outputs": H1}),
     ("E7 EVII --h1", {"preset": "E7", "form": "EVII", "outputs": H1}),
     ("TORUS_SPLIT n=10 --h1 --oracle", {"preset": "TORUS_SPLIT", "n": 10, "outputs": ORACLE}),
@@ -64,7 +100,8 @@ COLUMNS = ("parse ms", "run ms", "text ms", "json ms")
 
 def timings(cli, doc) -> list[float]:
     """Best parse, run, text and JSON rendering times in ms over REPEATS
-    fresh parses of doc.
+    fresh parses of doc, a job document or a function of cli that builds
+    the job.
 
     Each run gets its own freshly parsed job, because a root datum caches
     its lattices on first use and a second run of one job would skip that.
@@ -73,7 +110,7 @@ def timings(cli, doc) -> list[float]:
     best = [float("inf")] * len(COLUMNS)
     for _ in range(REPEATS):
         t0 = clock()
-        job = cli.parse_jobspec(doc)
+        job = doc(cli) if callable(doc) else cli.parse_jobspec(doc)
         t1 = clock()
         report = cli.run(job)
         t2 = clock()
