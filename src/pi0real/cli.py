@@ -32,6 +32,7 @@ from .components import (
 )
 from .intlattice import COSET_BOUND, BoundExceeded
 from .realform import (
+    PRESET_DEFAULTS,
     PRESET_FIELDS,
     PRESETS,
     Involution,
@@ -101,6 +102,24 @@ def _int_vector(row, length: int, where: str) -> tuple[int, ...]:
     return vec
 
 
+def _weight(row, length: int, where: str) -> tuple:
+    """row as _vector reads it, with each whole Fraction made an int."""
+    w = _vector(row, length, where)
+    if w and type(w[0]) is Fraction:
+        return tuple(int(x) if x.denominator == 1 else x for x in w)
+    return w
+
+
+def _pairs(items: list, length: int, where: str, label: str, read) -> tuple:
+    """The [label, vector] pairs of items, each vector read by read."""
+    out = []
+    for i, pair in enumerate(items):
+        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
+            raise ValueError(f"{where} {i}: expected [{label}, vector]")
+        out.append((pair[0], read(pair[1], length, f"{where} {i}")))
+    return tuple(out)
+
+
 def _matrix(rows, n: int, where: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"{where}: expected {n} rows")
@@ -118,25 +137,22 @@ _LIST_FIELDS = {
 }
 _INLINE_FIELDS = {"rank", "theta", "name", *_LIST_FIELDS}
 _COMMON_FIELDS = {"outputs", "format"}
-_OUTPUT_KEYS = {"pi0", "h1", "representatives", "oracle_check"}
+# each job-document output key and the OutputFlags field it (and its flag) sets
+_OUTPUT_KEYS = {"pi0": "pi0", "h1": "h1", "representatives": "representatives",
+                "oracle_check": "oracle"}
 
 
 def _parse_outputs(doc: dict) -> OutputFlags:
     raw = doc.get("outputs", {})
     if not isinstance(raw, dict):
         raise ValueError("'outputs' must be an object of booleans")
-    unknown = set(raw) - _OUTPUT_KEYS
+    unknown = raw.keys() - _OUTPUT_KEYS
     if unknown:
         raise ValueError(f"unknown output flags: {_brief(str(sorted(unknown)))}")
     for key, val in raw.items():
         if not isinstance(val, bool):
             raise ValueError(f"output flag {key!r} must be true or false")
-    return OutputFlags(
-        pi0=raw.get("pi0", True),
-        h1=raw.get("h1", False),
-        representatives=raw.get("representatives", True),
-        oracle=raw.get("oracle_check", False),
-    )
+    return OutputFlags(**{_OUTPUT_KEYS[key]: val for key, val in raw.items()})
 
 
 # "json-like" and "structured" are accepted aliases for the JSON renderer
@@ -181,26 +197,13 @@ def _inline_job(doc: dict) -> Involution:
     if zero in gens:
         raise ValueError(f"invalid root datum: coroot {_brief(str(zero))} is zero")
 
-    weights = []
-    for i, pair in enumerate(doc.get("display_weights", [])):
-        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-            raise ValueError(f"display weight {i}: expected [label, vector]")
-        w = _vector(pair[1], rank, f"display weight {i}")
-        if w and type(w[0]) is Fraction:
-            w = tuple(int(x) if x.denominator == 1 else x for x in w)
-        weights.append((pair[0], w))
-
-    named = []
-    for i, pair in enumerate(doc.get("named_vectors", [])):
-        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-            raise ValueError(f"named vector {i}: expected [name, vector]")
-        named.append((pair[0], _int_vector(pair[1], rank, f"named vector {i}")))
-
+    weights = _pairs(doc.get("display_weights", []), rank, "display weight", "label", _weight)
+    named = _pairs(doc.get("named_vectors", []), rank, "named vector", "name", _int_vector)
     rd = RootDatum(
         rank=rank,
         coroot_generators=tuple(gens),
-        display_weights=tuple(weights),
-        named_vectors=tuple(named),
+        display_weights=weights,
+        named_vectors=named,
         name=str(doc.get("name", "custom datum")),
     )
     has_theta = "theta" in doc
@@ -211,14 +214,10 @@ def _inline_job(doc: dict) -> Involution:
         )
     if has_theta:
         return involution_from_matrix(rd, _matrix(doc["theta"], rank, "theta"), name=rd.name)
-    split = [
-        _vector(r, rank, f"split_span {i}")
-        for i, r in enumerate(doc.get("split_span", []))
-    ]
-    compact = [
-        _vector(r, rank, f"compact_span {i}")
-        for i, r in enumerate(doc.get("compact_span", []))
-    ]
+    split, compact = (
+        [_vector(r, rank, f"{key} {i}") for i, r in enumerate(doc.get(key, []))]
+        for key in ("split_span", "compact_span")
+    )
     return involution_from_eigenspaces(rd, split, compact, name=rd.name)
 
 
@@ -427,7 +426,8 @@ def _build_parser() -> _Parser:
     def add_output_flags(p):
         p.add_argument("--pi0", action="store_true", help="list pi0 generators")
         p.add_argument("--h1", action="store_true", help="also compute H1 of the fundamental group")
-        p.add_argument("--reps", action="store_true", help="list component representatives")
+        p.add_argument("--reps", action="store_true", dest="representatives",
+                       help="list component representatives")
         p.add_argument("--oracle", action="store_true", help="cross-check with brute-force coset enumeration")
         p.add_argument("--format", choices=tuple(_FORMAT_ALIASES), default=None)
 
@@ -438,14 +438,10 @@ def _build_parser() -> _Parser:
     pre = sub.add_parser("preset", help="run a built-in group")
     *families, last = PRESETS
     pre.add_argument("name", help=", ".join(families) + f", or {last}")
-    pre.add_argument("--n", type=int, help="size parameter for GL and the tori")
-    pre.add_argument("--p", type=int, help="signature for SO/PSO")
-    pre.add_argument("--q", type=int, help="signature for SO/PSO")
-    pre.add_argument("--form", help="E7 real form: EV, EVI, or EVII")
-    pre.add_argument("--type", help="Cartan type A..G for SIMPLE")
-    pre.add_argument("--rank", type=int, help="rank for SIMPLE")
-    pre.add_argument("--isogeny", help="sc (default) or adj for SIMPLE")
-    pre.add_argument("--real", help="split (default) or compact for SIMPLE")
+    for key, kind in PRESET_FIELDS.items():
+        readers = ", ".join(f for f, (_, params) in PRESETS.items() if key in params)
+        default = f" (default {PRESET_DEFAULTS[key]})" if key in PRESET_DEFAULTS else ""
+        pre.add_argument(f"--{key}", type=kind, help=f"read by {readers}{default}")
     add_output_flags(pre)
     return parser
 
@@ -472,13 +468,9 @@ def _doc_from_args(args) -> dict:
                 doc[key] = val
 
     # command-line flags override the document's output selection
-    if args.pi0 or args.h1 or args.reps or args.oracle:
-        doc["outputs"] = {
-            "pi0": args.pi0,
-            "h1": args.h1,
-            "representatives": args.reps,
-            "oracle_check": args.oracle,
-        }
+    flags = {key: getattr(args, field) for key, field in _OUTPUT_KEYS.items()}
+    if any(flags.values()):
+        doc["outputs"] = flags
     if args.format is not None:
         doc["format"] = args.format
     return doc

@@ -211,9 +211,10 @@ def snf(m, ncols: int | None = None):
     Hermite reductions of [A | U] and of [A^T | V^T] alternate until A is
     diagonal (Kannan and Bachem, SIAM J. Comput. 8 (1979)).  The stacked
     transforms are reduced along with A, which keeps their entries short.
-    When d[i] does not divide d[j], column j is added to column i, which
-    puts d[j] below the pivot d[i]; the next row pass turns the pair into
-    their gcd.
+    Once A is diagonal, each d[i] that fails to divide a later d[j] gets
+    the first such column j added to its column, which puts d[j] below the
+    pivot d[i]; the next row pass turns each such pair into its gcd.  A
+    column added is still untouched then, so one step makes all of them.
     """
     mat = as_int_matrix(m, ncols)
     nr = len(mat)
@@ -228,14 +229,15 @@ def snf(m, ncols: int | None = None):
         if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
             continue
         d = [a[i][i] for i in range(min(nr, nc))]
-        pair = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
-                     if d[i] and d[j] % d[i]), None)
-        if pair is None:
+        fixed = False
+        for i, x in enumerate(d):
+            j = next((j for j in range(i + 1, len(d)) if x and d[j] % x), None)
+            if j is not None:
+                a[j][i] += d[j]  # column j of the diagonal, added to column i
+                vt[i] = [s + t for s, t in zip(vt[i], vt[j])]
+                fixed = True
+        if not fixed:
             break
-        i, j = pair
-        for row in a:
-            row[i] += row[j]
-        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
     return tuple(d), tuple(tuple(r) for r in u), transpose(vt)
 
 

@@ -3,14 +3,16 @@
 A real form enters the computation only through the integer matrix by which
 the Cartan involution acts on cocharacters.  This module validates such
 matrices against a root datum and builds them from a matrix or from
-eigenspace data, solving for the matrix in integers: one Hermite reduction
-and a back-substitution whose divisions must be exact.  It also holds the
-presets, the named groups of ``PRESETS``: :func:`build_preset` checks a
-preset's fields, calls its rootdata builder and validates the matrix it
-returns, so every preset comes back as one involution.  It builds no
-preset itself.  A valid matrix is an involution that permutes the coroot
-set; since the coroot lattice is the span of that set, it then preserves
-the coroot lattice as well.
+eigenspace data, solving for the matrix in integers: one Hermite reduction,
+which also checks the spans, and a back-substitution whose divisions must
+be exact.  It also holds the presets, the named groups of ``PRESETS``:
+:func:`build_preset` checks a preset's fields, calls its rootdata builder
+and validates the matrix it returns, so every preset comes back as one
+involution.  It builds no preset itself.  ``PRESETS``, ``PRESET_FIELDS``
+and ``PRESET_DEFAULTS`` are the one table of families, fields, types and
+defaults; the ``pi0 preset`` flags are generated from it.  A valid matrix
+is an involution that permutes the coroot set; since the coroot lattice is
+the span of that set, it then preserves the coroot lattice as well.
 
 An :class:`Involution` carries the datum it was validated against, and
 derives once, on first use, what pi0 and H1 read: its action, the only
@@ -178,7 +180,9 @@ def involution_from_eigenspaces(
     reduction of the rows [v | -v] (split) and [v | v] (compact) then gives
     H * theta^T = W with H upper triangular, and back-substitution by
     divmod finds theta^T, which is integral exactly when every division is
-    exact.
+    exact.  The same reduction decides the span checks: its rank says
+    whether the spans are independent, and its pivots whether they are
+    complementary.
     """
     n = rd.rank
     split = [integer_row(v)[1] for v in split_span]
@@ -188,16 +192,15 @@ def involution_from_eigenspaces(
             raise InvolutionError(
                 f"eigenvector {_brief(str(vec_frac(v)))} has wrong length, expected {n}"
             )
-    if len(hnf(split, n)) != len(split) or len(hnf(compact, n)) != len(compact):
-        raise InvolutionError("eigenspace spans contain dependent vectors")
-    if len(split) + len(compact) != n:
-        raise InvolutionError("eigenspace spans are not complementary")
     # the eigenvectors v_k are the rows of V, so V * theta^T = S * V for the
-    # signs S; with each span independent, [V | S * V] has rank n, and V is
-    # singular exactly when a pivot of its Hermite form lies right of the
-    # diagonal
+    # signs S.  The rows [x | -x] and [y | y] span subspaces that meet only
+    # in 0, so [V | S * V] has full row rank exactly when each span is
+    # independent; with n rows, V is then singular exactly when a pivot of
+    # the Hermite form lies right of the diagonal
     rows = hnf([v + [-x for x in v] for v in split] + [v + v for v in compact], 2 * n)
-    if any(row[i] == 0 for i, row in enumerate(rows)):
+    if len(rows) != len(split) + len(compact):
+        raise InvolutionError("eigenspace spans contain dependent vectors")
+    if len(rows) != n or any(row[i] == 0 for i, row in enumerate(rows)):
         raise InvolutionError("eigenspace spans are not complementary")
     theta_t: list[list[int]] = [[]] * n
     for i in range(n - 1, -1, -1):

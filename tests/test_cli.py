@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pi0real import cli, components, intlattice
+from pi0real import cli, components, intlattice, realform
 from pi0real.components import ComputationError, Elementary2Group
 
 
@@ -777,6 +777,71 @@ def test_preset_help_names_every_family(capsys):
     assert "name GL, SO, PSO, TORUS_SPLIT, TORUS_COMPACT, TORUS_WEIL, E7, or SIMPLE " in text
     for family in cli.PRESETS:
         assert f" {family}," in text or f" or {family} " in text
+
+
+def _preset_help_names_each_field_its_families_and_default(capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        cli.main(["preset", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for key in realform.PRESET_FIELDS:
+        assert f" --{key} {key.upper()} " in text
+        entry = text.split(f" --{key} {key.upper()} ")[1].split(" --")[0]
+        named = {w.strip(",()") for w in entry.split()} & set(cli.PRESETS)
+        assert named == {f for f, (_, params) in cli.PRESETS.items() if key in params}
+        if key in realform.PRESET_DEFAULTS:
+            assert f"default {realform.PRESET_DEFAULTS[key]}" in entry
+
+
+def _integer_field_refuses_a_non_integer(capsys, monkeypatch):
+    ints = [k for k, kind in realform.PRESET_FIELDS.items() if kind is int]
+    assert ints == ["n", "p", "q", "rank"]
+    for key in ints:
+        family = next(f for f, (_, params) in cli.PRESETS.items() if key in params)
+        assert cli.main(["preset", family, f"--{key}", "1.5"]) == 1
+        assert f"argument --{key}: invalid int value: '1.5'" in capsys.readouterr().err
+
+
+def _output_flag_selects_its_document_key(capsys, monkeypatch):
+    keys = ("pi0", "h1", "representatives", "oracle_check")
+    for flag, key, field in [
+        ("--pi0", "pi0", "pi0"),
+        ("--h1", "h1", "h1"),
+        ("--reps", "representatives", "representatives"),
+        ("--oracle", "oracle_check", "oracle"),
+    ]:
+        args = cli._build_parser().parse_args(["preset", "GL", "--n", "2", flag])
+        outputs = cli.parse_jobspec(cli._doc_from_args(args)).outputs
+        doc = {"preset": "GL", "n": 2, "outputs": {k: k == key for k in keys}}
+        assert outputs == cli.parse_jobspec(doc).outputs
+        assert [f.name for f in dataclasses.fields(outputs) if getattr(outputs, f.name)] == [field]
+
+
+def _eigenspaces_take_one_hermite_reduction(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return intlattice.hnf(*args)
+
+    monkeypatch.setattr(realform, "hnf", counted)
+    datum = cli.RootDatum(rank=2, coroot_generators=())
+    inv = realform.involution_from_eigenspaces(datum, [["1/2", "1/2"]], [["1/2", "-1/2"]])
+    assert inv.theta == ((0, -1), (-1, 0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        _preset_help_names_each_field_its_families_and_default,
+        _integer_field_refuses_a_non_integer,
+        _output_flag_selects_its_document_key,
+        _eigenspaces_take_one_hermite_reduction,
+    ],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_input_tables_state_each_decision_once(check, capsys, monkeypatch):
+    check(capsys, monkeypatch)
 
 
 def test_main_unknown_subcommand_exit_one(capsys):

@@ -174,11 +174,15 @@ def test_snf_transform_identity_random():
 
 
 def test_snf_transforms_stay_short_on_the_ladder_matrix():
-    rng = random.Random(1)
-    m = random_int_matrix(rng, 40, 40)
-    d, u, v = snf(m)
-    assert mat_mul(mat_mul(u, m), v) == _diag_embed(d, 40, 40)
-    assert max(len(str(abs(x))) for t in (u, v) for row in t for x in row) <= 100
+    # the random 40 x 40 ladder matrix, and diag(first 30 primes), whose
+    # coprime entries make every pair a divisibility step
+    primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+    diag = [[p * (i == j) for j in range(30)] for i, p in enumerate(primes)]
+    for m in (random_int_matrix(random.Random(1), 40, 40), diag):
+        k = len(m)
+        d, u, v = snf(m)
+        assert mat_mul(mat_mul(u, m), v) == _diag_embed(d, k, k)
+        assert max(len(str(abs(x))) for t in (u, v) for row in t for x in row) <= 100
 
 
 # ---------------------------------------------------------------------------

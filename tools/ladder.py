@@ -16,7 +16,10 @@ inputs no job document reaches by a preset: ``GL(48) x SO(20,21)``, whose
 parse column builds the two presets and their ``product_involution``, and
 a seeded rank-48 torus given by the eigenspaces of a random unimodular
 basis, some vectors scaled by 1/3, whose parse column solves for theta.
-Stdlib only; nothing is written.
+One input sends a preset's datum through the inline readers:
+``PSO(24,24)`` as inline data, its 1104 coroots, theta, 25 named vectors
+and 48 display weights, each weight's half-integral entry written as an
+"a/b" string.  Stdlib only; nothing is written.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # LADDER's inline PSO(24,24) is built from the preset
 REPEATS = 3
 H1 = {"h1": True}
 ORACLE = {"h1": True, "oracle_check": True}
@@ -64,6 +68,27 @@ def inline_eigenspaces(n: int, seed: int = 31) -> dict:
     return {"rank": n, "coroots": [], **spans, "name": f"inline torus({n}) by eigenspaces"}
 
 
+def inline_preset(family: str, **fields) -> dict:
+    """A preset as an inline job document, from build_preset's datum and
+    theta; each non-integral display-weight entry becomes an "a/b" string."""
+    from pi0real.realform import build_preset
+
+    inv = build_preset(family, **fields)
+    rd = inv.datum
+
+    def entry(x):
+        return x if type(x) is int else f"{x.numerator}/{x.denominator}"
+
+    return {
+        "rank": rd.rank,
+        "coroots": [list(c) for c in rd.coroot_generators],
+        "theta": [list(row) for row in inv.theta],
+        "display_weights": [[label, [entry(x) for x in w]] for label, w in rd.display_weights],
+        "named_vectors": [[name, list(v)] for name, v in rd.named_vectors],
+        "name": f"inline {rd.name}",
+    }
+
+
 def product_job(cli, a: dict, b: dict):
     """The job of preset document a, with the product of a's and b's
     involutions as its involution."""
@@ -88,6 +113,7 @@ LADDER = (
     ("GL(48) x SO(20,21)", lambda cli: product_job(
         cli, {"preset": "GL", "n": 48}, {"preset": "SO", "p": 20, "q": 21})),
     ("inline torus(48), eigenspaces", inline_eigenspaces(48)),
+    ("inline PSO(24,24), a/b weights", inline_preset("PSO", p=24, q=24)),
     ("PSO(8,8) --h1", {"preset": "PSO", "p": 8, "q": 8, "outputs": H1}),
     ("E7 EVII --h1", {"preset": "E7", "form": "EVII", "outputs": H1}),
     ("TORUS_SPLIT n=10 --h1 --oracle", {"preset": "TORUS_SPLIT", "n": 10, "outputs": ORACLE}),
@@ -123,7 +149,6 @@ def timings(cli, doc) -> list[float]:
 
 
 def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
     from pi0real import cli
 
     width = max(len(label) for label, _ in LADDER)
