@@ -32,6 +32,7 @@ from .components import (
 )
 from .intlattice import COSET_BOUND, BoundExceeded
 from .realform import (
+    PRESET_CAPS,
     PRESET_DEFAULTS,
     PRESET_FIELDS,
     PRESETS,
@@ -193,9 +194,14 @@ def _inline_job(doc: dict) -> Involution:
         v = _int_vector(row, rank, f"coroot {i}")
         gens[v] = None
         gens[tuple(-x for x in v)] = None
-    zero = (0,) * rank
-    if zero in gens:
+    # each coroot row has rank entries, so a coroot bounds rank by the input
+    if gens and (zero := (0,) * rank) in gens:
         raise ValueError(f"invalid root datum: coroot {_brief(str(zero))} is zero")
+    # an inline torus is the TORUS_SPLIT job, so rank takes that preset's
+    # cap; it is checked after the coroot rows, so their errors come first
+    cap = PRESET_CAPS["TORUS_SPLIT"][1]
+    if rank > cap:
+        raise ValueError(f"'rank' must be at most {cap}, got {_brief(str(rank))}")
 
     weights = _pairs(doc.get("display_weights", []), rank, "display weight", "label", _weight)
     named = _pairs(doc.get("named_vectors", []), rank, "named vector", "name", _int_vector)
@@ -441,7 +447,10 @@ def _build_parser() -> _Parser:
     for key, kind in PRESET_FIELDS.items():
         readers = ", ".join(f for f, (_, params) in PRESETS.items() if key in params)
         default = f" (default {PRESET_DEFAULTS[key]})" if key in PRESET_DEFAULTS else ""
-        pre.add_argument(f"--{key}", type=kind, help=f"read by {readers}{default}")
+        caps = ", ".join(f"{' + '.join(keys)} <= {cap} for {f}"
+                         for f, (keys, cap) in PRESET_CAPS.items() if key in keys)
+        pre.add_argument(f"--{key}", type=kind,
+                         help=f"read by {readers}{default}" + (f"; {caps}" if caps else ""))
     add_output_flags(pre)
     return parser
 

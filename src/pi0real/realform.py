@@ -10,7 +10,8 @@ be exact.  It also holds the presets, the named groups of ``PRESETS``:
 and validates the matrix it returns, so every preset comes back as one
 involution.  It builds no preset itself.  ``PRESETS``, ``PRESET_FIELDS``
 and ``PRESET_DEFAULTS`` are the one table of families, fields, types and
-defaults; the ``pi0 preset`` flags are generated from it.  A valid matrix
+defaults, and ``PRESET_CAPS`` bounds each family's size; the ``pi0
+preset`` flags and their help are generated from them.  A valid matrix
 is an involution that permutes the coroot set; since the coroot lattice is
 the span of that set, it then preserves the coroot lattice as well.
 
@@ -247,6 +248,17 @@ PRESET_FIELDS = {
     "type": str, "rank": int, "isogeny": str, "real": str,
 }
 PRESET_DEFAULTS = {"isogeny": "sc", "real": "split"}
+# each sized family's cap: the fields whose sum is its size, and the largest
+# size it builds.  Each cap keeps the family's largest job near a second of
+# command-line time; families not listed have a fixed size.
+PRESET_CAPS = {
+    "GL": (("n",), 200),
+    "SO": (("p", "q"), 300),
+    "PSO": (("p", "q"), 300),
+    "TORUS_SPLIT": (("n",), 500),
+    "TORUS_COMPACT": (("n",), 500),
+    "SIMPLE": (("rank",), 100),
+}
 
 
 def build_preset(family: str, **fields) -> Involution:
@@ -254,7 +266,8 @@ def build_preset(family: str, **fields) -> Involution:
 
     The checks run in a fixed order, each raising PresetError: every
     field's type (the integer fields first), the family, fields the family
-    does not read, then missing fields.  A field given as None counts as
+    does not read, missing fields, then the family's size cap in
+    PRESET_CAPS, before the builder runs.  A field given as None counts as
     absent, so it takes its default or is missing, but a family still
     rejects it when it does not read it.
     """
@@ -275,5 +288,11 @@ def build_preset(family: str, **fields) -> Involution:
     for key in params:
         if key not in given:
             raise PresetError(f"preset {family!r} needs parameter {key!r}")
+    if family.upper() in PRESET_CAPS:
+        keys, cap = PRESET_CAPS[family.upper()]
+        size = sum(given[k] for k in keys)
+        if size > cap:
+            raise PresetError(f"preset {family!r} needs {' + '.join(keys)} <= {cap}, "
+                              f"got {_brief(str(size))}")
     rd, theta, *label = builder(*(given[k] for k in params))
     return involution_from_matrix(rd, theta, name=label[0] if label else rd.name)

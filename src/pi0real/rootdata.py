@@ -11,6 +11,10 @@ coroots.
 Builders are provided for the standard families: GL(n), SO(p,q), PSO(p,q),
 split/compact/Weil-restriction tori, and simply connected or adjoint simple
 groups of each Cartan type, each with the integer matrix of its involution.
+Each takes its pieces from the builder that already makes them: GL(n) is
+the split torus of rank n with its coroots put in, PSO(p,q) is SO(p,q)
+converted to a basis of its finer cocharacter lattice, and ``_diagonal``
+writes every +-1-diagonal involution.
 Adjoint E7 is also built in the node order that names its exceptional real
 forms, with theta = -w_K for each form EV, EVI, EVII with black nodes K.
 This module builds data only and imports nothing above intlattice:
@@ -21,7 +25,7 @@ turns each matrix into an involution is ``realform.PRESETS``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Optional, Sequence
@@ -67,6 +71,12 @@ def _difference(n: int, i: int, j: int) -> tuple[int, ...]:
     v = [0] * n
     v[i], v[j] = 1, -1
     return tuple(v)
+
+
+def _diagonal(signs: Sequence[int]) -> IntMatrix:
+    """The diagonal matrix with the given entries, such as theta's +-1 per axis."""
+    n = len(signs)
+    return tuple(tuple(s if i == j else 0 for j in range(n)) for i, s in enumerate(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +195,13 @@ def product(a: RootDatum, b: RootDatum) -> RootDatum:
 
 
 def gl(n: int) -> tuple[RootDatum, IntMatrix]:
-    """GL(n, R): cocharacters Z^n, coroots e_i - e_j, split involution."""
+    """GL(n, R): the split torus of rank n with the coroots e_i - e_j."""
     if n < 1:
         raise PresetError("GL(n) needs n >= 1")
+    rd, theta = torus_split(n)
     gens = tuple(_difference(n, i, j) for i in range(n) for j in range(n) if i != j)
-    rd = RootDatum(
-        rank=n,
-        coroot_generators=gens,
-        display_weights=tuple((f"eps{i + 1}", _unit(n, i)) for i in range(n)),
-        named_vectors=tuple((f"e{i + 1}", _unit(n, i)) for i in range(n)),
-        name=f"GL({n})",
-        coroot_basis=tuple(_difference(n, i, i + 1) for i in range(n - 1)),
-    )
-    theta = tuple(tuple(-x for x in row) for row in identity_matrix(n))
-    return rd, theta
+    basis = tuple(_difference(n, i, i + 1) for i in range(n - 1))
+    return replace(rd, coroot_generators=gens, name=f"GL({n})", coroot_basis=basis), theta
 
 
 def _normalize_signature(p: int, q: int) -> tuple[int, int]:
@@ -207,23 +210,23 @@ def _normalize_signature(p: int, q: int) -> tuple[int, int]:
     return (p, q) if p <= q else (q, p)
 
 
-def _so_like_display(p: int, q: int, embed) -> tuple[tuple[str, tuple], ...]:
-    """Diagonal entries of the standard torus of SO(p,q), as weights.
+def _so_like_display(p: int, q: int) -> tuple[tuple[str, tuple], ...]:
+    """Diagonal entries of the standard torus of SO(p,q), as weights in
+    eps-coordinates.
 
     Position j of the diagonal carries eps_j for j <= p, the constant 1
     for the middle positions of an odd group, and -eps_{n+1-j} at the end.
-    ``embed`` maps an eps-coordinate covector to internal coordinates.
     """
     n = p + q
     ell = n // 2
     out = []
     for j in range(1, n + 1):
         if j <= p:
-            out.append((f"eps{j}", embed(_unit(ell, j - 1))))
+            out.append((f"eps{j}", _unit(ell, j - 1)))
         elif j <= q:
-            out.append(("0", embed((0,) * ell)))
+            out.append(("0", (0,) * ell))
         else:
-            out.append((f"-eps{n + 1 - j}", embed(_neg(_unit(ell, n - j)))))
+            out.append((f"-eps{n + 1 - j}", _neg(_unit(ell, n - j))))
     return tuple(out)
 
 
@@ -264,16 +267,12 @@ def so(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
     rd = RootDatum(
         rank=ell,
         coroot_generators=tuple(gens),
-        display_weights=_so_like_display(p, q, lambda w: tuple(w)),
+        display_weights=_so_like_display(p, q),
         named_vectors=tuple((f"e{i + 1}", _unit(ell, i)) for i in range(ell)),
         name=f"SO({p},{q})",
         coroot_basis=_bd_simple_coroots(ell, n % 2 == 1),
     )
-    theta = tuple(
-        tuple((-1 if i < p else 1) if i == j else 0 for j in range(ell))
-        for i in range(ell)
-    )
-    return rd, theta
+    return rd, _diagonal([-1 if i < p else 1 for i in range(ell)])
 
 
 def pso(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
@@ -281,7 +280,7 @@ def pso(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
 
     The cocharacter lattice is Z^ell in the basis
     e_1, ..., e_{ell-1}, w_ell  where w_ell = (e_1 + ... + e_ell)/2 in the
-    eps-coordinates of SO; everything from the SO presentation is converted
+    eps-coordinates of SO; the datum and theta of so(p, q) are converted
     into that basis in integers, so the datum again lives on the standard
     lattice.
     """
@@ -289,39 +288,40 @@ def pso(p: int, q: int) -> tuple[RootDatum, IntMatrix]:
     n = p + q
     if n < 4 or n % 2 != 0:
         raise PresetError("PSO(p,q) needs p + q even and at least 4")
+    so_rd, so_theta = so(p, q)
     ell = n // 2
 
     # v in eps-coordinates has coordinates v_i - v_ell (i < ell) and 2 v_ell
-    # in the basis above.  This map takes u = 2v, so that w_ell stays
-    # integral; u_i - u_ell is even for every vector it is given here.
+    # in the basis above, so a v with v_ell = 0 keeps its coordinates
+    def conv_vec(v) -> tuple[int, ...]:
+        last = v[-1]
+        return tuple(x - last for x in v[:-1]) + (2 * last,) if last else v
+
+    # the same map given u = 2v, so that w_ell stays integral;
+    # u_i - u_ell is even for every vector it is given here
     def from_doubled(u) -> tuple[int, ...]:
         return tuple((x - u[-1]) // 2 for x in u[:-1]) + (u[-1],)
-
-    def conv_vec(v) -> tuple[int, ...]:
-        return from_doubled([2 * x for x in v])
 
     # a weight pairs with e_i (i < ell) as before and with w_ell as half its sum
     def conv_weight(lmbda) -> tuple:
         half = Fraction(sum(lmbda), 2)
         return tuple(lmbda[:-1]) + (int(half) if half.denominator == 1 else half,)
 
-    gens = tuple(conv_vec(v) for v in _d_coroots(ell))
-    named = [(f"e{i + 1}", conv_vec(_unit(ell, i))) for i in range(ell)]
+    named = [(nm, conv_vec(v)) for nm, v in so_rd.named_vectors]
     named.append((f"w{ell}", _unit(ell, ell - 1)))
     rd = RootDatum(
         rank=ell,
-        coroot_generators=gens,
-        display_weights=_so_like_display(p, q, conv_weight),
+        coroot_generators=tuple(map(conv_vec, so_rd.coroot_generators)),
+        display_weights=tuple((lbl, conv_weight(w)) for lbl, w in so_rd.display_weights),
         named_vectors=tuple(named),
         name=f"PSO({p},{q})",
         lift_note="matrix entries fixed only up to a global sign",
-        coroot_basis=tuple(conv_vec(v) for v in _bd_simple_coroots(ell, False)),
+        coroot_basis=tuple(map(conv_vec, so_rd.coroot_basis)),
     )
-    # column k of theta is theta_eps = diag(signs) applied to basis vector k
-    signs = [-1 if i < p else 1 for i in range(ell)]
+    # column k of theta is SO's theta applied to basis vector k, doubled
+    theta_eps = matrix_action(so_theta, ell)
     doubled = [[2 * x for x in _unit(ell, k)] for k in range(ell - 1)] + [[1] * ell]
-    columns = [from_doubled([s * x for s, x in zip(signs, b)]) for b in doubled]
-    return rd, transpose(columns)
+    return rd, transpose([from_doubled(theta_eps(b)) for b in doubled])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def _torus(n: int, sign: int, kind: str) -> tuple[RootDatum, IntMatrix]:
         named_vectors=tuple((f"e{i + 1}", _unit(n, i)) for i in range(n)),
         name=f"{kind} torus of rank {n}",
     )
-    return rd, tuple(tuple(sign * x for x in row) for row in identity_matrix(n))
+    return rd, _diagonal([sign] * n)
 
 
 def torus_split(n: int) -> tuple[RootDatum, IntMatrix]:
@@ -364,9 +364,6 @@ def torus_weil() -> tuple[RootDatum, IntMatrix]:
 
 # ---------------------------------------------------------------------------
 # simple groups from Cartan matrices
-
-
-_CHAIN_TYPES = "ABCD"
 
 
 def cartan_matrix(cartan_type: str, rank: int) -> IntMatrix:
@@ -421,6 +418,8 @@ def _coroot_closure(cartan: IntMatrix) -> tuple[tuple[int, ...], ...]:
         nxt = set()
         for c in frontier:
             for j, pairing in enumerate(pairings(c)):
+                if not pairing:
+                    continue  # s_j fixes c
                 image = list(c)
                 image[j] -= pairing
                 image = tuple(image)
@@ -476,8 +475,7 @@ def simple(
         isogeny,
         f"{cartan_type.upper()}{rank} ({isogeny})",
     )
-    sign = -1 if real == "split" else 1
-    return rd, tuple(tuple(sign * x for x in row) for row in identity_matrix(rank))
+    return rd, _diagonal([-1 if real == "split" else 1] * rank)
 
 
 # ---------------------------------------------------------------------------

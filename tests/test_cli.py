@@ -770,6 +770,64 @@ def test_main_bad_preset_params_exit_one(capsys):
     assert "preset field 'real'" in capsys.readouterr().err
 
 
+# each capped family's flags at its cap; the last flag is a size field
+AT_THE_CAPS = [
+    ["GL", "--n", "200"],
+    ["SO", "--p", "150", "--q", "150"],
+    ["PSO", "--p", "150", "--q", "150"],
+    ["TORUS_SPLIT", "--n", "500"],
+    ["TORUS_COMPACT", "--n", "500"],
+    ["SIMPLE", "--type", "A", "--rank", "100"],
+]
+
+
+def test_every_size_cap_is_tested():
+    assert [flags[0] for flags in AT_THE_CAPS] == list(realform.PRESET_CAPS)
+
+
+@pytest.mark.parametrize("flags", AT_THE_CAPS, ids=lambda flags: flags[0])
+def test_preset_size_cap(flags, capsys):
+    family = flags[0]
+    keys, cap = realform.PRESET_CAPS[family]
+    assert sum(int(flags[flags.index(f"--{k}") + 1]) for k in keys) == cap
+    over = [*flags[:-1], str(int(flags[-1]) + 1)]
+    assert cli.main(["preset", *over]) == 1
+    assert capsys.readouterr().err == (
+        f"error: preset {family!r} needs {' + '.join(keys)} <= {cap}, got {cap + 1}\n"
+    )
+    assert cli.main(["preset", *flags, "--h1"]) == 0
+    assert capsys.readouterr().out.startswith("group: ")
+
+
+def test_preset_help_states_each_size_cap(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["preset", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for family, (keys, cap) in realform.PRESET_CAPS.items():
+        for key in keys:
+            entry = text.split(f" --{key} {key.upper()} ")[1].split(" --")[0]
+            assert f"{' + '.join(keys)} <= {cap} for {family}" in entry
+
+
+def test_size_cap_quotes_a_bounded_prefix(capsys):
+    assert cli.main(["preset", "GL", "--n", "9" * 300]) == 1
+    assert capsys.readouterr().err == (
+        "error: preset 'GL' needs n <= 200, got " + "9" * 80 + "...\n"
+    )
+
+
+def test_inline_rank_takes_the_split_torus_cap(tmp_path, capsys):
+    cap = realform.PRESET_CAPS["TORUS_SPLIT"][1]
+    spec = tmp_path / "job.json"
+    for rank in (cap + 1, 10**23):
+        spec.write_text(json.dumps({"rank": rank, "coroots": [], "theta": []}))
+        assert cli.main(["compute", str(spec)]) == 1
+        assert capsys.readouterr().err == f"error: 'rank' must be at most {cap}, got {rank}\n"
+    theta = [[-int(i == j) for j in range(cap)] for i in range(cap)]
+    doc = {"rank": cap, "coroots": [], "theta": theta, "outputs": {"representatives": False}}
+    assert run_job(doc)["order"] == 2**cap
+
+
 def test_preset_help_names_every_family(capsys):
     with pytest.raises(SystemExit):
         cli.main(["preset", "--help"])

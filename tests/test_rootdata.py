@@ -1,6 +1,7 @@
 """Tests for the root datum builders and presets."""
 
 import functools
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,9 @@ from pi0real.realform import PRESETS, Involution, build_preset
 from pi0real.rootdata import (
     PresetError,
     RootDatum,
+    _coroot_closure,
     cartan_matrix,
+    e7,
     e7_adjoint,
     gl,
     product,
@@ -331,6 +334,36 @@ def test_coroot_counts():
     for t, r, c in counts:
         rd, _ = simple(t, r, "sc", "split")
         assert len(rd.coroot_generators) == c, (t, r)
+
+
+def _closure_reflecting_along_every_pairing(cartan):
+    """The orbit of the simple coroots under the simple reflections, each
+    reflection applied to each coroot, also where the pairing is 0."""
+    n = len(cartan)
+    frontier = {unit(n, i) for i in range(n)} | {tuple(-x for x in unit(n, i)) for i in range(n)}
+    seen = set(frontier)
+    while frontier:
+        nxt = set()
+        for c in frontier:
+            for j, pairing in enumerate(mat_vec(cartan, c)):
+                image = list(c)
+                image[j] -= pairing
+                image = tuple(image)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.add(image)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+@pytest.mark.parametrize(
+    "t, r",
+    [(t, r) for t, low in zip("ABCD", (1, 2, 2, 3)) for r in range(low, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2), ("A", 20), ("D", 12)],
+)
+def test_coroot_closure_skips_only_reflections_that_fix_a_coroot(t, r):
+    cartan = cartan_matrix(t, r)
+    assert _coroot_closure(cartan) == _closure_reflecting_along_every_pairing(cartan)
 
 
 def test_simple_sc_has_full_coroot_lattice():
@@ -694,3 +727,45 @@ def test_build_preset_involutions_are_validated(monkeypatch):
         assert isinstance(inv, Involution), spec
         img = [tuple(int(x) for x in mat_vec(inv.theta, c)) for c in rd.coroot_generators]
         assert set(img) == set(rd.coroot_generators), spec
+
+
+# ---------------------------------------------------------------------------
+# every builder over a fixed grid, against a pinned digest
+
+
+def _builder_grid():
+    """(builder, arguments) over a fixed grid of each family's fields,
+    negative, odd and too-small sizes included."""
+    yield from ((gl, (n,)) for n in range(25))
+    for p in range(-1, 19):
+        for q in range(-1, 18 - p):
+            yield so, (p, q)
+            yield pso, (p, q)
+    for n in range(-1, 13):
+        yield torus_split, (n,)
+        yield torus_compact, (n,)
+    yield torus_weil, ()
+    for t in "ABCDEFG":
+        for r in range(9):
+            for isogeny in ("sc", "adj"):
+                for real in ("split", "compact"):
+                    yield simple, (t, r, isogeny, real)
+    for form in ("EV", "EVI", "EVII"):
+        yield e7, (form,)
+
+
+def test_builders_match_their_pinned_digest():
+    # each datum with its coroot order, weight types and Q basis (which
+    # repr and == leave out), theta and label, or the builder's error text
+    lines = []
+    for build, args in _builder_grid():
+        try:
+            rd, theta, *label = build(*args)
+            text = repr((rd, rd.coroot_basis, theta, label[0] if label else None))
+        except PresetError as exc:
+            text = f"PresetError: {exc}"
+        lines.append(f"{build.__name__}{args!r} -> {text}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        729, "9dd2a1a60f6c8590a031a0d210b160700f097218655c5a1a274d484b22708f2b"
+    )

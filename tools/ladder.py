@@ -19,7 +19,11 @@ basis, some vectors scaled by 1/3, whose parse column solves for theta.
 One input sends a preset's datum through the inline readers:
 ``PSO(24,24)`` as inline data, its 1104 coroots, theta, 25 named vectors
 and 48 display weights, each weight's half-integral entry written as an
-"a/b" string.  Stdlib only; nothing is written.
+"a/b" string.  The last rows are the largest GL, TORUS_SPLIT, SIMPLE A,
+SIMPLE D adjoint and PSO --h1 jobs that ``realform.PRESET_CAPS`` allows,
+so that each cap's cost stays tracked.  A SIMPLE or E7 row's best parse
+reads its coroots from the closure cached per Cartan matrix, which a
+fresh process computes once.  Stdlib only; nothing is written.
 """
 
 from __future__ import annotations
@@ -118,6 +122,12 @@ LADDER = (
     ("E7 EVII --h1", {"preset": "E7", "form": "EVII", "outputs": H1}),
     ("TORUS_SPLIT n=10 --h1 --oracle", {"preset": "TORUS_SPLIT", "n": 10, "outputs": ORACLE}),
     ("TORUS_SPLIT n=12 --h1 --oracle", {"preset": "TORUS_SPLIT", "n": 12, "outputs": ORACLE}),
+    # the largest jobs realform.PRESET_CAPS allows
+    ("GL(200)", {"preset": "GL", "n": 200}),
+    ("TORUS_SPLIT n=500", {"preset": "TORUS_SPLIT", "n": 500}),
+    ("SIMPLE A100", {"preset": "SIMPLE", "type": "A", "rank": 100}),
+    ("SIMPLE D100 adj", {"preset": "SIMPLE", "type": "D", "rank": 100, "isogeny": "adj"}),
+    ("PSO(150,150) --h1", {"preset": "PSO", "p": 150, "q": 150, "outputs": H1}),
 )
 
 
